@@ -102,13 +102,6 @@ class BesselPolynomial:
         }
 
 
-def _lower_weight(mu: Partition, i: int, p: BesselParams) -> Fraction:
-    # coefficient of the mu-term produced when the operator lowers mu+e_i
-    return jack.spec_ratio_cocover(mu, i, p.kappa, p.n) * jack.binomial_cocover(
-        mu, i, p.kappa
-    )
-
-
 def bessel_expand(lam: Partition, p: BesselParams) -> BesselPolynomial:
     """Build Y_lambda by the triangular eigenvector recurrence.
 
@@ -119,27 +112,17 @@ def bessel_expand(lam: Partition, p: BesselParams) -> BesselPolynomial:
     """
     if lam.length() > p.n:
         raise ValueError(f"{lam!r} needs more than {p.n} variables")
-    e_lam = bessel_eigenvalue(lam, p)
-    inside = [mu for mu in partitions_up_to(lam.weight(), p.n) if lam.contains(mu)]
-    inside.sort(key=lambda q: q.weight(), reverse=True)
-    u: dict[Partition, Fraction] = {lam: ONE}
-    for mu in inside:
-        if mu == lam:
-            continue
-        e_mu = bessel_eigenvalue(mu, p)
-        if e_mu == e_lam:
-            raise DegenerateEigenvalue(
-                f"e_{mu.parts} = e_{lam.parts} = {e_lam} at a={p.a}, kappa={p.kappa}, n={p.n}"
-            )
+    inside = [mu for mu in partitions_up_to(lam.weight(), p.n) if mu != lam and lam.contains(mu)]
+
+    def feed(mu: Partition, u: dict[Partition, Fraction]) -> Fraction:
         rhs = ZERO
         for i in range(1, min(p.n, lam.length()) + 1):
             up = mu.add_box(i)
-            if up is None or not lam.contains(up):
-                continue
-            rhs += _lower_weight(mu, i, p) * u.get(up, ZERO)
-        val = 2 * rhs / (e_lam - e_mu)
-        if val:
-            u[mu] = val
+            if up is not None and lam.contains(up):
+                rhs += jack.lower_weight(mu, i, p.kappa, p.n) * u.get(up, ZERO)
+        return 2 * rhs
+
+    u = jack.triangular_solve(lam, ONE, inside, lambda mu: bessel_eigenvalue(mu, p), feed)
     return BesselPolynomial(lam, p, JackExpansion(p.n, p.kappa, u))
 
 
@@ -173,7 +156,7 @@ def bessel_coeff_tableau(lam: Partition, mu: Partition, p: BesselParams) -> Frac
                 raise DegenerateEigenvalue(
                     f"chain denominator vanished at step {i} below {lam.parts}"
                 )
-            term *= 2 * _lower_weight(lower, row, p) / den
+            term *= 2 * jack.lower_weight(lower, row, p.kappa, p.n) / den
         total += term
     return total
 

@@ -56,11 +56,21 @@ def parse_partition(s: str) -> Partition:
     return Partition(parts)
 
 
+def positive_int(s: str) -> int:
+    n = int(s)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _emit(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=2)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         print(text)
 
@@ -243,6 +253,8 @@ _SUITES = {
 def cmd_verify(args) -> int:
     checks: list[tuple[str, bool, str]] = []
     _SUITES[args.suite](args, checks)
+    if not checks:
+        raise ValueError("suite ran no checks")
     doc = {
         "suite": args.suite,
         "checks": [
@@ -363,14 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     pj = sub.add_parser("jack", help="Jack polynomial data")
-    pj.add_argument("--n", type=int, required=True)
+    pj.add_argument("--n", type=positive_int, required=True)
     pj.add_argument("--kappa", required=True)
     pj.add_argument("--lambda", dest="lam", required=True)
     pj.add_argument("--out")
     pj.set_defaults(func=cmd_jack)
 
     pb = sub.add_parser("bessel", help="Bessel polynomial data")
-    pb.add_argument("--n", type=int, required=True)
+    pb.add_argument("--n", type=positive_int, required=True)
     pb.add_argument("--a", required=True)
     pb.add_argument("--kappa", required=True)
     pb.add_argument("--lambda", dest="lam", required=True)
@@ -380,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=sorted(_SUITES))
-    pv.add_argument("--n", type=int, default=2)
+    pv.add_argument("--n", type=positive_int, default=2)
     pv.add_argument("--a", default="-20")
     pv.add_argument("--kappa", default="1")
     pv.add_argument("--max-degree", type=int, default=2)
@@ -394,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
 
     pl = sub.add_parser("ledger", help="published-vs-implemented discrepancy ledger")
-    pl.add_argument("--n", type=int, default=2)
+    pl.add_argument("--n", type=positive_int, default=2)
     pl.add_argument("--a", default="-20")
     pl.add_argument("--kappa", default="1")
     pl.add_argument("--out")

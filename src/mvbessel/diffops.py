@@ -14,18 +14,6 @@ from .errors import NotDivisible, NotSymmetric
 from .polyalg import MultiPoly, SymPoly, collect_symmetric, divide_exact
 
 
-def euler_op(f: MultiPoly, ell: int) -> MultiPoly:
-    """sum_i x_i^ell d/dx_i applied to f (ell = 0 or 1)."""
-    n = f.n
-    out = MultiPoly.zero(n)
-    for i in range(1, n + 1):
-        g = f.deriv(i)
-        for _ in range(ell):
-            g = g * MultiPoly.variable(n, i)
-        out = out + g
-    return out
-
-
 def pairwise_interaction(f: MultiPoly, k: int, kappa: Fraction) -> MultiPoly:
     """2*kappa * sum_{i != j} x_i^k/(x_i - x_j) df/dx_i for symmetric f."""
     n = f.n
@@ -70,10 +58,6 @@ def bessel_op(f: MultiPoly, a: Fraction, kappa: Fraction) -> MultiPoly:
 
 def apply_sutherland_sym(f: SymPoly, k: int, kappa: Fraction) -> SymPoly:
     return collect_symmetric(sutherland_op(f.expand(), k, kappa))
-
-
-def apply_euler_sym(f: SymPoly, ell: int) -> SymPoly:
-    return collect_symmetric(euler_op(f.expand(), ell))
 
 
 def apply_bessel_sym(f: SymPoly, a: Fraction, kappa: Fraction) -> SymPoly:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import DegenerateEigenvalue, PoleError
 from .partitions import Partition, dominance_leq, partitions_of, partitions_up_to
@@ -47,6 +47,56 @@ def _d2_monomial(mu: Partition, kappa: Fraction, n: int) -> SymPoly:
     return res
 
 
+def triangular_solve(
+    top: Partition,
+    top_coeff: Fraction,
+    below: Iterable[Partition],
+    eigen: Callable[[Partition], Fraction],
+    feed: Callable[[Partition, dict[Partition, Fraction]], Fraction],
+) -> dict[Partition, Fraction]:
+    """Coefficients u of a triangular eigenvector with u[top] = top_coeff.
+
+    Each mu in `below` is solved in decreasing graded-lex order, which
+    refines both dominance and containment, from
+
+        (eigen(top) - eigen(mu)) u[mu] = feed(mu, u),
+
+    where feed couples mu to the coefficients already in u; zero
+    coefficients are left out of u.  Raises DegenerateEigenvalue when
+    eigen(mu) = eigen(top).
+    """
+    e_top = eigen(top)
+    u = {top: Fraction(top_coeff)}
+    for mu in sorted(below, reverse=True):
+        e_mu = eigen(mu)
+        if e_mu == e_top:
+            raise DegenerateEigenvalue(
+                f"eigenvalue of {mu.parts} equals that of {top.parts} = {e_top}"
+            )
+        val = feed(mu, u) / (e_top - e_mu)
+        if val:
+            u[mu] = val
+    return u
+
+
+def peel(f, basis: Callable) -> dict[Partition, Fraction]:
+    """Coefficients of f (a SymPoly or JackExpansion) on a triangular basis.
+
+    basis(mu) has its graded-lex leading term at mu.  The leading term of
+    the remainder is peeled off until nothing is left, so each subtraction
+    only introduces strictly smaller partitions.
+    """
+    out: dict[Partition, Fraction] = {}
+    rest = f
+    while not rest.is_zero():
+        mu = max(rest.coeffs)
+        b = basis(mu)
+        c = rest.coeff(mu) / b.coeff(mu)
+        out[mu] = c
+        rest = rest - b.scale(c)
+    return out
+
+
 def jack_in_monomials(lam: Partition, kappa: Fraction, n: int) -> SymPoly:
     """The monic Jack polynomial P_lambda in the m basis, for n variables.
 
@@ -63,24 +113,12 @@ def jack_in_monomials(lam: Partition, kappa: Fraction, n: int) -> SymPoly:
     if cached is not None:
         return cached
 
-    d_lam = eigenvalue_d(lam, kappa, n)
-    cls = [mu for mu in partitions_of(lam.weight(), n) if dominance_leq(mu, lam)]
-    # decreasing graded-lex is a linear extension of dominance (top first)
-    cls.sort(key=lambda p: p.parts, reverse=True)
-    u: dict[Partition, Fraction] = {lam: ONE}
-    actions = {mu: _d2_monomial(mu, kappa, n) for mu in cls}
-    for mu in cls[1:]:
-        d_mu = eigenvalue_d(mu, kappa, n)
-        if d_mu == d_lam:
-            raise DegenerateEigenvalue(
-                f"d_{mu.parts} = d_{lam.parts} = {d_lam} at kappa={kappa}, n={n}"
-            )
-        rhs = ZERO
-        for nu, c in u.items():
-            rhs += c * actions[nu].coeff(mu)
-        val = rhs / (d_lam - d_mu)
-        if val:
-            u[mu] = val
+    below = [mu for mu in partitions_of(lam.weight(), n) if mu != lam and dominance_leq(mu, lam)]
+
+    def feed(mu: Partition, u: dict[Partition, Fraction]) -> Fraction:
+        return sum((c * _d2_monomial(nu, kappa, n).coeff(mu) for nu, c in u.items()), ZERO)
+
+    u = triangular_solve(lam, ONE, below, lambda mu: eigenvalue_d(mu, kappa, n), feed)
     res = SymPoly(n, u)
     with _CACHE_LOCK:
         _JACK_CACHE[key] = res
@@ -155,6 +193,8 @@ def binomial_cocover(lam: Partition, i: int, kappa: Fraction) -> Fraction:
     if up is None:
         raise ValueError(f"adding a box in row {i} of {lam!r} is not a partition")
     h_lam, _ = hook_products(lam, kappa)
+    if h_lam == 0:
+        raise PoleError(f"hook product of {lam!r} vanished")
     h_up, _ = hook_products(up, kappa)
     return psi_prime(lam, i, kappa) * h_up / h_lam
 
@@ -197,6 +237,11 @@ def spec_ratio_cocover(lam: Partition, i: int, kappa: Fraction, n: int) -> Fract
     if den == 0:
         raise PoleError("principal specialization vanished")
     return principal_spec(up, kappa, n) / den
+
+
+def lower_weight(mu: Partition, i: int, kappa: Fraction, n: int) -> Fraction:
+    """The one-box lowering weight: the coefficient of P_mu in E0 P_{mu+e_i}."""
+    return spec_ratio_cocover(mu, i, kappa, n) * binomial_cocover(mu, i, kappa)
 
 
 def spec_ratio_product(
@@ -339,19 +384,11 @@ class JackExpansion:
 def sym_to_jack(f: SymPoly, kappa: Fraction) -> JackExpansion:
     """Expand a symmetric polynomial in the monic Jack basis.
 
-    Peels leading monomial coefficients in decreasing graded-lex order,
-    which refines dominance, so each subtraction only introduces strictly
-    smaller partitions.
+    Peels leading monomial coefficients; each P_lam is monic with leading
+    term m_lam in graded-lex order, which refines dominance.
     """
     kappa = Fraction(kappa)
-    out: dict[Partition, Fraction] = {}
-    rest = f
-    while not rest.is_zero():
-        lam = rest.leading_partition()
-        c = rest.coeff(lam)
-        out[lam] = c
-        rest = rest - jack_in_monomials(lam, kappa, f.n).scale(c)
-    return JackExpansion(f.n, kappa, out)
+    return JackExpansion(f.n, kappa, peel(f, lambda lam: jack_in_monomials(lam, kappa, f.n)))
 
 
 # -- the five basic operator actions ------------------------------------------
@@ -377,11 +414,8 @@ def apply_basic(opid: str, v: JackExpansion) -> JackExpansion:
             terms: dict[Partition, Fraction] = {}
             for i in range(1, n + 1):
                 up = lam.add_box(i)
-                if up is None:
-                    continue
-                h_lam, _ = hook_products(lam, kappa)
-                h_up, _ = hook_products(up, kappa)
-                terms[up] = c * binomial_cocover(lam, i, kappa) * h_lam / h_up
+                if up is not None:
+                    terms[up] = c * psi_prime(lam, i, kappa)
             out = out + JackExpansion(n, kappa, terms)
         else:  # E0 or D1: one-box lowering
             terms = {}
@@ -389,11 +423,10 @@ def apply_basic(opid: str, v: JackExpansion) -> JackExpansion:
                 mu = lam.remove_box(i)
                 if mu is None:
                     continue
-                w = binomial_cocover(mu, i, kappa) * spec_ratio_cocover(mu, i, kappa, n)
+                w = lower_weight(mu, i, kappa, n)
                 if opid == "D1":
                     w *= lam.part(i) - 1 + kappa * (n - i)
-                prev = terms.get(mu, ZERO)
-                terms[mu] = prev + c * w
+                terms[mu] = c * w
             out = out + JackExpansion(n, kappa, terms)
     return out
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import jack
-from .errors import DegenerateEigenvalue, PoleError
+from .errors import PoleError
 from .jack import JackExpansion
 from .partitions import Partition, partitions_up_to
-from .polyalg import ONE, ZERO, rat
+from .polyalg import ZERO, rat
 
 
 @dataclass(frozen=True)
@@ -66,34 +66,27 @@ def jacobi_expand(lam: Partition, jp: JacobiParams) -> JackExpansion:
     """The Jacobi polynomial for lambda as a Jack-basis expansion.
 
     Triangular with support on mu contained in lambda, leading coefficient
-    (-4)^{|lambda|} on P_lambda, eigenfunction of apply_DBC_jack.  Built by
-    the same decreasing-weight recurrence as the Bessel expansion.
+    (-4)^{|lambda|} on P_lambda, eigenfunction of apply_DBC_jack.  Only the
+    D1 and E0 parts of that operator lower a box; from P_{mu+e_i} they give
+    P_mu with weight -lower_weight(mu, i) (mu_i + k3 (n-i) + k1 + k2 + 1/2).
     """
     if lam.length() > jp.n:
         raise ValueError(f"{lam!r} needs more than {jp.n} variables")
-    e_lam = jacobi_eigenvalue(lam, jp)
-    inside = [mu for mu in partitions_up_to(lam.weight(), jp.n) if lam.contains(mu)]
-    inside.sort(key=lambda q: q.weight(), reverse=True)
-    coeffs: dict[Partition, Fraction] = {lam: Fraction(-4) ** lam.weight()}
-    for mu in inside:
-        if mu == lam:
-            continue
-        e_mu = jacobi_eigenvalue(mu, jp)
-        if e_mu == e_lam:
-            raise DegenerateEigenvalue(
-                f"e_{mu.parts} = e_{lam.parts} = {e_lam} at {jp}"
-            )
+    inside = [mu for mu in partitions_up_to(lam.weight(), jp.n) if mu != lam and lam.contains(mu)]
+    shift = jp.k1 + jp.k2 + Fraction(1, 2)
+
+    def feed(mu: Partition, u: dict[Partition, Fraction]) -> Fraction:
         rhs = ZERO
         for i in range(1, min(jp.n, lam.length()) + 1):
             up = mu.add_box(i)
-            if up is None or not lam.contains(up) or up not in coeffs:
-                continue
-            act = apply_DBC_jack(JackExpansion(jp.n, jp.k3, {up: ONE}), jp)
-            rhs += coeffs[up] * act.coeff(mu)
-        val = rhs / (e_lam - e_mu)
-        if val:
-            coeffs[mu] = val
-    return JackExpansion(jp.n, jp.k3, coeffs)
+            if up in u:  # only co-covers already holding a nonzero coefficient
+                w = jack.lower_weight(mu, i, jp.k3, jp.n)
+                rhs -= u[up] * w * (mu.part(i) + jp.k3 * (jp.n - i) + shift)
+        return rhs
+
+    top = Fraction(-4) ** lam.weight()
+    u = jack.triangular_solve(lam, top, inside, lambda mu: jacobi_eigenvalue(mu, jp), feed)
+    return JackExpansion(jp.n, jp.k3, u)
 
 
 def _w_step_bc(z: Fraction, jp: JacobiParams) -> Fraction:

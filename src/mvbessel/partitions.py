@@ -111,10 +111,6 @@ class Partition:
         return list(self.parts)
 
 
-def conjugate(lam: Partition) -> Partition:
-    return lam.conjugate()
-
-
 def dominance_leq(mu: Partition, lam: Partition) -> bool:
     """True iff |mu| = |lam| and every prefix sum of mu is <= that of lam."""
     if mu.weight() != lam.weight():
@@ -126,11 +122,6 @@ def dominance_leq(mu: Partition, lam: Partition) -> bool:
         if s_mu > s_lam:
             return False
     return True
-
-
-def contains(mu: Partition, lam: Partition) -> bool:
-    """True iff mu ⊆ lam (rowwise)."""
-    return lam.contains(mu)
 
 
 def co_covers(lam: Partition, n: int, direction: str) -> list[tuple[int, Partition]]:

@@ -24,8 +24,8 @@ from math import factorial
 from .errors import ConvergenceError, PoleError
 from .partitions import Partition
 from .polyalg import ONE, ZERO, RatT, SymPoly, elementary
-from .bessel import BesselParams, rho_vector
-from .jack import rising_factorial
+from .bessel import BesselParams, bessel_expand, renormalize, rho_vector
+from .jack import peel, rising_factorial, sym_to_jack
 
 
 def falling_factorial(alpha: Fraction, m: int) -> Fraction:
@@ -37,15 +37,13 @@ def falling_factorial(alpha: Fraction, m: int) -> Fraction:
 
 
 class CoefficientContext:
-    """Bessel parameters plus the rho vector and the shift constants s_+ = 0, s_- = 1."""
+    """Bessel parameters plus the rho vector."""
 
-    __slots__ = ("params", "rho", "s_plus", "s_minus")
+    __slots__ = ("params", "rho")
 
     def __init__(self, params: BesselParams):
         self.params = params
         self.rho = rho_vector(params)
-        self.s_plus = 0
-        self.s_minus = 1
 
     def __repr__(self) -> str:
         return f"CoefficientContext({self.params})"
@@ -151,15 +149,6 @@ def _V_general(eps, I, J, z: tuple, a, kappa):
     return val
 
 
-def V_coeff(eps, I, J, z: tuple, ctx: CoefficientContext) -> Fraction:
-    """The raising coefficient V_{eps I, J}(z).
-
-    eps maps each index of I to +1 or -1; I and J are disjoint 1-based
-    index sets.
-    """
-    return _V_general(eps, I, J, z, ctx.params.a, ctx.params.kappa)
-
-
 def _U_general(J, p: int, z: tuple, a, kappa):
     J = tuple(J)
     if not 0 <= p <= len(J):
@@ -181,11 +170,6 @@ def _U_general(J, p: int, z: tuple, a, kappa):
                     term *= v_hat(eps[k] * z[k - 1] - z[j - 1], kappa)
             total += term
     return (-1) ** p * total
-
-
-def U_coeff(J, p: int, z: tuple, ctx: CoefficientContext) -> Fraction:
-    """The stay coefficient U_{J,p}(z), a signed sum over p-subsets of J."""
-    return _U_general(J, p, z, ctx.params.a, ctx.params.kappa)
 
 
 class PieriExpansion:
@@ -273,19 +257,12 @@ def pieri_verify(r: int, lam: Partition, ctx: CoefficientContext) -> bool:
     """Oracle check: multiply out E_hat_r * Ytilde_lambda and re-expand it
     in the renormalized basis by triangular peeling; compare exactly with
     pieri_expand."""
-    from . import bessel as _bessel
-    from .jack import sym_to_jack
-
     p = ctx.params
-    lhs = E_hat_r(r, p.n) * _bessel.renormalize(_bessel.bessel_expand(lam, p)).to_sym()
-    rem = sym_to_jack(lhs, p.kappa)
-    expanded: dict[Partition, Fraction] = {}
-    while not rem.is_zero():
-        mu = max(rem.coeffs, key=lambda q: (q.weight(), q.parts))
-        ytil = _bessel.renormalize(_bessel.bessel_expand(mu, p)).jack_coeffs
-        c = rem.coeff(mu) / ytil.coeff(mu)
-        expanded[mu] = c
-        rem = rem - ytil.scale(c)
+    lhs = E_hat_r(r, p.n) * renormalize(bessel_expand(lam, p)).to_sym()
+    expanded = peel(
+        sym_to_jack(lhs, p.kappa),
+        lambda mu: renormalize(bessel_expand(mu, p)).jack_coeffs,
+    )
     return expanded == pieri_expand(r, lam, ctx).by_target()
 
 

@@ -16,8 +16,6 @@ from typing import Iterable, Mapping
 from .errors import NotDivisible, NotSymmetric
 from .partitions import Partition
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -316,13 +314,6 @@ class SymPoly:
     def coeff(self, lam: Partition) -> Fraction:
         return self.coeffs.get(lam, ZERO)
 
-    def constant_term(self) -> Fraction:
-        return self.coeffs.get(Partition(), ZERO)
-
-    def leading_partition(self) -> Partition:
-        """Largest partition present, in graded-lex order."""
-        return max(self.coeffs, key=lambda p: (p.weight(), p.parts))
-
     def evaluate(self, point: Iterable) -> Fraction:
         return self.expand().evaluate(point)
 
@@ -423,18 +414,6 @@ class FactoredFraction:
     @classmethod
     def from_poly(cls, p: MultiPoly) -> "FactoredFraction":
         return cls(p)
-
-    def denominator_poly(self) -> MultiPoly:
-        n = self.n
-        d = MultiPoly.constant(n, 1)
-        for i, c in enumerate(self.var_pows, start=1):
-            for _ in range(c):
-                d = d * MultiPoly.variable(n, i)
-        for (i, j), p in self.pair_pows.items():
-            fac = MultiPoly.variable(n, i) - MultiPoly.variable(n, j)
-            for _ in range(p):
-                d = d * fac
-        return d
 
     def _pad_numer(self, var_pows, pair_pows) -> MultiPoly:
         """Numerator multiplied up to the given (larger) denominator."""
@@ -561,10 +540,6 @@ class FactoredFraction:
             if pp.get(key, 0) == 0:
                 pp.pop(key, None)
         return FactoredFraction(num, tuple(vp), pp)
-
-    def is_polynomial(self) -> bool:
-        s = self.simplify()
-        return all(c == 0 for c in s.var_pows) and not s.pair_pows
 
     def to_poly(self) -> MultiPoly:
         """Exact reduction to a polynomial; raises NotDivisible otherwise."""

@@ -108,3 +108,44 @@ def test_ledger(capsys):
     assert any("binomial" in i for i in items)
     assert any("moment" in i for i in items)
     assert any("Pieri" in i for i in items)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "eigen", "--max-degree", "-1"],
+        ["verify", "commute", "--d-max", "1"],
+    ],
+)
+def test_verify_empty_suite_is_not_a_pass(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == "" and "error: suite ran no checks" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jack", "--n", "0", "--lambda=", "--kappa", "1"],
+        ["bessel", "--n", "0", "--a=-20", "--kappa", "1", "--lambda="],
+        ["verify", "eigen", "--n", "0"],
+        ["ledger", "--n", "0"],
+        ["ledger", "--n=-2"],
+    ],
+)
+def test_n_below_one_is_rejected(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == "" and "argument --n: must be at least 1" in err
+
+
+def test_unwritable_out_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(["ledger", "--out", str(target)], capsys)
+    assert code == 1 and out == "" and err.startswith("error: cannot write")
+    assert not target.exists()
+
+
+def test_bessel_vanishing_hook_product_exit_code(capsys):
+    code, out, err = run(
+        ["bessel", "--n=2", "--a=-20", "--kappa=-2", "--lambda=2,2"], capsys
+    )
+    assert code == 2 and out == "" and "degenerate" in err

@@ -1,0 +1,78 @@
+"""Byte-identity gate: exit code and sha256 of stdout for small CLI runs.
+
+Each digest pins the exact JSON a subcommand prints, so a change to how the
+expansions are computed must leave every one of them unchanged.  The grid
+covers each subcommand and verify suite, the removable 0/0 Pieri path at
+kappa = 1, and two degenerate runs that exit 2 with empty stdout.
+"""
+
+import hashlib
+
+import pytest
+
+from mvbessel.cli import main
+
+GOLDEN = [
+    (
+        "jack --n=3 --kappa=5/3 --lambda=3,1",
+        0,
+        "03307284531a00a724333e649b6042bf0c6d683f9737743d467124a46bdb2ecf",
+    ),
+    (
+        "bessel --n=3 --a=-31/2 --kappa=3/2 --lambda=2,1 --renormalize",
+        0,
+        "ac966a1887e514a27fc1026f21d884ce8156bfe04c4256b7c4d1838a330c46e6",
+    ),
+    (
+        "bessel --n=2 --a=-2 --kappa=1 --lambda=1",
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        "verify eigen --n=3 --a=-31/2 --kappa=5/3 --max-degree=3",
+        0,
+        "fb2a4b310fb13b736699ffe9738b133444f4ac3cf40ddf3aabe5583c39c89aa8",
+    ),
+    (
+        "verify jacobi --n=3 --k1=1/3 --k2=5/7 --k3=3/2 --max-degree=3",
+        0,
+        "e09488b027e33ff295ba0e506380d8150ae743b56859e1b3d8a1e7139d834399",
+    ),
+    (
+        "verify jacobi --n=1 --k1=-3 --k2=1 --k3=1 --max-degree=2",
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        "verify pieri --n=2 --a=-20 --kappa=1 --max-degree=2",
+        0,
+        "7fc404004a0ec377fb4b6e732bcd5d3fd2cb56c3ec6cfa0d666a6a149a7ea3ce",
+    ),
+    (
+        "verify gram --n=2 --a=-20 --kappa=1 --max-degree=2",
+        0,
+        "18b573c07fa9150a6122d4dca3770593e4e41006697891dc783f96391ef1522c",
+    ),
+    (
+        "verify moments2 --a=-20 --kappa=3/2 --max-degree=3",
+        0,
+        "1517491fa13e4c88a1d7e67cf24d25fdbf7b014078c150d66577b08e80c87e00",
+    ),
+    (
+        "verify commute --n=2 --a=-20 --kappa=1 --max-degree=2 --d-max=2",
+        0,
+        "2fa730ff02a7d1aa69efdc9fba77c3e09206c20a6ecb8a07bebc8edd6a9f3d7b",
+    ),
+    (
+        "ledger --n=3 --a=-31/2 --kappa=5/3",
+        0,
+        "d58ad0ad62283e8b72959f5013d90c49df1cae5abf8cdeceb22671e80d9e60d8",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_cli_output_is_pinned(argv, code, digest, capsys):
+    assert main(argv.split()) == code
+    out, _ = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

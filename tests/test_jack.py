@@ -84,6 +84,12 @@ def test_binomial_n_stability():
         assert binomial_cocover(lam, i, kappa) == binomial_cocover(lam, i, kappa)
 
 
+def test_binomial_vanishing_hook_product_is_a_pole():
+    # h_(1,1) = kappa + 1 vanishes at kappa = -1
+    with pytest.raises(PoleError):
+        binomial_cocover(Partition((1, 1)), 1, Fraction(-1))
+
+
 def test_spec_ratio_product_agrees():
     for kappa in (Fraction(1), Fraction(5, 3)):
         for n in (2, 3):

@@ -1,0 +1,65 @@
+"""Randomised cross-checks of the shared triangular solver and the peel.
+
+Parameters are drawn as arbitrary small rationals; a draw is rejected only
+when it lands on a degenerate point (an eigenvalue collision or a pole),
+so any other exception fails the test.
+"""
+
+from hypothesis import given, reject, settings, strategies as st
+
+from mvbessel.bessel import BesselParams, bessel_coeff_tableau, bessel_expand
+from mvbessel.errors import DegenerateEigenvalue, PoleError
+from mvbessel.jack import sym_to_jack
+from mvbessel.jacobi_bc import JacobiParams, apply_DBC_jack, jacobi_eigenvalue, jacobi_expand
+from mvbessel.partitions import partitions_up_to
+from mvbessel.polyalg import SymPoly
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+kappas = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def shapes(draw):
+    n = draw(st.integers(1, 3))
+    return n, draw(st.sampled_from(partitions_up_to(3, n)))
+
+
+def _unless_degenerate(fn, *args):
+    try:
+        return fn(*args)
+    except (DegenerateEigenvalue, PoleError):
+        reject()
+
+
+@settings(derandomize=True, deadline=None)
+@given(shapes(), rationals, kappas)
+def test_bessel_recurrence_matches_tableau(shape, a, kappa):
+    n, lam = shape
+    p = BesselParams(a, kappa, n)
+    Y = _unless_degenerate(bessel_expand, lam, p)
+    for mu in partitions_up_to(lam.weight(), n):
+        if lam.contains(mu):
+            assert Y.coeff(mu) == _unless_degenerate(bessel_coeff_tableau, lam, mu, p), mu
+
+
+@settings(derandomize=True, deadline=None)
+@given(shapes(), rationals, rationals, kappas)
+def test_jacobi_expansion_is_an_eigenvector(shape, k1, k2, k3):
+    n, lam = shape
+    jp = JacobiParams(k1, k2, k3, n)
+    v = _unless_degenerate(jacobi_expand, lam, jp)
+    image = _unless_degenerate(apply_DBC_jack, v, jp)
+    assert image == v.scale(jacobi_eigenvalue(lam, jp))
+
+
+@st.composite
+def sym_polys(draw):
+    n = draw(st.integers(1, 3))
+    support = draw(st.lists(st.sampled_from(partitions_up_to(3, n)), max_size=4))
+    return SymPoly(n, {mu: draw(rationals) for mu in support})
+
+
+@settings(derandomize=True, deadline=None)
+@given(sym_polys(), kappas)
+def test_sym_to_jack_round_trip(f, kappa):
+    assert _unless_degenerate(sym_to_jack, f, kappa).to_sym() == f

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
 from .errors import DegenerateEigenvalue, PoleError
 from .partitions import Partition, dominance_leq, partitions_of, partitions_up_to
-from .polyalg import ONE, ZERO, MultiPoly, SymPoly, rat_str
-from . import diffops
+from .polyalg import ONE, ZERO, SymPoly, rat_str
 
 _CACHE_LOCK = threading.Lock()
-_JACK_CACHE: dict[tuple, SymPoly] = {}
-_D2_CACHE: dict[tuple, SymPoly] = {}
+_JACK_CACHE: dict[tuple, dict[Partition, Fraction]] = {}
 
 
 def eigenvalue_d(lam: Partition, kappa: Fraction, n: int) -> Fraction:
@@ -35,16 +34,31 @@ def eigenvalue_d(lam: Partition, kappa: Fraction, n: int) -> Fraction:
     return total
 
 
-def _d2_monomial(mu: Partition, kappa: Fraction, n: int) -> SymPoly:
-    key = (mu.parts, Fraction(kappa), n)
-    with _CACHE_LOCK:
-        cached = _D2_CACHE.get(key)
-    if cached is not None:
-        return cached
-    res = diffops.apply_sutherland_sym(SymPoly(n, {mu: ONE}), 2, kappa)
-    with _CACHE_LOCK:
-        _D2_CACHE[key] = res
-    return res
+def raising_weights(mu: Partition) -> dict[Partition, int]:
+    """Off-diagonal row mu of the Sutherland operator's matrix on the m basis.
+
+    The coefficient of m_mu in D_2 m_nu, for nu != mu, is 2 kappa times
+    the weight of nu returned here.  On one pair of rows,
+
+        (x_i^2 d_i - x_j^2 d_j)(x_i^p x_j^q + x_i^q x_j^p)/(x_i - x_j)
+
+    with p > q has coefficient p - q on every x_i^c x_j^{p+q-c} with
+    q < c < p, so each nu comes from mu by pushing two parts
+    mu_i >= mu_j apart to p > mu_i and mu_i + mu_j - p, with weight
+    2p - mu_i - mu_j (Stanley, Adv. Math. 77 (1989), Thm 3.1).  Pairs with
+    a zero part give nothing, so the number of variables does not enter;
+    the endpoint terms c in {p, q} are the diagonal, eigenvalue_d.
+    """
+    parts = mu.parts
+    out: dict[Partition, int] = {}
+    for i, j in combinations(range(len(parts)), 2):
+        bi, bj = parts[i], parts[j]
+        for p in range(bi + 1, bi + bj + 1):
+            raised = list(parts)
+            raised[i], raised[j] = p, bi + bj - p
+            nu = Partition(sorted(raised, reverse=True))
+            out[nu] = out.get(nu, 0) + 2 * p - bi - bj
+    return out
 
 
 def triangular_solve(
@@ -102,7 +116,9 @@ def jack_in_monomials(lam: Partition, kappa: Fraction, n: int) -> SymPoly:
 
     Triangular solve: P = m_lam + sum u_mu m_mu over mu strictly below lam
     in dominance, determined by the eigen-equation for the k=2 Sutherland
-    operator.  Raises DegenerateEigenvalue on an eigenvalue collision.
+    operator, whose action on the m basis is read off raising_weights.
+    Raises DegenerateEigenvalue on an eigenvalue collision.  Returns a
+    fresh SymPoly each call, so callers may modify it.
     """
     kappa = Fraction(kappa)
     if lam.length() > n:
@@ -110,18 +126,19 @@ def jack_in_monomials(lam: Partition, kappa: Fraction, n: int) -> SymPoly:
     key = (lam.parts, kappa, n)
     with _CACHE_LOCK:
         cached = _JACK_CACHE.get(key)
-    if cached is not None:
-        return cached
+    if cached is None:
+        below = [mu for mu in partitions_of(lam.weight(), n) if mu != lam and dominance_leq(mu, lam)]
 
-    below = [mu for mu in partitions_of(lam.weight(), n) if mu != lam and dominance_leq(mu, lam)]
+        def feed(mu: Partition, u: dict[Partition, Fraction]) -> Fraction:
+            return 2 * kappa * sum(
+                (w * u[nu] for nu, w in raising_weights(mu).items() if nu in u), ZERO
+            )
 
-    def feed(mu: Partition, u: dict[Partition, Fraction]) -> Fraction:
-        return sum((c * _d2_monomial(nu, kappa, n).coeff(mu) for nu, c in u.items()), ZERO)
-
-    u = triangular_solve(lam, ONE, below, lambda mu: eigenvalue_d(mu, kappa, n), feed)
-    res = SymPoly(n, u)
-    with _CACHE_LOCK:
-        _JACK_CACHE[key] = res
+        cached = triangular_solve(lam, ONE, below, lambda mu: eigenvalue_d(mu, kappa, n), feed)
+        with _CACHE_LOCK:
+            _JACK_CACHE[key] = cached
+    res = SymPoly(n)
+    res.coeffs = dict(cached)
     return res
 
 

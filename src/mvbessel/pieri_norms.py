@@ -24,7 +24,7 @@ from math import factorial
 from .errors import ConvergenceError, PoleError
 from .partitions import Partition
 from .polyalg import ONE, ZERO, RatT, SymPoly, elementary
-from .bessel import BesselParams, bessel_expand, renormalize, rho_vector
+from .bessel import BesselParams, BesselPolynomial, bessel_expand, renormalize, rho_vector
 from .jack import peel, rising_factorial, sym_to_jack
 
 
@@ -37,13 +37,22 @@ def falling_factorial(alpha: Fraction, m: int) -> Fraction:
 
 
 class CoefficientContext:
-    """Bessel parameters plus the rho vector."""
+    """Bessel parameters, the rho vector and the renormalized Bessel
+    polynomials built so far at those parameters."""
 
-    __slots__ = ("params", "rho")
+    __slots__ = ("params", "rho", "_renormalized")
 
     def __init__(self, params: BesselParams):
         self.params = params
         self.rho = rho_vector(params)
+        self._renormalized: dict[Partition, BesselPolynomial] = {}
+
+    def renormalized(self, lam: Partition) -> BesselPolynomial:
+        """renormalize(bessel_expand(lam)), built once per context."""
+        Y = self._renormalized.get(lam)
+        if Y is None:
+            Y = self._renormalized[lam] = renormalize(bessel_expand(lam, self.params))
+        return Y
 
     def __repr__(self) -> str:
         return f"CoefficientContext({self.params})"
@@ -258,11 +267,8 @@ def pieri_verify(r: int, lam: Partition, ctx: CoefficientContext) -> bool:
     in the renormalized basis by triangular peeling; compare exactly with
     pieri_expand."""
     p = ctx.params
-    lhs = E_hat_r(r, p.n) * renormalize(bessel_expand(lam, p)).to_sym()
-    expanded = peel(
-        sym_to_jack(lhs, p.kappa),
-        lambda mu: renormalize(bessel_expand(mu, p)).jack_coeffs,
-    )
+    lhs = E_hat_r(r, p.n) * ctx.renormalized(lam).to_sym()
+    expanded = peel(sym_to_jack(lhs, p.kappa), lambda mu: ctx.renormalized(mu).jack_coeffs)
     return expanded == pieri_expand(r, lam, ctx).by_target()
 
 

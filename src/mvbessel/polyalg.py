@@ -9,6 +9,7 @@ variable powers x_i^c and pairwise factors (x_i - x_j)^d only.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -195,45 +196,70 @@ def divide_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
     Single-divisor reduction in graded-lex order: when f = q*g the leading
     term of every partial remainder is divisible by the leading term of g,
-    so a failed leading-term division proves inexactness.
+    so a failed leading-term division proves inexactness.  The remainder is
+    a dict with its exponents in a max-heap, so each step pops the leading
+    term and adds only the products of the other terms of g, all of which
+    are smaller; an exponent whose coefficient cancels stays in the heap
+    and is skipped when popped.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if f.n != g.n:
         raise ValueError("variable count mismatch")
     lt_e, lt_c = g.leading()
+    g_rest = [(e, c) for e, c in g.terms.items() if e != lt_e]
+    r = dict(f.terms)
+    heap = [_heap_key(e) for e in r]
+    heapq.heapify(heap)
     q: dict[tuple[int, ...], Fraction] = {}
-    r = f
-    while not r.is_zero():
-        e, c = r.leading()
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = r.pop(e, None)
+        if c is None:
+            continue
         qe = tuple(a - b for a, b in zip(e, lt_e))
         if any(x < 0 for x in qe):
             raise NotDivisible(f"{f!r} is not divisible by {g!r}")
         qc = c / lt_c
-        q[qe] = q.get(qe, ZERO) + qc
-        r = r - g * MultiPoly.monomial(f.n, qe, qc)
+        q[qe] = qc
+        for ge, gc in g_rest:
+            te = tuple(a + b for a, b in zip(qe, ge))
+            s = r.get(te, ZERO) - qc * gc
+            if not s:
+                del r[te]
+            else:
+                if te not in r:
+                    heapq.heappush(heap, _heap_key(te))
+                r[te] = s
     out = MultiPoly(f.n)
-    out.terms = {e: c for e, c in q.items() if c}
+    out.terms = q
     return out
+
+
+def _heap_key(e: tuple[int, ...]) -> tuple:
+    # heapq pops the least item: negate graded-lex so the leading term comes first
+    return ((-sum(e), tuple(-x for x in e)), e)
 
 
 # -- monomial symmetric polynomials ------------------------------------------
 
-_M_CACHE: dict[tuple[tuple[int, ...], int], MultiPoly] = {}
+_M_CACHE: dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], Fraction]] = {}
 
 
 def monomial_symmetric(lam: Partition, n: int) -> MultiPoly:
-    """The monomial symmetric polynomial m_lambda in n variables."""
+    """The monomial symmetric polynomial m_lambda in n variables.
+
+    Returns a fresh MultiPoly each call, so callers may modify it.
+    """
     if lam.length() > n:
         raise ValueError(f"{lam!r} has more than {n} parts")
     key = (lam.parts, n)
     cached = _M_CACHE.get(key)
-    if cached is not None:
-        return cached
-    padded = lam.parts + (0,) * (n - lam.length())
-    exps = set(itertools.permutations(padded))
-    poly = MultiPoly(n, {e: ONE for e in exps})
-    _M_CACHE[key] = poly
+    if cached is None:
+        padded = lam.parts + (0,) * (n - lam.length())
+        cached = _M_CACHE[key] = dict.fromkeys(set(itertools.permutations(padded)), ONE)
+    poly = MultiPoly(n)
+    poly.terms = dict(cached)
     return poly
 
 
@@ -677,8 +703,9 @@ class RatT:
             return o
         return _poly_mul(self.num, o.den) == _poly_mul(o.num, self.den)
 
-    def __hash__(self):
-        return hash((self.num, self.den))
+    # Equal values have many (num, den) representations, so no hash agrees
+    # with __eq__; RatT is unhashable.
+    __hash__ = None
 
     def at_zero(self) -> Fraction:
         """The value at t = 0; raises ZeroDivisionError on a genuine pole."""

@@ -15,11 +15,12 @@ from mvbessel.jack import (
     jack_in_monomials,
     principal_spec,
     psi_prime,
+    raising_weights,
     spec_ratio_cocover,
     spec_ratio_product,
     sym_to_jack,
 )
-from mvbessel.partitions import Partition, co_covers, partitions_up_to
+from mvbessel.partitions import Partition, co_covers, partitions_of, partitions_up_to
 from mvbessel.polyalg import MultiPoly, SymPoly, collect_symmetric, divide_exact
 
 
@@ -52,6 +53,25 @@ def test_kappa_one_is_schur():
 def test_zonal_coefficient():
     P = jack_in_monomials(Partition((2,)), Fraction(1, 2), 2)
     assert P.coeff(Partition((1, 1))) == Fraction(2, 3)
+
+
+def test_jack_cache_returns_copies():
+    lam, kappa, target = Partition((2,)), Fraction(1, 2), Partition((1, 1))
+    jack_in_monomials(lam, kappa, 2).coeffs[target] = Fraction(99)
+    assert jack_in_monomials(lam, kappa, 2).coeff(target) == Fraction(2, 3)
+
+
+def test_raising_weights_match_direct_differentiation():
+    kappa = Fraction(5, 3)
+    for n in (1, 2, 3, 4):
+        for nu in partitions_up_to(4, n):
+            want = {nu: eigenvalue_d(nu, kappa, n)}
+            for mu in partitions_of(nu.weight(), n):
+                w = raising_weights(mu).get(nu, 0)
+                if w:
+                    want[mu] = 2 * kappa * w
+            img = diffops.apply_sutherland_sym(SymPoly(n, {nu: Fraction(1)}), 2, kappa)
+            assert img == SymPoly(n, want), (nu, n)
 
 
 def test_d2_eigenfunction_direct():

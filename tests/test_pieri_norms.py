@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from mvbessel import pieri_norms
 from mvbessel.bessel import BesselParams, bessel_expand, renormalize
 from mvbessel.errors import PoleError
 from mvbessel.partitions import Partition, partitions_up_to
@@ -55,6 +56,21 @@ def test_pieri_oracle_all_sample_params():
         for r in range(1, n + 1):
             for lam in partitions_up_to(3, n):
                 assert pieri_verify(r, lam, ctx), (r, lam, ctx.params)
+
+
+def test_pieri_verify_builds_each_basis_element_once(monkeypatch):
+    calls = []
+
+    def counting_bessel_expand(lam, p):
+        calls.append(lam)
+        return bessel_expand(lam, p)
+
+    monkeypatch.setattr(pieri_norms, "bessel_expand", counting_bessel_expand)
+    ctx = CoefficientContext(BesselParams(Fraction(-27, 2), Fraction(1), 3))
+    for r in (1, 2, 3):
+        for lam in partitions_up_to(2, 3):
+            assert pieri_verify(r, lam, ctx)
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_pieri_one_variable_hand_identity():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mvbessel.errors import NotDivisible
 from mvbessel.partitions import Partition
@@ -44,6 +44,53 @@ def test_divide_exact():
     assert divide_exact(num, x - y) == x * x + x * y + y * y
     with pytest.raises(NotDivisible):
         divide_exact(x * x + y, x - y)
+
+
+def test_divide_exact_zero_dividend():
+    x = MultiPoly.variable(2, 1)
+    y = MultiPoly.variable(2, 2)
+    assert divide_exact(MultiPoly.zero(2), x - y).is_zero()
+
+
+def test_divide_exact_late_remainder():
+    # x^3 - y^3 + y: three quotient terms x^2, xy, y^2 reduce cleanly before
+    # the remainder y, whose leading term x does not divide, is reached
+    x = MultiPoly.variable(2, 1)
+    y = MultiPoly.variable(2, 2)
+    with pytest.raises(NotDivisible):
+        divide_exact(x * x * x - y * y * y + y, x - y)
+    g = x * x + x * y.scale(3) - MultiPoly.constant(2, 2)
+    q = x * y + y * y.scale(Fraction(1, 2)) + MultiPoly.constant(2, 5)
+    with pytest.raises(NotDivisible):
+        divide_exact(q * g + y, g)
+
+
+def test_divide_exact_through_cancelled_terms():
+    # in (x - y)(x + y + z) the xy terms cancel, so the reduction passes
+    # through an exponent that the dividend does not have
+    x, y, z = (MultiPoly.variable(3, i) for i in (1, 2, 3))
+    f = x * x + x * z - y * y - y * z
+    assert divide_exact(f, x + y + z) == x - y
+
+
+def sparse_polys(min_terms: int):
+    exps = st.tuples(*[st.integers(0, 3)] * 3)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    return st.dictionaries(exps, coeffs, min_size=min_terms, max_size=5).map(
+        lambda terms: MultiPoly(3, terms)
+    )
+
+
+@settings(derandomize=True, deadline=None)
+@given(sparse_polys(0), sparse_polys(2))
+def test_divide_exact_round_trip(q, g):
+    assert divide_exact(q * g, g) == q
+
+
+def test_monomial_symmetric_cache_returns_copies():
+    lam = Partition((2, 1))
+    monomial_symmetric(lam, 2).terms[(2, 1)] = Fraction(99)
+    assert monomial_symmetric(lam, 2).coeff((2, 1)) == 1
 
 
 def test_monomial_symmetric_and_collect():
@@ -97,6 +144,13 @@ def test_ratt_removable_singularity():
     t = RatT.linear(Fraction(0), Fraction(1))
     expr = (t * t + 2 * t) / t
     assert expr.at_zero() == 2
+
+
+def test_ratt_is_unhashable():
+    # equal values such as 1/1 and 2/2 have different (num, den) tuples
+    assert RatT((1,), (1,)) == RatT((2,), (2,))
+    with pytest.raises(TypeError):
+        hash(RatT.linear(1, 1))
 
 
 def test_ratt_genuine_pole():

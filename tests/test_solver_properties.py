@@ -7,9 +7,10 @@ so any other exception fails the test.
 
 from hypothesis import given, reject, settings, strategies as st
 
+from mvbessel import diffops
 from mvbessel.bessel import BesselParams, bessel_coeff_tableau, bessel_expand
 from mvbessel.errors import DegenerateEigenvalue, PoleError
-from mvbessel.jack import sym_to_jack
+from mvbessel.jack import eigenvalue_d, jack_in_monomials, sym_to_jack
 from mvbessel.jacobi_bc import JacobiParams, apply_DBC_jack, jacobi_eigenvalue, jacobi_expand
 from mvbessel.partitions import partitions_up_to
 from mvbessel.polyalg import SymPoly
@@ -63,3 +64,21 @@ def sym_polys(draw):
 @given(sym_polys(), kappas)
 def test_sym_to_jack_round_trip(f, kappa):
     assert _unless_degenerate(sym_to_jack, f, kappa).to_sym() == f
+
+
+@st.composite
+def jack_shapes(draw):
+    n = draw(st.integers(1, 4))
+    return n, draw(st.sampled_from(partitions_up_to(4, n)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(jack_shapes(), kappas)
+def test_jack_is_a_direct_sutherland_eigenfunction(shape, kappa):
+    # the solve uses the m-basis raising rule; diffops differentiates directly
+    n, lam = shape
+    try:
+        P = jack_in_monomials(lam, kappa, n)
+    except DegenerateEigenvalue:
+        reject()
+    assert diffops.apply_sutherland_sym(P, 2, kappa) == P.scale(eigenvalue_d(lam, kappa, n))

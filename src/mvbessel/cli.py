@@ -56,11 +56,19 @@ def parse_partition(s: str) -> Partition:
     return Partition(parts)
 
 
-def positive_int(s: str) -> int:
+def _int_at_least(s: str, low: int) -> int:
     n = int(s)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
     return n
+
+
+def positive_int(s: str) -> int:
+    return _int_at_least(s, 1)
+
+
+def non_negative_int(s: str) -> int:
+    return _int_at_least(s, 0)
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -210,10 +218,10 @@ def _suite_moments2(args, checks) -> None:
     )
     p = bessel.BesselParams(a, kappa, 2)
     parts = partitions_up_to(m, 2)
+    Y = {lam: bessel.bessel_expand(lam, p).to_sym() for lam in parts}
     for i, lam in enumerate(parts):
         for mu in parts[i + 1 :]:
-            f = bessel.bessel_expand(lam, p).to_sym() * bessel.bessel_expand(mu, p).to_sym()
-            val = orthogonality.functional_apply(f, table)
+            val = orthogonality.functional_apply(Y[lam] * Y[mu], table)
             checks.append(
                 (f"functional Y{_key(lam)}*Y{_key(mu)} = 0", val == 0, rat_str(val))
             )
@@ -395,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--n", type=positive_int, default=2)
     pv.add_argument("--a", default="-20")
     pv.add_argument("--kappa", default="1")
-    pv.add_argument("--max-degree", type=int, default=2)
+    pv.add_argument("--max-degree", type=non_negative_int, default=2)
     pv.add_argument("--d-max", type=int, default=2)
     pv.add_argument("--r", type=int)
     pv.add_argument("--lambda", dest="lam")

@@ -4,11 +4,13 @@ D^B is available in two independent representations (direct differential
 application and the Jack-basis action); the higher operators D^B_d are built
 by a 2d-stage recursion through non-symmetric intermediates whose
 denominators stay within products of x_i and (x_i - x_j) factors, so all
-arithmetic remains exact.
+arithmetic remains exact.  Being linear, D^B_d is applied to a polynomial
+as a sum of cached images of the monomial symmetric functions m_mu.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import diffops, jack
@@ -93,15 +95,43 @@ def _recursion_stage(
 def apply_higher(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
     """Apply the order-2d commuting operator D^B_d to a symmetric polynomial.
 
-    Runs the recursion for 2d stages from the constant seed, asserting the
-    stage parity invariant (the -i intermediate equals (-1)^stage times the
-    +i one on symmetric input), then takes the symmetrized half-sum, which
-    must reduce exactly to a symmetric polynomial.
+    D^B_d is linear, so the image is the sum of c_mu times the image of
+    m_mu over the terms of f; each monomial image comes from the full
+    recursion (_higher_recursion) once per (d, mu, p) and is then cached.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
     if f.n != p.n:
         raise ValueError("variable count mismatch")
+    out: dict[Partition, Fraction] = {}
+    for mu, c in f.coeffs.items():
+        for nu, v in _higher_on_monomial(d, mu, p):
+            s = out.get(nu, ZERO) + c * v
+            if s:
+                out[nu] = s
+            else:
+                out.pop(nu, None)
+    result = SymPoly(p.n)
+    result.coeffs = out
+    return result
+
+
+@functools.lru_cache(maxsize=4096)
+def _higher_on_monomial(
+    d: int, mu: Partition, p: BesselParams
+) -> tuple[tuple[Partition, Fraction], ...]:
+    """D^B_d m_mu as immutable (partition, coefficient) pairs."""
+    return tuple(_higher_recursion(d, SymPoly(p.n, {mu: ONE}), p).coeffs.items())
+
+
+def _higher_recursion(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
+    """D^B_d f by the recursion itself.
+
+    Runs the recursion for 2d stages from the constant seed, asserting the
+    stage parity invariant (the -i intermediate equals (-1)^stage times the
+    +i one on symmetric input), then takes the symmetrized half-sum, which
+    must reduce exactly to a symmetric polynomial.
+    """
     n = p.n
     seed = FactoredFraction.from_poly(f.expand())
     plus = [seed] * n
@@ -137,6 +167,8 @@ def eigenvalue_of(d: int, lam: Partition, p: BesselParams) -> Fraction:
 
 def commutator_check(d: int, e: int, m: int, p: BesselParams) -> bool:
     """True iff D^B_d and D^B_e commute on all m_lambda with |lambda| <= m."""
+    if m < 0:
+        raise ValueError("m must be a non-negative integer")
     for lam in partitions_up_to(m, p.n):
         f = SymPoly(p.n, {lam: ONE})
         de = apply_higher(d, apply_higher(e, f, p), p)

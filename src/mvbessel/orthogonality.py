@@ -15,6 +15,7 @@ moments generated by two recurrences.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,7 +59,9 @@ def moment_1d(p: int, a: Fraction) -> Fraction:
     return val
 
 
+@functools.lru_cache(maxsize=64)
 def _vandermonde_power(n: int, two_kappa: int) -> MultiPoly:
+    """prod_{i<j} (x_i - x_j)^{two_kappa}; cached, so callers must only read it."""
     out = MultiPoly.constant(n, 1)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

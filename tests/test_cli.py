@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from mvbessel import bessel
 from mvbessel.cli import main
 
 
@@ -113,13 +114,34 @@ def test_ledger(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "eigen", "--max-degree", "-1"],
+        ["verify", "commute", "--d-max", "0"],
         ["verify", "commute", "--d-max", "1"],
     ],
 )
 def test_verify_empty_suite_is_not_a_pass(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 1 and out == "" and "error: suite ran no checks" in err
+
+
+@pytest.mark.parametrize("suite", ["eigen", "commute", "pieri", "gram", "moments2", "jacobi"])
+def test_max_degree_below_zero_is_rejected(suite, capsys):
+    code, out, err = run(["verify", suite, "--max-degree", "-1"], capsys)
+    assert code == 1 and out == ""
+    assert "error: argument --max-degree: must be at least 0" in err
+
+
+def test_moments2_builds_each_bessel_polynomial_once(monkeypatch, capsys):
+    calls = []
+    expand = bessel.bessel_expand
+
+    def counting_bessel_expand(lam, p):
+        calls.append(lam)
+        return expand(lam, p)
+
+    monkeypatch.setattr(bessel, "bessel_expand", counting_bessel_expand)
+    code, _, _ = run(["verify", "moments2", "--max-degree=3"], capsys)
+    assert code == 0
+    assert calls and len(calls) == len(set(calls))
 
 
 @pytest.mark.parametrize(

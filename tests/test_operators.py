@@ -5,6 +5,8 @@ import pytest
 from mvbessel.bessel import BesselParams, bessel_eigenvalue, bessel_expand, rho_vector
 from mvbessel.jack import JackExpansion
 from mvbessel.operators import (
+    _higher_on_monomial,
+    _higher_recursion,
     apply_DB_direct,
     apply_DB_jack,
     apply_higher,
@@ -78,3 +80,26 @@ def test_separation():
     # kappa = -2, a = 1: (3,0) and (1,0) share the squared shifted multiset
     bad = BesselParams(Fraction(1), Fraction(-2), 2)
     assert not separation_check(3, bad)
+
+
+def test_apply_higher_returns_a_fresh_polynomial():
+    f = SymPoly(2, {Partition((2, 1)): Fraction(3), Partition((1,)): Fraction(-2, 7)})
+    first = apply_higher(2, f, P2G)
+    want = _higher_recursion(2, f, P2G)
+    assert first == want
+    first.coeffs.clear()
+    first.coeffs[Partition(())] = Fraction(99)
+    assert apply_higher(2, f, P2G) == want
+    assert _higher_on_monomial.cache_info().maxsize is not None
+
+
+def test_apply_higher_rejects_bad_input_on_the_zero_polynomial():
+    with pytest.raises(ValueError, match="positive integer"):
+        apply_higher(0, SymPoly.zero(2), P2)
+    with pytest.raises(ValueError, match="variable count"):
+        apply_higher(1, SymPoly.zero(3), P2)
+
+
+def test_commutator_check_rejects_negative_degree():
+    with pytest.raises(ValueError, match="non-negative"):
+        commutator_check(1, 2, -1, P2)

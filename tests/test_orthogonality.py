@@ -5,6 +5,7 @@ import pytest
 from mvbessel.bessel import BesselParams, bessel_expand
 from mvbessel.errors import ConvergenceError, DegenerateRecurrence
 from mvbessel.orthogonality import (
+    _vandermonde_power,
     MomentTable2,
     ReducedValue,
     check_L2_condition,
@@ -58,6 +59,18 @@ def test_inner_product_rejects_fractional_kappa():
     p = BesselParams(Fraction(-20), Fraction(1, 2), 1)
     with pytest.raises(ValueError):
         inner_product(SymPoly.constant(1, 1), SymPoly.constant(1, 1), p)
+
+
+def test_inner_product_leaves_the_cached_vandermonde_power_unchanged():
+    p = BesselParams(Fraction(-31), Fraction(2), 3)
+    f = bessel_expand(Partition((2, 1)), p).to_sym()
+    g = bessel_expand(Partition((1,)), p).to_sym()
+    before = dict(_vandermonde_power(3, 4).terms)
+    first = inner_product(f, g, p)
+    assert inner_product(f, g, p) == first
+    assert inner_product(f, f, p) == inner_product(f, f, p)
+    assert _vandermonde_power(3, 4).terms == before
+    assert _vandermonde_power.cache_info().hits >= 4
 
 
 def test_gram_diagonal_and_norms():

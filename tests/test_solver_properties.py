@@ -1,8 +1,10 @@
-"""Randomised cross-checks of the shared triangular solver and the peel.
+"""Randomised cross-checks of the shared triangular solver, the peel, the
+commuting tower and the two norm routes.
 
 Parameters are drawn as arbitrary small rationals; a draw is rejected only
 when it lands on a degenerate point (an eigenvalue collision or a pole),
-so any other exception fails the test.
+so any other exception fails the test.  The two norm routes must instead
+meet a pole at the same draws.
 """
 
 from hypothesis import given, reject, settings, strategies as st
@@ -12,7 +14,9 @@ from mvbessel.bessel import BesselParams, bessel_coeff_tableau, bessel_expand
 from mvbessel.errors import DegenerateEigenvalue, PoleError
 from mvbessel.jack import eigenvalue_d, jack_in_monomials, sym_to_jack
 from mvbessel.jacobi_bc import JacobiParams, apply_DBC_jack, jacobi_eigenvalue, jacobi_expand
+from mvbessel.operators import _higher_recursion, apply_higher
 from mvbessel.partitions import partitions_up_to
+from mvbessel.pieri_norms import CoefficientContext, norm_ratio, norm_ratio_product
 from mvbessel.polyalg import SymPoly
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -82,3 +86,32 @@ def test_jack_is_a_direct_sutherland_eigenfunction(shape, kappa):
     except DegenerateEigenvalue:
         reject()
     assert diffops.apply_sutherland_sym(P, 2, kappa) == P.scale(eigenvalue_d(lam, kappa, n))
+
+
+@st.composite
+def multi_term_sym_polys(draw):
+    n = draw(st.integers(1, 3))
+    support = draw(st.lists(st.sampled_from(partitions_up_to(3, n)), min_size=2, max_size=4, unique=True))
+    return SymPoly(n, {mu: draw(rationals) or 1 for mu in support})
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.integers(1, 2), multi_term_sym_polys(), rationals, kappas)
+def test_apply_higher_is_the_recursion_applied_by_linearity(d, f, a, kappa):
+    p = BesselParams(a, kappa, f.n)
+    assert apply_higher(d, f, p) == _higher_recursion(d, f, p)
+
+
+def _pole_or_value(fn, *args):
+    try:
+        return fn(*args)
+    except PoleError:
+        return PoleError
+
+
+@settings(derandomize=True, deadline=None)
+@given(shapes(), rationals, kappas)
+def test_norm_ratio_routes_agree(shape, a, kappa):
+    n, lam = shape
+    ctx = CoefficientContext(BesselParams(a, kappa, n))
+    assert _pole_or_value(norm_ratio, lam, ctx) == _pole_or_value(norm_ratio_product, lam, ctx)

@@ -11,7 +11,7 @@ ranges disagree with the values forced by the operator actions.
 
 from __future__ import annotations
 
-import threading
+import functools
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
@@ -19,10 +19,6 @@ from typing import Callable, Iterable, Mapping
 from .errors import DegenerateEigenvalue, PoleError
 from .partitions import Partition, dominance_leq, partitions_of, partitions_up_to
 from .polyalg import ONE, ZERO, SymPoly, rat_str
-
-_CACHE_LOCK = threading.Lock()
-_JACK_CACHE: dict[tuple, dict[Partition, Fraction]] = {}
-
 
 def eigenvalue_d(lam: Partition, kappa: Fraction, n: int) -> Fraction:
     """sum_i lam_i (lam_i - 1 + 2 kappa (n - i))."""
@@ -123,23 +119,26 @@ def jack_in_monomials(lam: Partition, kappa: Fraction, n: int) -> SymPoly:
     kappa = Fraction(kappa)
     if lam.length() > n:
         raise ValueError(f"{lam!r} needs more than {n} variables")
-    key = (lam.parts, kappa, n)
-    with _CACHE_LOCK:
-        cached = _JACK_CACHE.get(key)
-    if cached is None:
-        below = [mu for mu in partitions_of(lam.weight(), n) if mu != lam and dominance_leq(mu, lam)]
-
-        def feed(mu: Partition, u: dict[Partition, Fraction]) -> Fraction:
-            return 2 * kappa * sum(
-                (w * u[nu] for nu, w in raising_weights(mu).items() if nu in u), ZERO
-            )
-
-        cached = triangular_solve(lam, ONE, below, lambda mu: eigenvalue_d(mu, kappa, n), feed)
-        with _CACHE_LOCK:
-            _JACK_CACHE[key] = cached
     res = SymPoly(n)
-    res.coeffs = dict(cached)
+    res.coeffs = dict(_jack_coeffs(lam, kappa, n))
     return res
+
+
+@functools.lru_cache(maxsize=4096)
+def _jack_coeffs(
+    lam: Partition, kappa: Fraction, n: int
+) -> tuple[tuple[Partition, Fraction], ...]:
+    """The m-basis coefficients of P_lambda as immutable pairs."""
+    below = [mu for mu in partitions_of(lam.weight(), n) if mu != lam and dominance_leq(mu, lam)]
+
+    def feed(mu: Partition, u: dict[Partition, Fraction]) -> Fraction:
+        return 2 * kappa * sum(
+            (w * u[nu] for nu, w in raising_weights(mu).items() if nu in u), ZERO
+        )
+
+    return tuple(
+        triangular_solve(lam, ONE, below, lambda mu: eigenvalue_d(mu, kappa, n), feed).items()
+    )
 
 
 def hook_products(lam: Partition, kappa: Fraction) -> tuple[Fraction, Fraction]:

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .errors import ConvergenceError, PoleError
 from .partitions import Partition
-from .polyalg import ONE, ZERO, RatT, SymPoly, elementary
+from .polyalg import ONE, ZERO, SymPoly, elementary
 from .bessel import BesselParams, BesselPolynomial, bessel_expand, renormalize, rho_vector
 from .jack import peel, rising_factorial, sym_to_jack
 
@@ -58,32 +58,68 @@ class CoefficientContext:
         return f"CoefficientContext({self.params})"
 
 
-def v_hat(z, kappa):
-    """(kappa + z)/z; arguments may be Fractions or RatT perturbations."""
-    if z == 0:
-        raise PoleError("v(z) has a pole at z = 0")
-    return (kappa + z) / z
+class Affine:
+    """c + s*t, one factor of a Pieri coefficient along the perturbed line.
 
-
-def w_hat(z, a):
-    """((a-1)/2 + z)/(2z(2z+1)); arguments may be Fractions or RatT."""
-    if z == 0 or z == Fraction(-1, 2):
-        raise PoleError("w(z) has a pole at z in {0, -1/2}")
-    return ((a - 1) / 2 + z) / (2 * z * (2 * z + 1))
-
-
-def _v_pair(u: Fraction, kappa: Fraction, reflected: bool) -> Fraction:
-    """v(u) v(u+1) (reflected=False) or v(u) v(-u-1) (reflected=True).
-
-    Computed as a single rational expression: the only genuine poles are at
-    u in {0, -1}; at u = -kappa a zero of one factor cancels a pole of the
-    other, which factor-by-factor evaluation would miss.
+    Closed under the sums and scalar multiples that v and w are built from.
     """
-    if u == 0 or u == -1:
-        raise PoleError("paired v-factor has a pole at u in {0, -1}")
-    second = (kappa - u - 1) if reflected else (kappa + u + 1)
-    den = -u * (u + 1) if reflected else u * (u + 1)
-    return (kappa + u) * second / den
+
+    __slots__ = ("c", "s")
+
+    def __init__(self, c, s=ZERO):
+        self.c = c
+        self.s = s
+
+    def __add__(self, other):
+        if isinstance(other, Affine):
+            return Affine(self.c + other.c, self.s + other.s)
+        return Affine(self.c + other, self.s)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Affine(-self.c, -self.s)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, k):
+        return Affine(self.c * k, self.s * k)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k):
+        return Affine(self.c / k, self.s / k)
+
+    def __repr__(self) -> str:
+        return f"Affine({self.c}, {self.s})"
+
+
+def v_factors(z, kappa):
+    """v(z) = (kappa + z)/z as (numerator factors, denominator factors)."""
+    return (kappa + z,), (z,)
+
+
+def w_factors(z, a):
+    """w(z) = ((a-1)/2 + z)/(2z(2z+1)) as (numerator factors, denominator factors)."""
+    return ((a - 1) / 2 + z,), (2 * z, 2 * z + 1)
+
+
+def _ratio(factors, pole: str) -> Fraction:
+    num, den = factors
+    if 0 in den:
+        raise PoleError(pole)
+    return prod(num) / prod(den)
+
+
+def v_hat(z: Fraction, kappa: Fraction) -> Fraction:
+    """v(z) at a rational point."""
+    return _ratio(v_factors(z, kappa), "v(z) has a pole at z = 0")
+
+
+def w_hat(z: Fraction, a: Fraction) -> Fraction:
+    """w(z) at a rational point."""
+    return _ratio(w_factors(z, a), "w(z) has a pole at z in {0, -1/2}")
 
 
 def _step_ratio(step, z0: Fraction, m: int) -> Fraction:
@@ -140,45 +176,81 @@ def E_hat_r(r: int, n: int) -> SymPoly:
     return elementary(r, n).scale(Fraction((-1) ** (r + 1), 2**r))
 
 
-def _V_general(eps, I, J, z: tuple, a, kappa):
-    I = tuple(I)
-    J = tuple(J)
-    if set(I) & set(J):
-        raise ValueError("I and J must be disjoint")
-    val = ONE
+def limit_at_zero(terms) -> Fraction:
+    """The value at t = 0 of a sum of products of Affine factors.
+
+    Each term is a pair (numerator factors, denominator factors).  A term
+    with v more zero-constant factors upstairs than downstairs is t^v R(t)
+    with R(0) != 0, so R is expanded only to degree -v; the Laurent
+    coefficients of t^-m ... t^0 are summed over all terms.  Raises
+    PoleError if a negative-order coefficient survives the sum.
+    """
+    laurent: dict[int, Fraction] = {}
+    for num, den in terms:
+        order = sum(f.c == 0 for f in num) - sum(f.c == 0 for f in den)
+        if order > 0:
+            continue
+        series = [ONE] + [ZERO] * -order
+        for f in num:
+            if f.c == 0:
+                series = [x * f.s for x in series]
+            else:
+                series = [f.c * x + f.s * y for x, y in zip(series, [ZERO] + series)]
+        for f in den:
+            if f.c == 0:
+                series = [x / f.s for x in series]
+            else:
+                quotient: list[Fraction] = []
+                for x in series:
+                    quotient.append((x - f.s * quotient[-1]) / f.c if quotient else x / f.c)
+                series = quotient
+        for k, x in enumerate(series, start=order):
+            laurent[k] = laurent.get(k, ZERO) + x
+    if any(x for k, x in laurent.items() if k < 0):
+        raise PoleError("pole at t = 0")
+    return laurent.get(0, ZERO)
+
+
+def _move_factors(eps, I, J, z: tuple, a, kappa, reflected: bool):
+    """Numerator and denominator factors of
+
+        prod_{i in I} w(eps_i z_i) prod_{i < i' in I} v(u) v(u')
+        prod_{i in I, j in J} v(eps_i z_i + z_j) v(eps_i z_i - z_j),
+
+    with u = eps_i z_i + eps_i' z_i' and u' = -u-1 if reflected else u+1.
+    """
+    num: list = []
+    den: list = []
+
+    def take(factors) -> None:
+        num.extend(factors[0])
+        den.extend(factors[1])
+
     for i in I:
-        val *= w_hat(eps[i] * z[i - 1], a)
+        take(w_factors(eps[i] * z[i - 1], a))
     for i, i2 in itertools.combinations(I, 2):
         u = eps[i] * z[i - 1] + eps[i2] * z[i2 - 1]
-        val *= _v_pair(u, kappa, reflected=False)
+        take(v_factors(u, kappa))
+        take(v_factors(-u - 1 if reflected else u + 1, kappa))
     for i in I:
         for j in J:
-            val *= v_hat(eps[i] * z[i - 1] + z[j - 1], kappa)
-            val *= v_hat(eps[i] * z[i - 1] - z[j - 1], kappa)
-    return val
+            take(v_factors(eps[i] * z[i - 1] + z[j - 1], kappa))
+            take(v_factors(eps[i] * z[i - 1] - z[j - 1], kappa))
+    return num, den
 
 
-def _U_general(J, p: int, z: tuple, a, kappa):
-    J = tuple(J)
-    if not 0 <= p <= len(J):
-        raise ValueError(f"need 0 <= p <= |J|, got p={p}, |J|={len(J)}")
-    total = ZERO
-    for K in itertools.combinations(J, p):
-        rest = tuple(j for j in J if j not in K)
+def _coefficient_terms(eps, I, Ic, p: int, z: tuple, a, kappa) -> list:
+    """The terms of (-1)^p U_{I^c, p} V_{eps I, I^c}: V is the unreflected
+    move factor of (eps, I), and U sums the reflected move factors of
+    every signed p-subset of I^c."""
+    v_num, v_den = _move_factors(eps, I, Ic, z, a, kappa, reflected=False)
+    terms = []
+    for K in itertools.combinations(Ic, p):
+        rest = tuple(j for j in Ic if j not in K)
         for signs in itertools.product((1, -1), repeat=p):
-            eps = dict(zip(K, signs))
-            term = ONE
-            for k in K:
-                term *= w_hat(eps[k] * z[k - 1], a)
-            for k, k2 in itertools.combinations(K, 2):
-                u = eps[k] * z[k - 1] + eps[k2] * z[k2 - 1]
-                term *= _v_pair(u, kappa, reflected=True)
-            for k in K:
-                for j in rest:
-                    term *= v_hat(eps[k] * z[k - 1] + z[j - 1], kappa)
-                    term *= v_hat(eps[k] * z[k - 1] - z[j - 1], kappa)
-            total += term
-    return (-1) ** p * total
+            num, den = _move_factors(dict(zip(K, signs)), K, rest, z, a, kappa, reflected=True)
+            terms.append((num + v_num, den + v_den))
+    return terms
 
 
 class PieriExpansion:
@@ -222,18 +294,18 @@ def pieri_expand(r: int, lam: Partition, ctx: CoefficientContext) -> PieriExpans
 
     The coefficients are rational functions of (a, kappa) that can hit
     removable 0/0 cancellations at special rational parameters (for
-    instance kappa = 1); they are therefore evaluated generically along the
-    perturbed line (a + t, kappa + t) and the value taken at t = 0.  A
-    genuine pole raises PoleError.
+    instance kappa = 1); they are therefore built from Affine factors along
+    the perturbed line (a + t, kappa + t) and their value taken at t = 0 by
+    limit_at_zero.  A genuine pole raises PoleError.
     """
     n = ctx.params.n
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    a_t = RatT.linear(ctx.params.a, 1)
-    kappa_t = RatT.linear(ctx.params.kappa, 1)
+    a_t = Affine(ctx.params.a, ONE)
+    kappa_t = Affine(ctx.params.kappa, ONE)
     # rho_i(t) = (kappa+t)(n-i) + (a+t-1)/2, so the slope at index i is n-i+1/2
     z = tuple(
-        RatT.linear(ctx.rho[i] + lam.part(i + 1), Fraction(2 * (n - i - 1) + 1, 2))
+        Affine(ctx.rho[i] + lam.part(i + 1), Fraction(2 * (n - i - 1) + 1, 2))
         for i in range(n)
     )
     terms = {}
@@ -245,20 +317,18 @@ def pieri_expand(r: int, lam: Partition, ctx: CoefficientContext) -> PieriExpans
                 target = _shift_target(lam, n, I, eps)
                 if target is None:
                     continue
-                c = _U_general(Ic, r - size, z, a_t, kappa_t) * _V_general(
-                    eps, I, Ic, z, a_t, kappa_t
-                )
+                p = r - size
                 try:
-                    value = c.at_zero() if isinstance(c, RatT) else Fraction(c)
-                except ZeroDivisionError:
+                    value = limit_at_zero(_coefficient_terms(eps, I, Ic, p, z, a_t, kappa_t))
+                except PoleError:
                     raise PoleError(
                         f"Pieri coefficient has a genuine pole at move {(signs, I)}"
-                    )
+                    ) from None
                 # The U*V data expands (1/2^r) e_r * Ytilde; with E_hat_r
                 # carrying the extra (-1)^{r+1} the coefficients pick it up
                 # too (verified against the polynomial oracle, which rules
                 # out the sign-free transcription at r = 2).
-                terms[(signs, I)] = (target, (-1) ** (r + 1) * value)
+                terms[(signs, I)] = (target, (-1) ** (r + 1) * (-1) ** p * value)
     return PieriExpansion(r, lam, terms)
 
 

@@ -9,6 +9,7 @@ variable powers x_i^c and pairwise factors (x_i - x_j)^d only.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from fractions import Fraction
@@ -243,9 +244,6 @@ def _heap_key(e: tuple[int, ...]) -> tuple:
 
 # -- monomial symmetric polynomials ------------------------------------------
 
-_M_CACHE: dict[tuple[tuple[int, ...], int], dict[tuple[int, ...], Fraction]] = {}
-
-
 def monomial_symmetric(lam: Partition, n: int) -> MultiPoly:
     """The monomial symmetric polynomial m_lambda in n variables.
 
@@ -253,14 +251,16 @@ def monomial_symmetric(lam: Partition, n: int) -> MultiPoly:
     """
     if lam.length() > n:
         raise ValueError(f"{lam!r} has more than {n} parts")
-    key = (lam.parts, n)
-    cached = _M_CACHE.get(key)
-    if cached is None:
-        padded = lam.parts + (0,) * (n - lam.length())
-        cached = _M_CACHE[key] = dict.fromkeys(set(itertools.permutations(padded)), ONE)
     poly = MultiPoly(n)
-    poly.terms = dict(cached)
+    poly.terms = dict.fromkeys(_monomial_exponents(lam, n), ONE)
     return poly
+
+
+@functools.lru_cache(maxsize=4096)
+def _monomial_exponents(lam: Partition, n: int) -> tuple[tuple[int, ...], ...]:
+    """The distinct permutations of lambda padded to n parts."""
+    padded = lam.parts + (0,) * (n - lam.length())
+    return tuple(set(itertools.permutations(padded)))
 
 
 class SymPoly:
@@ -584,137 +584,3 @@ class FactoredFraction:
 
     def __repr__(self) -> str:
         return f"({self.numer!r}) / (x^{self.var_pows}, pairs {self.pair_pows})"
-
-
-def _poly_mul(p: tuple, q: tuple) -> tuple:
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                if b:
-                    out[i + j] += a * b
-    return tuple(out)
-
-
-def _poly_add(p: tuple, q: tuple) -> tuple:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, b in enumerate(q):
-        out[i] += b
-    return tuple(out)
-
-
-def _poly_trim(p: tuple) -> tuple:
-    k = len(p)
-    while k > 1 and p[k - 1] == 0:
-        k -= 1
-    return tuple(p[:k])
-
-
-class RatT:
-    """A rational function of one formal perturbation variable t.
-
-    Used to evaluate coefficient formulas at parameter points where a
-    factor-by-factor evaluation hits removable 0/0 cancellations: compute
-    generically in t, then take the value at t = 0 with `at_zero`.
-    Numerator and denominator are dense coefficient tuples, lowest degree
-    first; common powers of t are stripped eagerly.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=(ONE,)):
-        if isinstance(num, (int, Fraction)):
-            num = (Fraction(num),)
-        if isinstance(den, (int, Fraction)):
-            den = (Fraction(den),)
-        num = _poly_trim(tuple(Fraction(c) for c in num))
-        den = _poly_trim(tuple(Fraction(c) for c in den))
-        if den == (ZERO,):
-            raise ZeroDivisionError("zero denominator in RatT")
-        while num[0] == 0 and den[0] == 0 and len(num) > 1 and len(den) > 1:
-            num = num[1:]
-            den = den[1:]
-        if num == (ZERO,):
-            den = (ONE,)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def linear(cls, constant, slope) -> "RatT":
-        """The polynomial constant + slope*t."""
-        return cls((Fraction(constant), Fraction(slope)))
-
-    @staticmethod
-    def _coerce(x) -> "RatT":
-        if isinstance(x, RatT):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return RatT(x)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return RatT(
-            _poly_add(_poly_mul(self.num, o.den), _poly_mul(o.num, self.den)),
-            _poly_mul(self.den, o.den),
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatT(tuple(-c for c in self.num), self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return RatT(_poly_mul(self.num, o.num), _poly_mul(self.den, o.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return RatT(_poly_mul(self.num, o.den), _poly_mul(self.den, o.num))
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def is_zero(self) -> bool:
-        return self.num == (ZERO,)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return _poly_mul(self.num, o.den) == _poly_mul(o.num, self.den)
-
-    # Equal values have many (num, den) representations, so no hash agrees
-    # with __eq__; RatT is unhashable.
-    __hash__ = None
-
-    def at_zero(self) -> Fraction:
-        """The value at t = 0; raises ZeroDivisionError on a genuine pole."""
-        num, den = self.num, self.den
-        while num[0] == 0 and den[0] == 0 and len(num) > 1 and len(den) > 1:
-            num, den = num[1:], den[1:]
-        if den[0] == 0:
-            raise ZeroDivisionError("pole at t = 0")
-        return num[0] / den[0]
-
-    def __repr__(self):
-        return f"RatT({self.num}, {self.den})"

@@ -171,3 +171,28 @@ def test_bessel_vanishing_hook_product_exit_code(capsys):
         ["bessel", "--n=2", "--a=-20", "--kappa=-2", "--lambda=2,2"], capsys
     )
     assert code == 2 and out == "" and "degenerate" in err
+
+
+@pytest.mark.parametrize(
+    "flags, names",
+    [
+        (["--r=1"], ["pieri r=1 []", "pieri r=1 [1]", "pieri r=1 [1,1]", "pieri r=1 [2]"]),
+        (["--lambda=1"], ["pieri r=1 [1]", "pieri r=2 [1]"]),
+        (["--r=2", "--lambda=1"], ["pieri r=2 [1]"]),
+    ],
+)
+def test_pieri_r_and_lambda_each_narrow_the_cases(flags, names, capsys):
+    code, out, _ = run(["verify", "pieri", *flags], capsys)
+    assert code == 0
+    assert [c["name"] for c in json.loads(out)["checks"]] == names
+
+
+@pytest.mark.parametrize("r", ["0", "3", "-1"])
+def test_pieri_r_outside_one_to_n_is_rejected(r, capsys):
+    code, out, err = run(["verify", "pieri", "--n=2", f"--r={r}"], capsys)
+    assert code == 1 and out == "" and err.startswith("error: need 1 <= r <= n")
+
+
+def test_moments2_rejects_n_other_than_two(capsys):
+    code, out, err = run(["verify", "moments2", "--n=3", "--max-degree=1"], capsys)
+    assert code == 1 and out == "" and err.startswith("error:") and "n=2" in err

@@ -3,7 +3,8 @@
 Each digest pins the exact JSON a subcommand prints, so a change to how the
 expansions are computed must leave every one of them unchanged.  The grid
 covers each subcommand and verify suite, the removable 0/0 Pieri path at
-kappa = 1, and two degenerate runs that exit 2 with empty stdout.
+kappa = 1 (including n = 3, where paired factors cancel), and three
+degenerate runs that exit 2 with empty stdout.
 """
 
 import hashlib
@@ -47,6 +48,16 @@ GOLDEN = [
         "verify pieri --n=2 --a=-20 --kappa=1 --max-degree=2",
         0,
         "7fc404004a0ec377fb4b6e732bcd5d3fd2cb56c3ec6cfa0d666a6a149a7ea3ce",
+    ),
+    (
+        "verify pieri --n=3 --a=-27/2 --kappa=1 --max-degree=2",
+        0,
+        "3535021aacb34962f21ae5c8a2ba557ed7354a0113cf6901cce1ae57208f7551",
+    ),
+    (
+        "verify pieri --n=2 --a=0 --kappa=1 --max-degree=2",
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     (
         "verify gram --n=2 --a=-20 --kappa=1 --max-degree=2",

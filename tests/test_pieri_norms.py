@@ -1,15 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvbessel import pieri_norms
 from mvbessel.bessel import BesselParams, bessel_expand, renormalize
 from mvbessel.errors import PoleError
 from mvbessel.partitions import Partition, partitions_up_to
 from mvbessel.pieri_norms import (
+    Affine,
     CoefficientContext,
     E_hat_r,
     delta_ratio,
+    limit_at_zero,
     norm_full_reduced,
     norm_n0_reduced,
     norm_ratio,
@@ -34,6 +37,57 @@ def test_step_function_poles():
         w_hat(Fraction(0), Fraction(-20))
     with pytest.raises(PoleError):
         w_hat(Fraction(-1, 2), Fraction(-20))
+
+
+T = Affine(Fraction(0), Fraction(1))
+
+
+def test_limit_at_zero_removable_singularity():
+    # (t^2 + 2t)/t -> 2
+    assert limit_at_zero([([T, Affine(Fraction(2), Fraction(1))], [T])]) == 2
+
+
+def test_limit_at_zero_genuine_pole():
+    with pytest.raises(PoleError):
+        limit_at_zero([([], [T])])
+
+
+def test_limit_at_zero_pole_cancelled_across_terms():
+    # 1/t - 1/t -> 0
+    assert limit_at_zero([([], [T]), ([Affine(Fraction(-1))], [T])]) == 0
+
+
+constants = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=3)
+)
+slopes = st.sampled_from([Fraction(k, 2) for k in (-3, -2, -1, 1, 2, 3)])
+factors = st.builds(Affine, constants, slopes)
+factor_terms = st.tuples(st.lists(factors, max_size=4), st.lists(factors, max_size=2))
+
+
+def _limit_or_pole(terms):
+    try:
+        return limit_at_zero(terms)
+    except PoleError:
+        return PoleError
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(factor_terms, min_size=1, max_size=4))
+def test_limit_at_zero_is_unchanged_by_doubling_every_slope(terms):
+    # t -> 2t scales each Laurent coefficient of t^k by 2^k: the t^0
+    # coefficient and which coefficients vanish both stay the same
+    doubled = [
+        ([Affine(f.c, 2 * f.s) for f in num], [Affine(f.c, 2 * f.s) for f in den])
+        for num, den in terms
+    ]
+    assert _limit_or_pole(doubled) == _limit_or_pole(terms)
+
+
+def test_pieri_genuine_pole_names_its_move():
+    ctx = CoefficientContext(BesselParams(Fraction(0), Fraction(1), 2))
+    with pytest.raises(PoleError, match=r"genuine pole at move \(\(1,\), \(1,\)\)"):
+        pieri_expand(2, Partition(()), ctx)
 
 
 def test_delta_ratio_one_variable_anchors():

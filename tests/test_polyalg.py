@@ -8,7 +8,6 @@ from mvbessel.partitions import Partition
 from mvbessel.polyalg import (
     FactoredFraction,
     MultiPoly,
-    RatT,
     SymPoly,
     collect_symmetric,
     divide_exact,
@@ -127,48 +126,3 @@ def test_factored_fraction_roundtrip():
     assert g.to_poly() == x + y
     h = FactoredFraction.from_poly(x * y).div_var(1, 1)
     assert h.to_poly() == y
-
-
-def test_ratt_linear_arithmetic():
-    u = RatT.linear(Fraction(2), Fraction(3))  # 2 + 3t
-    v = RatT.linear(Fraction(0), Fraction(1))  # t
-    w = u / v * v
-    assert w == u
-    assert (u - u).is_zero()
-    assert (u * u).at_zero() == 4
-    assert (1 / u).at_zero() == Fraction(1, 2)
-
-
-def test_ratt_removable_singularity():
-    # (t^2 + 2t) / t -> 2 at t = 0
-    t = RatT.linear(Fraction(0), Fraction(1))
-    expr = (t * t + 2 * t) / t
-    assert expr.at_zero() == 2
-
-
-def test_ratt_is_unhashable():
-    # equal values such as 1/1 and 2/2 have different (num, den) tuples
-    assert RatT((1,), (1,)) == RatT((2,), (2,))
-    with pytest.raises(TypeError):
-        hash(RatT.linear(1, 1))
-
-
-def test_ratt_genuine_pole():
-    t = RatT.linear(Fraction(0), Fraction(1))
-    with pytest.raises(ZeroDivisionError):
-        (1 / t).at_zero()
-
-
-@given(
-    st.fractions(max_denominator=20),
-    st.fractions(max_denominator=20),
-    st.fractions(max_denominator=20),
-)
-def test_ratt_field_axioms(a, b, c):
-    x = RatT.linear(a, b)
-    y = RatT.linear(c, a)
-    assert x + y == y + x
-    assert x * y == y * x
-    assert (x + y) * y == x * y + y * y
-    if not y.is_zero():
-        assert (x / y) * y == x

@@ -1,5 +1,5 @@
 """Randomised cross-checks of the shared triangular solver, the peel, the
-commuting tower and the two norm routes.
+commuting tower, the Pieri expansion and the two norm routes.
 
 Parameters are drawn as arbitrary small rationals; a draw is rejected only
 when it lands on a degenerate point (an eigenvalue collision or a pole),
@@ -16,7 +16,12 @@ from mvbessel.jack import eigenvalue_d, jack_in_monomials, sym_to_jack
 from mvbessel.jacobi_bc import JacobiParams, apply_DBC_jack, jacobi_eigenvalue, jacobi_expand
 from mvbessel.operators import _higher_recursion, apply_higher
 from mvbessel.partitions import partitions_up_to
-from mvbessel.pieri_norms import CoefficientContext, norm_ratio, norm_ratio_product
+from mvbessel.pieri_norms import (
+    CoefficientContext,
+    norm_ratio,
+    norm_ratio_product,
+    pieri_verify,
+)
 from mvbessel.polyalg import SymPoly
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -115,3 +120,17 @@ def test_norm_ratio_routes_agree(shape, a, kappa):
     n, lam = shape
     ctx = CoefficientContext(BesselParams(a, kappa, n))
     assert _pole_or_value(norm_ratio, lam, ctx) == _pole_or_value(norm_ratio_product, lam, ctx)
+
+
+@st.composite
+def pieri_cases(draw):
+    n = draw(st.integers(1, 3))
+    return n, draw(st.integers(1, n)), draw(st.sampled_from(partitions_up_to(2, n)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(pieri_cases(), rationals, kappas)
+def test_pieri_expansion_matches_the_polynomial_oracle(case, a, kappa):
+    n, r, lam = case
+    ctx = CoefficientContext(BesselParams(a, kappa, n))
+    assert _unless_degenerate(pieri_verify, r, lam, ctx)

@@ -8,6 +8,13 @@ symmetric polynomials is a finite sum of products of one-dimensional
 reduced moments and stays exactly rational.  This gives an independent
 oracle for orthogonality and for the closed norm formulas.
 
+Both the moment functional and H = g * prod (x_i - x_j)^{2 kappa} are
+symmetric, so an inner product pairs the m-basis coefficients of f with
+H, one sum per partition.  H is built once per g, with integer
+coefficients over one denominator, and the moments are put over their
+common denominator, so each sum runs over integers.  Gram matrices follow
+by linearity from the pairings <m_nu, Y_mu>.
+
 For n = 2 the same structure is packaged as a linear functional on the
 polynomial ring in the elementary symmetric polynomials e1, e2, with its
 moments generated by two recurrences.
@@ -16,6 +23,7 @@ moments generated by two recurrences.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +31,7 @@ from .bessel import BesselParams, bessel_expand
 from .errors import ConvergenceError, DegenerateRecurrence
 from .operators import apply_higher
 from .partitions import Partition, partitions_up_to
-from .polyalg import MultiPoly, SymPoly, rat, rat_str
+from .polyalg import SymPoly, monomial_symmetric, rat, rat_str
 
 
 @dataclass(frozen=True)
@@ -59,41 +67,82 @@ def moment_1d(p: int, a: Fraction) -> Fraction:
     return val
 
 
-@functools.lru_cache(maxsize=64)
-def _vandermonde_power(n: int, two_kappa: int) -> MultiPoly:
-    """prod_{i<j} (x_i - x_j)^{two_kappa}; cached, so callers must only read it."""
-    out = MultiPoly.constant(n, 1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            diff = MultiPoly.variable(n, i) - MultiPoly.variable(n, j)
-            for _ in range(two_kappa):
-                out = out * diff
-    return out
-
-
 def inner_product(f: SymPoly, g: SymPoly, p: BesselParams) -> ReducedValue:
-    """The reduced inner product of f and g: expand f*g*prod(x_i-x_j)^{2 kappa}
-    into monomials and integrate termwise with moment_1d.
+    """The reduced inner product of f and g, paired by partition.
 
-    Requires kappa to be a non-negative integer.  Any divergent term aborts
-    the whole computation with ConvergenceError.
+    L(x^alpha) = prod_i mom(alpha_i) is symmetric and so is
+    H = g * prod_{i<j}(x_i - x_j)^{2 kappa}, so every monomial of the orbit
+    of nu pairs with H alike:
+
+        <f, g> = sum_nu f_nu |S_n nu| sum_beta H_beta prod_i mom(nu_i + beta_i).
+
+    H comes from a cache as integers over one denominator, and the moments
+    are put over their common denominator, so each inner sum is an integer.
+
+    Requires kappa to be a non-negative integer.  The x_1-degree adds over
+    products, so the largest exponent in f*H is D = max nu_1(f) +
+    max nu_1(g) + 2 kappa (n - 1); when x^D has no moment the whole
+    computation raises ConvergenceError before any sum is taken.
     """
     if p.kappa.denominator != 1 or p.kappa < 0:
         raise ValueError("moment oracle needs kappa a non-negative integer")
-    poly = f.expand() * g.expand() * _vandermonde_power(p.n, 2 * int(p.kappa))
-    # Check every term before summing so divergence is all-or-nothing.
-    factors = {}
-    for exps, _ in poly.terms.items():
-        for e in exps:
-            if e not in factors:
-                factors[e] = moment_1d(e, p.a)
+    if not f.n == g.n == p.n:
+        raise ValueError(f"variable count mismatch: {f.n}, {g.n}, {p.n}")
+    if f.is_zero() or g.is_zero():
+        return ReducedValue(Fraction(0))
+    two_kappa = 2 * int(p.kappa)
+    top = max(lam.part(1) for lam in f.coeffs) + max(lam.part(1) for lam in g.coeffs)
+    top += two_kappa * (p.n - 1)
+    moment_1d(top, p.a)  # raises ConvergenceError when x_1^top diverges
+    den, terms = _weighted_product(p.n, two_kappa, tuple(g.sorted_coeffs()))
+    moms = [moment_1d(k, p.a) for k in range(top + 1)]
+    common = math.lcm(*(m.denominator for m in moms))
+    nums = [m.numerator * (common // m.denominator) for m in moms]
+    scale = den * common**p.n
     total = Fraction(0)
-    for exps, c in poly.terms.items():
-        term = c
-        for e in exps:
-            term *= factors[e]
-        total += term
+    for nu, c in f.coeffs.items():
+        shifted = [nums[k:] for k in nu.parts + (0,) * (p.n - nu.length())]
+        pair = 0
+        for exps, h in terms:
+            for row, e in zip(shifted, exps):
+                h *= row[e]
+            pair += h
+        orbit = len(monomial_symmetric(nu, p.n).terms)
+        total += c * Fraction(orbit * pair, scale)
     return ReducedValue(total)
+
+
+@functools.lru_cache(maxsize=64)
+def _weighted_product(
+    n: int, two_kappa: int, g_coeffs: tuple[tuple[Partition, Fraction], ...]
+) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
+    """g * prod_{i<j} (x_i - x_j)^{two_kappa} as (denominator, integer terms).
+
+    g is given by its sorted m-basis coefficients, an immutable snapshot, so
+    the cached value never aliases a caller's polynomial.
+    """
+    den = math.lcm(*(c.denominator for _, c in g_coeffs))
+    terms: dict[tuple[int, ...], int] = {}
+    for lam, c in g_coeffs:
+        k = c.numerator * (den // c.denominator)
+        for exps in monomial_symmetric(lam, n).terms:
+            terms[exps] = k
+    for i in range(n):
+        for j in range(i + 1, n):
+            for _ in range(two_kappa):
+                terms = _times_difference(terms, i, j)
+    return den, tuple(terms.items())
+
+
+def _times_difference(terms: dict, i: int, j: int) -> dict:
+    """The integer polynomial terms * (x_i - x_j), variables 0-based."""
+    out: dict[tuple[int, ...], int] = {}
+    for exps, c in terms.items():
+        up = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
+        out[up] = out.get(up, 0) + c
+        up = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
+        out[up] = out.get(up, 0) - c
+    return {e: c for e, c in out.items() if c}
 
 
 def gram_matrix(m: int, p: BesselParams) -> list[list[ReducedValue]]:
@@ -102,16 +151,28 @@ def gram_matrix(m: int, p: BesselParams) -> list[list[ReducedValue]]:
     Basis ordered by graded lexicographic partition order.  Diagonal, with
     diagonal entries given by the closed norm formula; this function computes
     the entries from moments and leaves the comparison to callers.
+
+    Built by linearity in the first argument: W[nu][mu] = <m_nu, Y_mu> over
+    the partitions nu up to degree m, then <Y_lambda, Y_mu> =
+    sum_nu U[lambda][nu] W[nu][mu] with U the m-basis coefficients of Y.
     """
     if not check_L2_condition(m, p):
         raise ConvergenceError(
             f"degree {m} violates the square-integrability bound at a = {p.a}"
         )
-    basis = [bessel_expand(lam, p).to_sym() for lam in partitions_up_to(m, p.n)]
-    rows = []
-    for f in basis:
-        rows.append([inner_product(f, g, p) for g in basis])
-    return rows
+    parts = partitions_up_to(m, p.n)
+    basis = [bessel_expand(lam, p).to_sym() for lam in parts]
+    W = {
+        nu: [inner_product(SymPoly(p.n, {nu: 1}), g, p).value for g in basis]
+        for nu in parts
+    }
+    return [
+        [
+            ReducedValue(sum((c * W[nu][j] for nu, c in f.coeffs.items()), Fraction(0)))
+            for j in range(len(basis))
+        ]
+        for f in basis
+    ]
 
 
 def gram_to_json(rows: list[list[ReducedValue]]) -> dict:
@@ -188,23 +249,24 @@ def moments2_table(maxdeg: int, a: Fraction, kappa: Fraction) -> MomentTable2:
 
 def functional_apply(f: SymPoly, table: MomentTable2) -> Fraction:
     """Apply the two-variable moment functional to a symmetric polynomial in
-    two variables: rewrite f exactly in the basis e1^n e2^m and contract."""
+    two variables: rewrite f exactly in the basis e1^p e2^q and contract.
+
+    The leading m_(p+q, q) is peeled by e1^p e2^q, whose coefficient on
+    m_(r1, r2) with r1 + r2 = p + 2q is C(p, r1 - q); each row only reaches
+    partitions of the same weight with a smaller first part.
+    """
     if f.n != 2:
         raise ValueError("the moment functional is defined for n = 2 only")
-    e1 = MultiPoly.variable(2, 1) + MultiPoly.variable(2, 2)
-    e2 = MultiPoly.variable(2, 1) * MultiPoly.variable(2, 2)
-    g = f.expand()
+    rest = {(lam.part(1), lam.part(2)): c for lam, c in f.coeffs.items()}
     total = Fraction(0)
-    while not g.is_zero():
-        exps, c = g.leading()
-        p1, p2 = exps
-        if p1 < p2:
-            raise ValueError("input is not symmetric")
-        total += c * table.value(p1 - p2, p2)
-        mono = MultiPoly.constant(2, c)
-        for _ in range(p1 - p2):
-            mono = mono * e1
-        for _ in range(p2):
-            mono = mono * e2
-        g = g - mono
+    for w in range(f.degree(), -1, -1):
+        for r1 in range(w, (w - 1) // 2, -1):
+            c = rest.get((r1, w - r1))
+            if not c:
+                continue
+            q = w - r1
+            total += c * table.value(r1 - q, q)
+            for s1 in range(r1 - 1, (w - 1) // 2, -1):
+                key = (s1, w - s1)
+                rest[key] = rest.get(key, 0) - c * math.comb(r1 - q, s1 - q)
     return total

@@ -3,8 +3,9 @@
 Each digest pins the exact JSON a subcommand prints, so a change to how the
 expansions are computed must leave every one of them unchanged.  The grid
 covers each subcommand and verify suite, the removable 0/0 Pieri path at
-kappa = 1 (including n = 3, where paired factors cancel), and three
-degenerate runs that exit 2 with empty stdout.
+kappa = 1 (including n = 3, where paired factors cancel), three
+degenerate runs that exit 2 with empty stdout, and a Gram run refused by the
+square-integrability bound (exit 1, empty stdout).
 """
 
 import hashlib
@@ -63,6 +64,21 @@ GOLDEN = [
         "verify gram --n=2 --a=-20 --kappa=1 --max-degree=2",
         0,
         "18b573c07fa9150a6122d4dca3770593e4e41006697891dc783f96391ef1522c",
+    ),
+    (
+        "verify gram --n=4 --a=-31/2 --kappa=1 --max-degree=3",
+        0,
+        "0679257c18e1a679676b1e6dab86142ca27f604e7ad9cd331905fbedc27614cd",
+    ),
+    (
+        "verify gram --n=3 --a=-10 --kappa=2 --max-degree=3",
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        "verify moments2 --a=-43 --kappa=2 --max-degree=6",
+        0,
+        "62313f03d45304b2ae507a483a7bfed0b92b7a70a59ed2be9d961db1ddb3ead4",
     ),
     (
         "verify moments2 --a=-20 --kappa=3/2 --max-degree=3",

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mvbessel.bessel import BesselParams, bessel_expand
 from mvbessel.errors import ConvergenceError, DegenerateRecurrence
+from mvbessel.operators import apply_higher
 from mvbessel.orthogonality import (
-    _vandermonde_power,
+    _weighted_product,
     MomentTable2,
     ReducedValue,
     check_L2_condition,
@@ -19,7 +21,7 @@ from mvbessel.orthogonality import (
 )
 from mvbessel.partitions import Partition, partitions_up_to
 from mvbessel.pieri_norms import CoefficientContext, norm_full_reduced
-from mvbessel.polyalg import SymPoly
+from mvbessel.polyalg import MultiPoly, SymPoly
 
 
 def test_l2_condition():
@@ -61,16 +63,120 @@ def test_inner_product_rejects_fractional_kappa():
         inner_product(SymPoly.constant(1, 1), SymPoly.constant(1, 1), p)
 
 
-def test_inner_product_leaves_the_cached_vandermonde_power_unchanged():
+def test_inner_product_reuses_an_immutable_weighted_product():
     p = BesselParams(Fraction(-31), Fraction(2), 3)
     f = bessel_expand(Partition((2, 1)), p).to_sym()
     g = bessel_expand(Partition((1,)), p).to_sym()
-    before = dict(_vandermonde_power(3, 4).terms)
     first = inner_product(f, g, p)
+    snapshot = (3, 4, tuple(g.sorted_coeffs()))
+    cached = _weighted_product(*snapshot)
+    hash(cached)  # immutable all the way down: no caller can edit it in place
+    hits = _weighted_product.cache_info().hits
     assert inner_product(f, g, p) == first
     assert inner_product(f, f, p) == inner_product(f, f, p)
-    assert _vandermonde_power(3, 4).terms == before
-    assert _vandermonde_power.cache_info().hits >= 4
+    assert _weighted_product(*snapshot) == cached
+    assert _weighted_product.cache_info().hits >= hits + 3
+
+
+def test_mutating_an_input_does_not_reach_the_weighted_product_cache():
+    p = BesselParams(Fraction(-31), Fraction(2), 3)
+    f = bessel_expand(Partition((1,)), p).to_sym()
+    g = bessel_expand(Partition((1,)), p).to_sym()
+    first = inner_product(f, g, p)
+    g.coeffs[Partition((1,))] += 1
+    changed = inner_product(f, g, p)
+    assert changed == _monomial_sum_oracle(f, g, p) != first
+    g.coeffs[Partition((1,))] -= 1
+    assert inner_product(f, g, p) == first
+
+
+def test_inner_product_zero_argument_and_mismatch():
+    p = BesselParams(Fraction(0), Fraction(1), 2)
+    one = SymPoly.constant(2, 1)
+    # at a = 0 the weight Delta^2 alone diverges, but a zero factor leaves nothing to integrate
+    assert inner_product(SymPoly.zero(2), one, p).value == 0
+    assert inner_product(one, SymPoly.zero(2), p).value == 0
+    with pytest.raises(ConvergenceError):
+        inner_product(one, one, p)
+    with pytest.raises(ValueError):
+        inner_product(SymPoly.constant(3, 1), SymPoly.constant(3, 1), p)
+
+
+def _monomial_sum_oracle(f: SymPoly, g: SymPoly, p: BesselParams) -> ReducedValue:
+    """The reduced inner product by brute force: expand f*g*prod(x_i-x_j)^{2 kappa}
+    into monomials and integrate termwise; any divergent term aborts."""
+    if p.kappa.denominator != 1 or p.kappa < 0:
+        raise ValueError("moment oracle needs kappa a non-negative integer")
+    vdm = MultiPoly.constant(p.n, 1)
+    for i in range(1, p.n + 1):
+        for j in range(i + 1, p.n + 1):
+            diff = MultiPoly.variable(p.n, i) - MultiPoly.variable(p.n, j)
+            for _ in range(2 * int(p.kappa)):
+                vdm = vdm * diff
+    poly = f.expand() * g.expand() * vdm
+    factors = {}
+    for exps in poly.terms:
+        for e in exps:
+            if e not in factors:
+                factors[e] = moment_1d(e, p.a)
+    total = Fraction(0)
+    for exps, c in poly.terms.items():
+        term = c
+        for e in exps:
+            term *= factors[e]
+        total += term
+    return ReducedValue(total)
+
+
+def _value_or_divergent(fn, *args):
+    try:
+        return fn(*args)
+    except ConvergenceError:
+        return ConvergenceError
+
+
+coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@st.composite
+def moment_cases(draw):
+    """Symmetric f, g (the zero polynomial included), integer kappa, and a
+    rational a drawn around the convergence bound of f*g*Delta^{2 kappa}."""
+    n = draw(st.integers(1, 3))
+    shapes = partitions_up_to(3, n)
+
+    def poly():
+        if draw(st.integers(0, 7)) == 5:
+            return SymPoly.zero(n)
+        support = draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=3))
+        return SymPoly(n, {mu: draw(coefficients) or 1 for mu in support})
+
+    f, g = poly(), poly()
+    kappa = draw(st.sampled_from([0, 1, 2]))
+    top = sum(max((mu.part(1) for mu in h.coeffs), default=0) for h in (f, g))
+    bound = 1 - top - 2 * kappa * (n - 1)  # the product converges iff a < bound
+    a = bound + draw(st.fractions(min_value=-6, max_value=2, max_denominator=4))
+    return f, g, BesselParams(a, Fraction(kappa), n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(moment_cases())
+def test_inner_product_matches_the_monomial_sum_oracle(case):
+    f, g, p = case
+    want = _value_or_divergent(_monomial_sum_oracle, f, g, p)
+    assert _value_or_divergent(inner_product, f, g, p) == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.integers(1, 2), moment_cases())
+def test_symmetry_check_matches_the_monomial_sum_oracle(d, case):
+    f, g, p = case
+
+    def oracle():
+        lhs = _monomial_sum_oracle(apply_higher(d, f, p), g, p)
+        return lhs == _monomial_sum_oracle(f, apply_higher(d, g, p), p)
+
+    assert _value_or_divergent(symmetry_check, d, f, g, p) == _value_or_divergent(oracle)
 
 
 def test_gram_diagonal_and_norms():

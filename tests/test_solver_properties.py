@@ -1,5 +1,6 @@
 """Randomised cross-checks of the shared triangular solver, the peel, the
-commuting tower, the Pieri expansion and the two norm routes.
+commuting tower, the Pieri expansion, the two norm routes, the binomial
+coefficient routes and the Jacobi constant term.
 
 Parameters are drawn as arbitrary small rationals; a draw is rejected only
 when it lands on a degenerate point (an eigenvalue collision or a pole),
@@ -12,10 +13,22 @@ from hypothesis import given, reject, settings, strategies as st
 from mvbessel import diffops
 from mvbessel.bessel import BesselParams, bessel_coeff_tableau, bessel_expand
 from mvbessel.errors import DegenerateEigenvalue, PoleError
-from mvbessel.jack import eigenvalue_d, jack_in_monomials, sym_to_jack
-from mvbessel.jacobi_bc import JacobiParams, apply_DBC_jack, jacobi_eigenvalue, jacobi_expand
+from mvbessel.jack import (
+    binomial_cocover,
+    binomial_cocover_product,
+    eigenvalue_d,
+    jack_in_monomials,
+    sym_to_jack,
+)
+from mvbessel.jacobi_bc import (
+    JacobiParams,
+    apply_DBC_jack,
+    jacobi_constant_term,
+    jacobi_eigenvalue,
+    jacobi_expand,
+)
 from mvbessel.operators import _higher_recursion, apply_higher
-from mvbessel.partitions import partitions_up_to
+from mvbessel.partitions import Partition, partitions_up_to
 from mvbessel.pieri_norms import (
     CoefficientContext,
     norm_ratio,
@@ -134,3 +147,26 @@ def test_pieri_expansion_matches_the_polynomial_oracle(case, a, kappa):
     n, r, lam = case
     ctx = CoefficientContext(BesselParams(a, kappa, n))
     assert _unless_degenerate(pieri_verify, r, lam, ctx)
+
+
+@st.composite
+def cocovers(draw):
+    lam = draw(st.sampled_from(partitions_up_to(4, 4)))
+    return lam, draw(st.sampled_from([i for i in range(1, lam.length() + 2) if lam.add_box(i)]))
+
+
+@settings(derandomize=True, deadline=None)
+@given(cocovers(), kappas)
+def test_binomial_routes_agree(cocover, kappa):
+    lam, i = cocover
+    forced = _unless_degenerate(binomial_cocover, lam, i, kappa)
+    assert _unless_degenerate(binomial_cocover_product, lam, i, kappa, True) == forced
+
+
+@settings(derandomize=True, deadline=None)
+@given(shapes(), rationals, rationals, kappas)
+def test_jacobi_constant_term_matches_the_expansion(shape, k1, k2, k3):
+    n, lam = shape
+    jp = JacobiParams(k1, k2, k3, n)
+    constant = _unless_degenerate(jacobi_expand, lam, jp).coeff(Partition(()))
+    assert constant == _unless_degenerate(jacobi_constant_term, lam, jp)

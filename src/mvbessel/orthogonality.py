@@ -93,9 +93,9 @@ def inner_product(f: SymPoly, g: SymPoly, p: BesselParams) -> ReducedValue:
     two_kappa = 2 * int(p.kappa)
     top = max(lam.part(1) for lam in f.coeffs) + max(lam.part(1) for lam in g.coeffs)
     top += two_kappa * (p.n - 1)
-    moment_1d(top, p.a)  # raises ConvergenceError when x_1^top diverges
-    den, terms = _weighted_product(p.n, two_kappa, tuple(g.sorted_coeffs()))
+    # raises ConvergenceError, before H is built, when x^top has no moment
     moms = [moment_1d(k, p.a) for k in range(top + 1)]
+    den, terms = _weighted_product(p.n, two_kappa, tuple(g.sorted_coeffs()))
     common = math.lcm(*(m.denominator for m in moms))
     nums = [m.numerator * (common // m.denominator) for m in moms]
     scale = den * common**p.n

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import DegenerateEigenvalue, PoleError
 from .partitions import Partition, dominance_leq, partitions_of, partitions_up_to
-from .polyalg import ONE, ZERO, SymPoly, rat_str
+from .polyalg import ONE, ZERO, PartitionVector, SymPoly, accumulate
 
 def eigenvalue_d(lam: Partition, kappa: Fraction, n: int) -> Fraction:
     """sum_i lam_i (lam_i - 1 + 2 kappa (n - i))."""
@@ -305,96 +305,28 @@ def spec_ratio_product(
 # -- expansions in the Jack basis ---------------------------------------------
 
 
-class JackExpansion:
+class JackExpansion(PartitionVector):
     """A vector of coefficients on the monic Jack basis {P_mu}."""
 
-    __slots__ = ("n", "kappa", "coeffs")
+    __slots__ = ("kappa",)
+    _mismatch = "mismatched Jack expansion contexts"
+    _prefix = "P"
 
     def __init__(self, n: int, kappa: Fraction, coeffs: Mapping[Partition, Fraction] | None = None):
-        self.n = n
         self.kappa = Fraction(kappa)
-        self.coeffs: dict[Partition, Fraction] = {}
-        if coeffs:
-            for lam, c in coeffs.items():
-                if lam.length() > n:
-                    raise ValueError(f"{lam!r} has more than {n} parts")
-                c = Fraction(c)
-                if c != 0:
-                    self.coeffs[lam] = c
+        super().__init__(n, coeffs)
 
-    def _check(self, other: "JackExpansion") -> None:
-        if self.n != other.n or self.kappa != other.kappa:
-            raise ValueError("mismatched Jack expansion contexts")
-
-    def __add__(self, other: "JackExpansion") -> "JackExpansion":
-        self._check(other)
-        out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            s = out.get(lam, ZERO) + c
-            if s:
-                out[lam] = s
-            else:
-                out.pop(lam, None)
-        r = JackExpansion(self.n, self.kappa)
-        r.coeffs = out
-        return r
-
-    def __neg__(self) -> "JackExpansion":
-        r = JackExpansion(self.n, self.kappa)
-        r.coeffs = {lam: -c for lam, c in self.coeffs.items()}
-        return r
-
-    def __sub__(self, other: "JackExpansion") -> "JackExpansion":
-        return self + (-other)
-
-    def scale(self, c) -> "JackExpansion":
-        c = Fraction(c)
-        r = JackExpansion(self.n, self.kappa)
-        if c:
-            r.coeffs = {lam: c * v for lam, v in self.coeffs.items()}
-        return r
-
-    def coeff(self, lam: Partition) -> Fraction:
-        return self.coeffs.get(lam, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        return max((lam.weight() for lam in self.coeffs), default=0)
+    def _context(self) -> tuple:
+        return (self.n, self.kappa)
 
     def truncate(self, maxdeg: int) -> "JackExpansion":
-        r = JackExpansion(self.n, self.kappa)
-        r.coeffs = {lam: c for lam, c in self.coeffs.items() if lam.weight() <= maxdeg}
-        return r
+        return self._new({lam: c for lam, c in self.coeffs.items() if lam.weight() <= maxdeg})
 
     def to_sym(self) -> SymPoly:
         total = SymPoly.zero(self.n)
         for lam, c in self.coeffs.items():
             total = total + jack_in_monomials(lam, self.kappa, self.n).scale(c)
         return total
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, JackExpansion)
-            and self.n == other.n
-            and self.kappa == other.kappa
-            and self.coeffs == other.coeffs
-        )
-
-    def sorted_coeffs(self) -> list[tuple[Partition, Fraction]]:
-        return sorted(self.coeffs.items(), key=lambda t: (t[0].weight(), t[0].parts))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{rat_str(c)}*P{list(lam.parts)}" for lam, c in self.sorted_coeffs())
-
-    def to_json(self) -> dict[str, str]:
-        return {
-            "[" + ",".join(map(str, lam.parts)) + "]": rat_str(c)
-            for lam, c in self.sorted_coeffs()
-        }
 
 
 def sym_to_jack(f: SymPoly, kappa: Fraction) -> JackExpansion:
@@ -420,21 +352,18 @@ def apply_basic(opid: str, v: JackExpansion) -> JackExpansion:
     if opid not in BASIC_OPS:
         raise ValueError(f"unknown operator {opid!r}")
     n, kappa = v.n, v.kappa
-    out = JackExpansion(n, kappa)
+    out: dict[Partition, Fraction] = {}
     for lam, c in v.coeffs.items():
         if opid == "E1":
-            out = out + JackExpansion(n, kappa, {lam: c * lam.weight()})
+            accumulate(out, lam, c * lam.weight())
         elif opid == "D2":
-            out = out + JackExpansion(n, kappa, {lam: c * eigenvalue_d(lam, kappa, n)})
+            accumulate(out, lam, c * eigenvalue_d(lam, kappa, n))
         elif opid == "MUL_P1":
-            terms: dict[Partition, Fraction] = {}
             for i in range(1, n + 1):
                 up = lam.add_box(i)
                 if up is not None:
-                    terms[up] = c * psi_prime(lam, i, kappa)
-            out = out + JackExpansion(n, kappa, terms)
+                    accumulate(out, up, c * psi_prime(lam, i, kappa))
         else:  # E0 or D1: one-box lowering
-            terms = {}
             for i in range(1, lam.length() + 1):
                 mu = lam.remove_box(i)
                 if mu is None:
@@ -442,9 +371,8 @@ def apply_basic(opid: str, v: JackExpansion) -> JackExpansion:
                 w = lower_weight(mu, i, kappa, n)
                 if opid == "D1":
                     w *= lam.part(i) - 1 + kappa * (n - i)
-                terms[mu] = c * w
-            out = out + JackExpansion(n, kappa, terms)
-    return out
+                accumulate(out, mu, c * w)
+    return v._new(out)
 
 
 # -- generalized Pochhammer symbols and hypergeometric series ------------------

@@ -4,8 +4,11 @@ D^B is available in two independent representations (direct differential
 application and the Jack-basis action); the higher operators D^B_d are built
 by a 2d-stage recursion through non-symmetric intermediates whose
 denominators stay within products of x_i and (x_i - x_j) factors, so all
-arithmetic remains exact.  Being linear, D^B_d is applied to a polynomial
-as a sum of cached images of the monomial symmetric functions m_mu.
+arithmetic remains exact.  The recursion pairs a +i and a -i intermediate
+for each variable; on symmetric input the -i one is (-1)^stage times the
++i one, so only the +i values are carried (the two-branch form is the
+test oracle).  Being linear, D^B_d is applied to a polynomial as a sum of
+cached images of the monomial symmetric functions m_mu.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 from . import diffops, jack
 from .bessel import BesselParams, bessel_expand, rho_vector
-from .errors import NotProportional, NotSymmetric
+from .errors import NotProportional
 from .jack import JackExpansion
 from .partitions import Partition, partitions_in_box, partitions_up_to
 from .polyalg import (
@@ -24,6 +27,7 @@ from .polyalg import (
     FactoredFraction,
     MultiPoly,
     SymPoly,
+    accumulate,
     collect_symmetric,
 )
 
@@ -55,41 +59,40 @@ def apply_DB_jack(v: JackExpansion, p: BesselParams) -> JackExpansion:
 
 
 def _recursion_stage(
-    plus: list[FactoredFraction],
-    minus: list[FactoredFraction],
-    p: BesselParams,
-) -> tuple[list[FactoredFraction], list[FactoredFraction]]:
-    """One step of the non-symmetric recursion, for both choices of sign.
+    old: list[FactoredFraction], flipped: bool, p: BesselParams
+) -> list[FactoredFraction]:
+    """One step of the non-symmetric recursion on the +i intermediates.
+
+    The recursion pairs each +i intermediate with a -i one.  On symmetric
+    input old_{-i} = s old_{+i}, with s = -1 after an odd number of stages
+    (flipped) and s = +1 after an even number, so only the +i values are
+    carried:
 
     new_{+i} = x_i d_i old_{+i} + (1/2)(a - 1 + 2/x_i)(old_{+i} - old_{-i})
                + (kappa/2) sum_{j != i} ((x_i+x_j)/(x_i-x_j))(old_{+i} - old_{+j})
                + (kappa/2) sum_{j != i} (old_{+i} - old_{-j}),
-    and new_{-i} is the same expression with all signs swapped and negated.
+
+    where the (a - 1 + 2/x_i) term vanishes when s = +1 and becomes
+    (a - 1) old_{+i} + 2 old_{+i}/x_i when s = -1.
     """
     n = p.n
-    a, kappa = p.a, p.kappa
-    half = Fraction(1, 2)
-
-    def step(sign: int, i: int) -> FactoredFraction:
-        mine = plus[i - 1] if sign > 0 else minus[i - 1]
-        mirror = minus[i - 1] if sign > 0 else plus[i - 1]
+    half_kappa = p.kappa / 2
+    new = []
+    for i in range(1, n + 1):
+        mine = old[i - 1]
         total = mine.deriv(i).mul_var(i)
-        diff = mine - mirror
-        total = total + diff * ((a - 1) * half) + diff.div_var(i)
+        if flipped:
+            total = total + mine * (p.a - 1) + (mine * 2).div_var(i)
+        xi = MultiPoly.variable(n, i)
         for j in range(1, n + 1):
             if j == i:
                 continue
-            same = plus[j - 1] if sign > 0 else minus[j - 1]
-            opp = minus[j - 1] if sign > 0 else plus[j - 1]
-            xi = MultiPoly.variable(n, i)
+            other = old[j - 1]
             xj = MultiPoly.variable(n, j)
-            total = total + ((mine - same) * (xi + xj)).div_pair(i, j) * (kappa * half)
-            total = total + (mine - opp) * (kappa * half)
-        return total if sign > 0 else -total
-
-    new_plus = [step(+1, i) for i in range(1, n + 1)]
-    new_minus = [step(-1, i) for i in range(1, n + 1)]
-    return new_plus, new_minus
+            total = total + ((mine - other) * (xi + xj)).div_pair(i, j) * half_kappa
+            total = total + (mine + other if flipped else mine - other) * half_kappa
+        new.append(total)
+    return new
 
 
 def apply_higher(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
@@ -106,11 +109,7 @@ def apply_higher(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
     out: dict[Partition, Fraction] = {}
     for mu, c in f.coeffs.items():
         for nu, v in _higher_on_monomial(d, mu, p):
-            s = out.get(nu, ZERO) + c * v
-            if s:
-                out[nu] = s
-            else:
-                out.pop(nu, None)
+            accumulate(out, nu, c * v)
     result = SymPoly(p.n)
     result.coeffs = out
     return result
@@ -127,30 +126,19 @@ def _higher_on_monomial(
 def _higher_recursion(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
     """D^B_d f by the recursion itself.
 
-    Runs the recursion for 2d stages from the constant seed, asserting the
-    stage parity invariant (the -i intermediate equals (-1)^stage times the
-    +i one on symmetric input), then takes the symmetrized half-sum, which
-    must reduce exactly to a symmetric polynomial.
+    Runs the recursion for 2d stages from the constant seed.  After an even
+    number of stages the -i intermediates equal the +i ones, so the image
+    is the sum of the +i values, which must reduce exactly to a symmetric
+    polynomial.
     """
-    n = p.n
     seed = FactoredFraction.from_poly(f.expand())
-    plus = [seed] * n
-    minus = [seed] * n
-    for stage in range(1, 2 * d + 1):
-        plus, minus = _recursion_stage(plus, minus, p)
-        for i in range(n):
-            expected = plus[i] if stage % 2 == 0 else -plus[i]
-            if not (minus[i] - expected).numer.is_zero():
-                raise NotSymmetric(
-                    f"stage-{stage} parity invariant failed at index {i + 1}"
-                )
+    plus = [seed] * p.n
+    for stage in range(2 * d):
+        plus = _recursion_stage(plus, stage % 2 == 1, p)
     total = plus[0]
     for g in plus[1:]:
         total = total + g
-    for g in minus:
-        total = total + g
-    result = (total * Fraction(1, 2)).to_poly()
-    return collect_symmetric(result)
+    return collect_symmetric(total.to_poly())
 
 
 def eigenvalue_of(d: int, lam: Partition, p: BesselParams) -> Fraction:

@@ -32,6 +32,15 @@ def rat_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+def accumulate(out: dict, key, c: Fraction) -> None:
+    """Add c to out[key], dropping the entry when the sum is zero."""
+    s = out.get(key, ZERO) + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
 def _grlex_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
 
@@ -83,11 +92,7 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            accumulate(out, e, c)
         r = MultiPoly(self.n)
         r.terms = out
         return r
@@ -107,12 +112,7 @@ class MultiPoly:
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         r = MultiPoly(self.n)
         r.terms = out
         return r
@@ -171,8 +171,8 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, MultiPoly) and self.n == other.n and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+    # mutable: callers fill terms in place, so a content hash would go stale
+    __hash__ = None
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
@@ -263,10 +263,21 @@ def _monomial_exponents(lam: Partition, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(set(itertools.permutations(padded)))
 
 
-class SymPoly:
-    """Symmetric polynomial stored as Partition -> coefficient in the m basis."""
+class PartitionVector:
+    """Shared arithmetic of the partition-keyed coefficient vectors.
+
+    coeffs maps Partition -> nonzero Fraction.  Subclasses fix the context
+    two vectors must share before they are added or compared (_context),
+    the message raised when they do not (_mismatch), and the basis letter
+    that prefixes each partition in repr (_prefix).  A vector never
+    compares equal to one of another type.  It is mutable (callers fill
+    coeffs in place), so a content hash can go stale and the base is
+    unhashable; SymPoly alone keeps one (see there).
+    """
 
     __slots__ = ("n", "coeffs")
+    _mismatch = "variable count mismatch"
+    _prefix = ""
 
     def __init__(self, n: int, coeffs: Mapping[Partition, Fraction] | None = None):
         self.n = n
@@ -279,6 +290,74 @@ class SymPoly:
                 if c != 0:
                     self.coeffs[lam] = c
 
+    def _context(self) -> tuple:
+        return (self.n,)
+
+    def _new(self, coeffs: dict[Partition, Fraction]) -> "PartitionVector":
+        """A vector in this one's context holding coeffs as given."""
+        r = type(self)(*self._context())
+        r.coeffs = coeffs
+        return r
+
+    def __add__(self, other: "PartitionVector") -> "PartitionVector":
+        if self._context() != other._context():
+            raise ValueError(self._mismatch)
+        out = dict(self.coeffs)
+        for lam, c in other.coeffs.items():
+            accumulate(out, lam, c)
+        return self._new(out)
+
+    def __neg__(self) -> "PartitionVector":
+        return self._new({lam: -c for lam, c in self.coeffs.items()})
+
+    def __sub__(self, other: "PartitionVector") -> "PartitionVector":
+        return self + (-other)
+
+    def scale(self, c) -> "PartitionVector":
+        c = Fraction(c)
+        return self._new({lam: c * v for lam, v in self.coeffs.items()} if c else {})
+
+    def coeff(self, lam: Partition) -> Fraction:
+        return self.coeffs.get(lam, ZERO)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def degree(self) -> int:
+        return max((lam.weight() for lam in self.coeffs), default=0)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._context() == other._context()
+            and self.coeffs == other.coeffs
+        )
+
+    __hash__ = None
+
+    def sorted_coeffs(self) -> list[tuple[Partition, Fraction]]:
+        return sorted(self.coeffs.items(), key=lambda t: (t[0].weight(), t[0].parts))
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        return " + ".join(
+            f"{rat_str(c)}*{self._prefix}{list(lam.parts)}" for lam, c in self.sorted_coeffs()
+        )
+
+    def to_json(self) -> dict[str, str]:
+        return {
+            "[" + ",".join(map(str, lam.parts)) + "]": rat_str(c)
+            for lam, c in self.sorted_coeffs()
+        }
+
+
+class SymPoly(PartitionVector):
+    """Symmetric polynomial stored as Partition -> coefficient in the m basis."""
+
+    __slots__ = ()
+    _prefix = "m"
+
     @classmethod
     def zero(cls, n: int) -> "SymPoly":
         return cls(n)
@@ -286,35 +365,6 @@ class SymPoly:
     @classmethod
     def constant(cls, n: int, c) -> "SymPoly":
         return cls(n, {Partition(): Fraction(c)})
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-        out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            s = out.get(lam, ZERO) + c
-            if s:
-                out[lam] = s
-            else:
-                out.pop(lam, None)
-        r = SymPoly(self.n)
-        r.coeffs = out
-        return r
-
-    def __neg__(self) -> "SymPoly":
-        r = SymPoly(self.n)
-        r.coeffs = {lam: -c for lam, c in self.coeffs.items()}
-        return r
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + (-other)
-
-    def scale(self, c) -> "SymPoly":
-        c = Fraction(c)
-        r = SymPoly(self.n)
-        if c:
-            r.coeffs = {lam: c * v for lam, v in self.coeffs.items()}
-        return r
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -331,37 +381,14 @@ class SymPoly:
             total = total + monomial_symmetric(lam, self.n).scale(c)
         return total
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        return max((lam.weight() for lam in self.coeffs), default=0)
-
-    def coeff(self, lam: Partition) -> Fraction:
-        return self.coeffs.get(lam, ZERO)
-
     def evaluate(self, point: Iterable) -> Fraction:
         return self.expand().evaluate(point)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymPoly) and self.n == other.n and self.coeffs == other.coeffs
-
+    # perfbench/tracer.py counts repeated apply_higher arguments in a set, so
+    # SymPoly keeps its content hash until that count no longer hashes it;
+    # it goes stale if coeffs is edited while the value sits in a set.
     def __hash__(self):
         return hash((self.n, frozenset(self.coeffs.items())))
-
-    def sorted_coeffs(self) -> list[tuple[Partition, Fraction]]:
-        return sorted(self.coeffs.items(), key=lambda t: (t[0].weight(), t[0].parts))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{rat_str(c)}*m{list(lam.parts)}" for lam, c in self.sorted_coeffs())
-
-    def to_json(self) -> dict[str, str]:
-        return {
-            "[" + ",".join(map(str, lam.parts)) + "]": rat_str(c)
-            for lam, c in self.sorted_coeffs()
-        }
 
 
 def collect_symmetric(f: MultiPoly) -> SymPoly:

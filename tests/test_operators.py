@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -103,3 +104,21 @@ def test_apply_higher_rejects_bad_input_on_the_zero_polynomial():
 def test_commutator_check_rejects_negative_degree():
     with pytest.raises(ValueError, match="non-negative"):
         commutator_check(1, 2, -1, P2)
+
+
+# sha256 of the repr of every image D_d m_mu over n <= 3, d <= 3, |mu| <= 2
+# at P2G's and P2's (a, kappa), recorded before the recursion carried only
+# the +i branch; the verify commute digests pin only pass/fail.
+TOWER_IMAGES_SHA256 = "2358be25b3d67f4afb63de4c38b3e321d413c00a66cc1398d4c4002c970289ff"
+
+
+def test_tower_images_are_pinned():
+    h = hashlib.sha256()
+    for a, kappa in ((Fraction(-31, 2), Fraction(5, 3)), (Fraction(-20), Fraction(1))):
+        for n in (1, 2, 3):
+            p = BesselParams(a, kappa, n)
+            for d in (1, 2, 3):
+                for mu in partitions_up_to(2, n):
+                    image = _higher_recursion(d, SymPoly(n, {mu: Fraction(1)}), p)
+                    h.update(repr(image).encode() + b"\n")
+    assert h.hexdigest() == TOWER_IMAGES_SHA256

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvbessel.errors import NotDivisible
+from mvbessel.jack import JackExpansion
 from mvbessel.partitions import Partition
 from mvbessel.polyalg import (
     FactoredFraction,
@@ -126,3 +127,32 @@ def test_factored_fraction_roundtrip():
     assert g.to_poly() == x + y
     h = FactoredFraction.from_poly(x * y).div_var(1, 1)
     assert h.to_poly() == y
+
+
+def test_mutable_value_types_are_unhashable():
+    # a content hash would go stale once coeffs or terms is edited in place
+    mp = MultiPoly.variable(2, 1)
+    jx = JackExpansion(2, Fraction(1), {Partition((1,)): Fraction(1)})
+    ff = FactoredFraction.from_poly(mp)
+    for value in (mp, jx, ff):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def test_partition_vectors_share_arithmetic_but_not_equality():
+    lam, mu = Partition((2,)), Partition((1, 1))
+    sp = SymPoly(2, {lam: Fraction(3), mu: Fraction(-1, 2)})
+    jx = JackExpansion(2, Fraction(5, 3), {lam: Fraction(3), mu: Fraction(-1, 2)})
+    assert sp.coeffs == jx.coeffs
+    assert sp != jx and jx != sp
+    assert repr(sp) == "-1/2*m[1, 1] + 3*m[2]" and repr(jx) == "-1/2*P[1, 1] + 3*P[2]"
+    assert list(sp.to_json().items()) == list(jx.to_json().items()) == [("[1,1]", "-1/2"), ("[2]", "3")]
+    assert (sp - sp).is_zero() and (jx + jx.scale(-1)).is_zero()
+    assert type(-jx) is JackExpansion and (-jx).kappa == jx.kappa
+    assert jx.truncate(1).is_zero() and jx.truncate(2) == jx
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        sp + SymPoly(3)
+    with pytest.raises(ValueError, match="mismatched Jack expansion contexts"):
+        jx + JackExpansion(2, Fraction(1))
+    with pytest.raises(ValueError, match="more than 1 parts"):
+        JackExpansion(1, Fraction(1), {mu: Fraction(1)})

@@ -1,6 +1,7 @@
 """Randomised cross-checks of the shared triangular solver, the peel, the
-commuting tower, the Pieri expansion, the two norm routes, the binomial
-coefficient routes and the Jacobi constant term.
+commuting tower (against its two-branch recursion), the Pieri expansion,
+the two norm routes, the binomial coefficient routes and the Jacobi
+constant term.
 
 Parameters are drawn as arbitrary small rationals; a draw is rejected only
 when it lands on a degenerate point (an eigenvalue collision or a pole),
@@ -8,11 +9,13 @@ so any other exception fails the test.  The two norm routes must instead
 meet a pole at the same draws.
 """
 
+from fractions import Fraction
+
 from hypothesis import given, reject, settings, strategies as st
 
 from mvbessel import diffops
 from mvbessel.bessel import BesselParams, bessel_coeff_tableau, bessel_expand
-from mvbessel.errors import DegenerateEigenvalue, PoleError
+from mvbessel.errors import DegenerateEigenvalue, NotSymmetric, PoleError
 from mvbessel.jack import (
     binomial_cocover,
     binomial_cocover_product,
@@ -35,7 +38,7 @@ from mvbessel.pieri_norms import (
     norm_ratio_product,
     pieri_verify,
 )
-from mvbessel.polyalg import SymPoly
+from mvbessel.polyalg import FactoredFraction, MultiPoly, SymPoly, collect_symmetric
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 kappas = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -118,6 +121,72 @@ def multi_term_sym_polys(draw):
 def test_apply_higher_is_the_recursion_applied_by_linearity(d, f, a, kappa):
     p = BesselParams(a, kappa, f.n)
     assert apply_higher(d, f, p) == _higher_recursion(d, f, p)
+
+
+def _two_branch_stage(plus, minus, p):
+    """One step of the recursion for both choices of sign.
+
+    new_{+i} = x_i d_i old_{+i} + (1/2)(a - 1 + 2/x_i)(old_{+i} - old_{-i})
+               + (kappa/2) sum_{j != i} ((x_i+x_j)/(x_i-x_j))(old_{+i} - old_{+j})
+               + (kappa/2) sum_{j != i} (old_{+i} - old_{-j}),
+    and new_{-i} is the same expression with all signs swapped and negated.
+    """
+    n = p.n
+    a, kappa = p.a, p.kappa
+    half = Fraction(1, 2)
+
+    def step(sign, i):
+        mine = plus[i - 1] if sign > 0 else minus[i - 1]
+        mirror = minus[i - 1] if sign > 0 else plus[i - 1]
+        total = mine.deriv(i).mul_var(i)
+        diff = mine - mirror
+        total = total + diff * ((a - 1) * half) + diff.div_var(i)
+        for j in range(1, n + 1):
+            if j == i:
+                continue
+            same = plus[j - 1] if sign > 0 else minus[j - 1]
+            opp = minus[j - 1] if sign > 0 else plus[j - 1]
+            xi = MultiPoly.variable(n, i)
+            xj = MultiPoly.variable(n, j)
+            total = total + ((mine - same) * (xi + xj)).div_pair(i, j) * (kappa * half)
+            total = total + (mine - opp) * (kappa * half)
+        return total if sign > 0 else -total
+
+    new_plus = [step(+1, i) for i in range(1, n + 1)]
+    new_minus = [step(-1, i) for i in range(1, n + 1)]
+    return new_plus, new_minus
+
+
+def _two_branch_recursion(d, f, p):
+    """D^B_d f carrying the -i intermediates beside the +i ones.
+
+    Asserts at every stage that the -i intermediate equals (-1)^stage times
+    the +i one, then takes the half-sum over both branches.  This is the
+    oracle for the production recursion, which carries only the +i branch
+    and relies on that invariant.
+    """
+    seed = FactoredFraction.from_poly(f.expand())
+    plus = [seed] * p.n
+    minus = [seed] * p.n
+    for stage in range(1, 2 * d + 1):
+        plus, minus = _two_branch_stage(plus, minus, p)
+        for i in range(p.n):
+            expected = plus[i] if stage % 2 == 0 else -plus[i]
+            if not (minus[i] - expected).numer.is_zero():
+                raise NotSymmetric(f"stage-{stage} parity invariant failed at index {i + 1}")
+    total = plus[0]
+    for g in plus[1:]:
+        total = total + g
+    for g in minus:
+        total = total + g
+    return collect_symmetric((total * Fraction(1, 2)).to_poly())
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.integers(1, 3), multi_term_sym_polys(), rationals, kappas)
+def test_plus_branch_recursion_matches_the_two_branch_oracle(d, f, a, kappa):
+    p = BesselParams(a, kappa, f.n)
+    assert _higher_recursion(d, f, p) == _two_branch_recursion(d, f, p)
 
 
 def _pole_or_value(fn, *args):

@@ -1,9 +1,10 @@
 """Direct differential-operator kernels on expanded polynomials.
 
-The Sutherland-type interaction term sum_{i != j} x_i^k/(x_i - x_j) d/dx_i
-is evaluated pairwise: for symmetric input the combination
-x_i^k df/dx_i - x_j^k df/dx_j is antisymmetric under i <-> j and therefore
-exactly divisible by x_i - x_j, so no fractions ever appear.
+An interaction term sum_{i != j} w(x_i)/(x_i - x_j) d/dx_i, with w(x) = x^k
+(Sutherland) or t(t - 1) (BC Jacobi), is evaluated pairwise: for symmetric
+input the combination w(x_i) df/dx_i - w(x_j) df/dx_j is antisymmetric
+under i <-> j and therefore exactly divisible by x_i - x_j, so no fractions
+ever appear.
 """
 
 from __future__ import annotations
@@ -14,35 +15,38 @@ from .errors import NotDivisible, NotSymmetric
 from .polyalg import MultiPoly, SymPoly, collect_symmetric, divide_exact
 
 
-def pairwise_interaction(f: MultiPoly, k: int, kappa: Fraction) -> MultiPoly:
-    """2*kappa * sum_{i != j} x_i^k/(x_i - x_j) df/dx_i for symmetric f."""
+def _pairwise_quotients(f: MultiPoly, weights: list[MultiPoly]) -> MultiPoly:
+    """sum_{i < j} (w_i df/dx_i - w_j df/dx_j)/(x_i - x_j) for symmetric f,
+    with w_i = weights[i - 1]; raises NotSymmetric when a division fails."""
     n = f.n
+    g = [f.deriv(i) * w for i, w in enumerate(weights, 1)]
     out = MultiPoly.zero(n)
     for i in range(1, n + 1):
-        gi = f.deriv(i)
-        for _ in range(k):
-            gi = gi * MultiPoly.variable(n, i)
         for j in range(i + 1, n + 1):
-            gj = f.deriv(j)
-            for _ in range(k):
-                gj = gj * MultiPoly.variable(n, j)
+            xi_minus_xj = MultiPoly.variable(n, i) - MultiPoly.variable(n, j)
             try:
-                q = divide_exact(gi - gj, MultiPoly.variable(n, i) - MultiPoly.variable(n, j))
+                q = divide_exact(g[i - 1] - g[j - 1], xi_minus_xj)
             except NotDivisible as exc:
                 raise NotSymmetric("pairwise division failed; input is not symmetric") from exc
             out = out + q
-    return out.scale(2 * Fraction(kappa))
+    return out
+
+
+def _powers(n: int, k: int) -> list[MultiPoly]:
+    """x_1^k, ..., x_n^k."""
+    return [MultiPoly.monomial(n, [k if m == i else 0 for m in range(n)]) for i in range(n)]
+
+
+def pairwise_interaction(f: MultiPoly, k: int, kappa: Fraction) -> MultiPoly:
+    """2*kappa * sum_{i != j} x_i^k/(x_i - x_j) df/dx_i for symmetric f."""
+    return _pairwise_quotients(f, _powers(f.n, k)).scale(2 * Fraction(kappa))
 
 
 def sutherland_op(f: MultiPoly, k: int, kappa: Fraction) -> MultiPoly:
     """sum_i x_i^k d^2/dx_i^2 + 2*kappa*sum_{i != j} x_i^k/(x_i-x_j) d/dx_i."""
-    n = f.n
-    out = MultiPoly.zero(n)
-    for i in range(1, n + 1):
-        g = f.deriv(i).deriv(i)
-        for _ in range(k):
-            g = g * MultiPoly.variable(n, i)
-        out = out + g
+    out = MultiPoly.zero(f.n)
+    for i, w in enumerate(_powers(f.n, k), 1):
+        out = out + f.deriv(i).deriv(i) * w
     return out + pairwise_interaction(f, k, kappa)
 
 
@@ -72,20 +76,10 @@ def jacobi_bc_op(f: MultiPoly, k1: Fraction, k2: Fraction, k3: Fraction) -> Mult
     """
     n = f.n
     k1, k2, k3 = Fraction(k1), Fraction(k2), Fraction(k3)
+    ts = [MultiPoly.variable(n, i) for i in range(1, n + 1)]
+    weights = [t * t - t for t in ts]
     out = MultiPoly.zero(n)
-    for i in range(1, n + 1):
-        ti = MultiPoly.variable(n, i)
-        tt = ti * ti - ti
-        out = out + f.deriv(i).deriv(i) * tt
-        out = out + f.deriv(i) * (ti * (k1 + 2 * k2 + 1) - MultiPoly.constant(n, k1 + k2 + Fraction(1, 2)))
-    # pairwise part with numerator t_i(t_i - 1)
-    acc = MultiPoly.zero(n)
-    for i in range(1, n + 1):
-        ti = MultiPoly.variable(n, i)
-        gi = f.deriv(i) * (ti * ti - ti)
-        for j in range(i + 1, n + 1):
-            tj = MultiPoly.variable(n, j)
-            gj = f.deriv(j) * (tj * tj - tj)
-            q = divide_exact(gi - gj, ti - tj)
-            acc = acc + q
-    return out + acc.scale(2 * k3)
+    for i, (t, w) in enumerate(zip(ts, weights), 1):
+        out = out + f.deriv(i).deriv(i) * w
+        out = out + f.deriv(i) * (t * (k1 + 2 * k2 + 1) - MultiPoly.constant(n, k1 + k2 + Fraction(1, 2)))
+    return out + _pairwise_quotients(f, weights).scale(2 * k3)

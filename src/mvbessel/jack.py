@@ -323,10 +323,11 @@ class JackExpansion(PartitionVector):
         return self._new({lam: c for lam, c in self.coeffs.items() if lam.weight() <= maxdeg})
 
     def to_sym(self) -> SymPoly:
-        total = SymPoly.zero(self.n)
+        out: dict[Partition, Fraction] = {}
         for lam, c in self.coeffs.items():
-            total = total + jack_in_monomials(lam, self.kappa, self.n).scale(c)
-        return total
+            for mu, v in jack_in_monomials(lam, self.kappa, self.n).coeffs.items():
+                accumulate(out, mu, c * v)
+        return SymPoly(self.n, out)
 
 
 def sym_to_jack(f: SymPoly, kappa: Fraction) -> JackExpansion:

@@ -2,29 +2,30 @@
 
 D^B is available in two independent representations (direct differential
 application and the Jack-basis action); the higher operators D^B_d are built
-by a 2d-stage recursion through non-symmetric intermediates whose
-denominators stay within products of x_i and (x_i - x_j) factors, so all
-arithmetic remains exact.  The recursion pairs a +i and a -i intermediate
-for each variable; on symmetric input the -i one is (-1)^stage times the
-+i one, so only the +i values are carried (the two-branch form is the
-test oracle).  Being linear, D^B_d is applied to a polynomial as a sum of
-cached images of the monomial symmetric functions m_mu.
+by a 2d-stage recursion through non-symmetric intermediates.  The recursion
+pairs a +i and a -i intermediate for each variable; on symmetric input the
+-i one is (-1)^stage times the +i one, and the +j one is the +1 one with
+x_1 and x_j swapped, so a single Laurent polynomial is carried (the
+two-branch form is the test oracle).  Each (x_1 - x_j) quotient is written
+down term by term, so no division is ever carried out.  Being linear, D^B_d
+is applied to a polynomial as a sum of cached images of the monomial
+symmetric functions m_mu.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 
 from . import diffops, jack
 from .bessel import BesselParams, bessel_expand, rho_vector
-from .errors import NotProportional
+from .errors import NotDivisible, NotProportional
 from .jack import JackExpansion
 from .partitions import Partition, partitions_in_box, partitions_up_to
 from .polyalg import (
     ONE,
     ZERO,
-    FactoredFraction,
     MultiPoly,
     SymPoly,
     accumulate,
@@ -59,40 +60,55 @@ def apply_DB_jack(v: JackExpansion, p: BesselParams) -> JackExpansion:
 
 
 def _recursion_stage(
-    old: list[FactoredFraction], flipped: bool, p: BesselParams
-) -> list[FactoredFraction]:
-    """One step of the non-symmetric recursion on the +i intermediates.
-
-    The recursion pairs each +i intermediate with a -i one.  On symmetric
-    input old_{-i} = s old_{+i}, with s = -1 after an odd number of stages
-    (flipped) and s = +1 after an even number, so only the +i values are
-    carried:
+    g: dict[tuple[int, ...], Fraction], flipped: bool, p: BesselParams
+) -> dict[tuple[int, ...], Fraction]:
+    """One recursion step on g = old_{+1}, a Laurent polynomial held as
+    exponent tuple -> coefficient (exponents may be negative).
 
     new_{+i} = x_i d_i old_{+i} + (1/2)(a - 1 + 2/x_i)(old_{+i} - old_{-i})
                + (kappa/2) sum_{j != i} ((x_i+x_j)/(x_i-x_j))(old_{+i} - old_{+j})
-               + (kappa/2) sum_{j != i} (old_{+i} - old_{-j}),
+               + (kappa/2) sum_{j != i} (old_{+i} - old_{-j}).
 
-    where the (a - 1 + 2/x_i) term vanishes when s = +1 and becomes
-    (a - 1) old_{+i} + 2 old_{+i}/x_i when s = -1.
+    On symmetric input old_{-i} = s old_{+i}, with s = -1 after an odd
+    number of stages (flipped) and +1 after an even number, and old_{+j} =
+    s_{1j} g, s_{1j} swapping x_1 and x_j, since the map commutes with
+    permutations.  So only new_{+1} is formed.  On x_1^u x_j^v the pair
+    quotient ((x_1+x_j)/(x_1-x_j))(x_1^u x_j^v - x_1^v x_j^u) is
+    sign(u - v) sum_k w_k x_1^k x_j^{u+v-k} over min(u,v) <= k <= max(u,v),
+    with w_k = 1 at both ends and 2 inside (Stanley 1989, Thm 3.1, as in
+    jack.raising_weights): no division is carried out.
     """
     n = p.n
     half_kappa = p.kappa / 2
-    new = []
-    for i in range(1, n + 1):
-        mine = old[i - 1]
-        total = mine.deriv(i).mul_var(i)
+    # on e itself: e_1 from x_1 d_1, kappa/2 per j != 1, and a - 1 if flipped
+    shift = (n - 1) * half_kappa + (p.a - 1 if flipped else 0)
+    new: dict[tuple[int, ...], Fraction] = {}
+    for e, c in g.items():
+        e1 = e[0]
+        accumulate(new, e, (e1 + shift) * c)
         if flipped:
-            total = total + mine * (p.a - 1) + (mine * 2).div_var(i)
-        xi = MultiPoly.variable(n, i)
-        for j in range(1, n + 1):
-            if j == i:
+            accumulate(new, (e1 - 1,) + e[1:], 2 * c)
+        hc = half_kappa * c
+        for j in range(1, n):
+            ej = e[j]
+            accumulate(new, _with_pair(e, j, ej, e1), hc if flipped else -hc)
+            if e1 == ej:
                 continue
-            other = old[j - 1]
-            xj = MultiPoly.variable(n, j)
-            total = total + ((mine - other) * (xi + xj)).div_pair(i, j) * half_kappa
-            total = total + (mine + other if flipped else mine - other) * half_kappa
-        new.append(total)
+            lo, hi = min(e1, ej), max(e1, ej)
+            step = hc if e1 > ej else -hc
+            accumulate(new, _with_pair(e, j, lo, hi), step)
+            accumulate(new, _with_pair(e, j, hi, lo), step)
+            for k in range(lo + 1, hi):
+                accumulate(new, _with_pair(e, j, k, e1 + ej - k), 2 * step)
     return new
+
+
+def _with_pair(e: tuple[int, ...], j: int, first: int, at_j: int) -> tuple[int, ...]:
+    """e with its first entry set to first and entry j (0-based) to at_j."""
+    out = list(e)
+    out[0] = first
+    out[j] = at_j
+    return tuple(out)
 
 
 def apply_higher(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
@@ -126,19 +142,22 @@ def _higher_on_monomial(
 def _higher_recursion(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
     """D^B_d f by the recursion itself.
 
-    Runs the recursion for 2d stages from the constant seed.  After an even
+    Runs the recursion for 2d stages from the expanded f.  After an even
     number of stages the -i intermediates equal the +i ones, so the image
-    is the sum of the +i values, which must reduce exactly to a symmetric
-    polynomial.
+    is sum_i old_{+i} = sum_i s_{1i} old_{+1}, which must be a polynomial
+    (no negative exponent left) and symmetric.
     """
-    seed = FactoredFraction.from_poly(f.expand())
-    plus = [seed] * p.n
+    g = f.expand().terms
     for stage in range(2 * d):
-        plus = _recursion_stage(plus, stage % 2 == 1, p)
-    total = plus[0]
-    for g in plus[1:]:
-        total = total + g
-    return collect_symmetric(total.to_poly())
+        g = _recursion_stage(g, stage % 2 == 1, p)
+    total: dict[tuple[int, ...], Fraction] = {}
+    for e, c in g.items():
+        accumulate(total, e, c)
+        for j in range(1, p.n):
+            accumulate(total, _with_pair(e, j, e[j], e[0]), c)
+    if any(x < 0 for e in total for x in e):
+        raise NotDivisible(f"D_{d} image keeps a negative exponent")
+    return collect_symmetric(MultiPoly(p.n, total))
 
 
 def eigenvalue_of(d: int, lam: Partition, p: BesselParams) -> Fraction:
@@ -201,18 +220,8 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
 
 
 def _monomials_upto(n: int, total: int) -> list[tuple[int, ...]]:
-    out = []
-
-    def rec(prefix, remaining, pos):
-        if pos == n:
-            out.append(tuple(prefix))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], remaining - e, pos + 1)
-
-    rec([], total, 0)
-    out.sort()
-    return out
+    """Exponent tuples of total degree <= total, in lexicographic order."""
+    return [e for e in itertools.product(range(total + 1), repeat=n) if sum(e) <= total]
 
 
 def gamma_poly(

@@ -1,10 +1,12 @@
 """Exact sparse multivariate polynomial and factored-fraction arithmetic.
 
 All scalars are `fractions.Fraction`; there is no floating point anywhere.
-MultiPoly is a sparse exponent-map polynomial, SymPoly stores a symmetric
-polynomial as coefficients of the monomial symmetric basis m_lambda, and
-FactoredFraction carries intermediates whose denominator is a product of
-variable powers x_i^c and pairwise factors (x_i - x_j)^d only.
+MultiPoly is a sparse exponent-map polynomial, and SymPoly stores a
+symmetric polynomial as coefficients of the monomial symmetric basis
+m_lambda.  FactoredFraction, a numerator over a product of variable powers
+x_i^c and pairwise factors (x_i - x_j)^d, is the arithmetic of the test
+oracle that runs the tower recursion with both branches; the production
+tower (operators) needs no division.
 """
 
 from __future__ import annotations
@@ -128,17 +130,13 @@ class MultiPoly:
 
     def deriv(self, i: int) -> "MultiPoly":
         """Partial derivative with respect to x_i (1-based)."""
-        out: dict[tuple[int, ...], Fraction] = {}
         k = i - 1
-        for e, c in self.terms.items():
-            if e[k] == 0:
-                continue
-            ne = list(e)
-            ne[k] -= 1
-            ne = tuple(ne)
-            out[ne] = out.get(ne, ZERO) + c * e[k]
         r = MultiPoly(self.n)
-        r.terms = {e: c for e, c in out.items() if c}
+        # lowering e_k is one-to-one on the terms with e_k > 0, so nothing
+        # collides or cancels
+        r.terms = {
+            e[:k] + (e[k] - 1,) + e[i:]: c * e[k] for e, c in self.terms.items() if e[k]
+        }
         return r
 
     # -- queries -------------------------------------------------------------
@@ -376,9 +374,12 @@ class SymPoly(PartitionVector):
     __rmul__ = __mul__
 
     def expand(self) -> MultiPoly:
-        total = MultiPoly.zero(self.n)
+        terms: dict[tuple[int, ...], Fraction] = {}
         for lam, c in self.coeffs.items():
-            total = total + monomial_symmetric(lam, self.n).scale(c)
+            for e in monomial_symmetric(lam, self.n).terms:
+                accumulate(terms, e, c)
+        total = MultiPoly(self.n)
+        total.terms = terms
         return total
 
     def evaluate(self, point: Iterable) -> Fraction:
@@ -435,10 +436,14 @@ class FactoredFraction:
     """numerator / (prod_i x_i^{c_i} * prod_{i<j} (x_i - x_j)^{d_ij}).
 
     The denominator never leaves this factored shape; it is exactly the shape
-    generated by the recursive construction of the higher eigenoperators.
+    generated by the two-branch recursion of the higher eigenoperators, whose
+    test oracle is the one user.  Every operation cancels what it can again
+    (simplify), and to_poly insists that nothing is left.
     """
 
     __slots__ = ("numer", "var_pows", "pair_pows")
+    # numer is a mutable MultiPoly, so a content hash could go stale
+    __hash__ = None
 
     def __init__(
         self,
@@ -508,14 +513,7 @@ class FactoredFraction:
             return FactoredFraction(self.numer.scale(other), self.var_pows, self.pair_pows)
         if isinstance(other, MultiPoly):
             return FactoredFraction(self.numer * other, self.var_pows, self.pair_pows).simplify()
-        if isinstance(other, FactoredFraction):
-            var_pows = tuple(a + b for a, b in zip(self.var_pows, other.var_pows))
-            keys = set(self.pair_pows) | set(other.pair_pows)
-            pair_pows = {k: self.pair_pows.get(k, 0) + other.pair_pows.get(k, 0) for k in keys}
-            return FactoredFraction(self.numer * other.numer, var_pows, pair_pows).simplify()
         return NotImplemented
-
-    __rmul__ = __mul__
 
     def div_var(self, i: int, e: int = 1) -> "FactoredFraction":
         """Multiply by x_i^{-e}."""
@@ -523,11 +521,9 @@ class FactoredFraction:
         vp[i - 1] += e
         return FactoredFraction(self.numer, tuple(vp), self.pair_pows).simplify()
 
-    def mul_var(self, i: int, e: int = 1) -> "FactoredFraction":
-        """Multiply by x_i^{e}."""
-        n = self.n
-        mono = MultiPoly.monomial(n, tuple(e if k == i - 1 else 0 for k in range(n)))
-        return FactoredFraction(self.numer * mono, self.var_pows, self.pair_pows).simplify()
+    def mul_var(self, i: int) -> "FactoredFraction":
+        """Multiply by x_i."""
+        return self * MultiPoly.variable(self.n, i)
 
     def div_pair(self, i: int, j: int) -> "FactoredFraction":
         """Multiply by 1/(x_i - x_j) with i < j; pass j < i for the sign flip."""
@@ -600,14 +596,3 @@ class FactoredFraction:
         if any(s.var_pows) or s.pair_pows:
             raise NotDivisible("denominator does not divide the numerator")
         return s.numer
-
-    def is_zero(self) -> bool:
-        return self.numer.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FactoredFraction):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __repr__(self) -> str:
-        return f"({self.numer!r}) / (x^{self.var_pows}, pairs {self.pair_pows})"

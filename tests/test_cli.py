@@ -156,7 +156,15 @@ def test_moments2_builds_each_bessel_polynomial_once(monkeypatch, capsys):
 )
 def test_n_below_one_is_rejected(argv, capsys):
     code, out, err = run(argv, capsys)
-    assert code == 1 and out == "" and "argument --n: must be at least 1" in err
+    low = 2 if argv[0] == "ledger" else 1
+    assert code == 1 and out == "" and f"argument --n: must be at least {low}" in err
+
+
+def test_ledger_needs_two_variables(capsys):
+    # its examples grow row 1 of (2, 1); n = 1 is an input error, not a
+    # failure inside the ledger
+    code, out, err = run(["ledger", "--n=1"], capsys)
+    assert code == 1 and out == "" and "argument --n: must be at least 2, got 1" in err
 
 
 def test_unwritable_out_path(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from mvbessel import diffops
 from mvbessel.bessel import BesselParams, bessel_eigenvalue, rho_vector
+from mvbessel.errors import NotSymmetric
 from mvbessel.jack import JackExpansion
 from mvbessel.jacobi_bc import (
     JacobiParams,
@@ -15,7 +16,7 @@ from mvbessel.jacobi_bc import (
     rho_bc,
 )
 from mvbessel.partitions import Partition, partitions_up_to
-from mvbessel.polyalg import collect_symmetric
+from mvbessel.polyalg import MultiPoly, collect_symmetric
 
 TRIPLES = [
     (Fraction(1), Fraction(1), Fraction(1)),
@@ -67,6 +68,16 @@ def test_operator_matches_direct_form():
             diffops.jacobi_bc_op(v.to_sym().expand(), jp.k1, jp.k2, jp.k3)
         )
         assert lhs == rhs, lam
+
+
+def test_pairwise_terms_reject_non_symmetric_input():
+    # x_1^2 + x_1 x_2: w(x_1) d_1 f - w(x_2) d_2 f is not divisible by x_1 - x_2
+    f = MultiPoly(2, {(2, 0): Fraction(1), (1, 1): Fraction(1)})
+    for k in (0, 2):
+        with pytest.raises(NotSymmetric):
+            diffops.pairwise_interaction(f, k, Fraction(1))
+    with pytest.raises(NotSymmetric):
+        diffops.jacobi_bc_op(f, Fraction(1), Fraction(1), Fraction(1))
 
 
 def test_limit_params_degeneration():

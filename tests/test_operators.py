@@ -111,14 +111,28 @@ def test_commutator_check_rejects_negative_degree():
 # the +i branch; the verify commute digests pin only pass/fail.
 TOWER_IMAGES_SHA256 = "2358be25b3d67f4afb63de4c38b3e321d413c00a66cc1398d4c4002c970289ff"
 
+# The same over n = 4 (d <= 2, |mu| <= 2) and n = 2 (d = 4, |mu| <= 3) at a
+# kappa = 0 and a negative-kappa point, recorded before the recursion carried
+# one Laurent polynomial per stage.
+WIDE_TOWER_IMAGES_SHA256 = "913c388ff51863f2e90b2d30e30c140f6aeb52954427cf4b3d14b7710499e4d4"
 
-def test_tower_images_are_pinned():
+
+def _images_digest(points, cases):
     h = hashlib.sha256()
-    for a, kappa in ((Fraction(-31, 2), Fraction(5, 3)), (Fraction(-20), Fraction(1))):
-        for n in (1, 2, 3):
+    for a, kappa in points:
+        for n, ds, max_weight in cases:
             p = BesselParams(a, kappa, n)
-            for d in (1, 2, 3):
-                for mu in partitions_up_to(2, n):
+            for d in ds:
+                for mu in partitions_up_to(max_weight, n):
                     image = _higher_recursion(d, SymPoly(n, {mu: Fraction(1)}), p)
                     h.update(repr(image).encode() + b"\n")
-    assert h.hexdigest() == TOWER_IMAGES_SHA256
+    return h.hexdigest()
+
+
+def test_tower_images_are_pinned():
+    points = ((Fraction(-31, 2), Fraction(5, 3)), (Fraction(-20), Fraction(1)))
+    cases = [(n, (1, 2, 3), 2) for n in (1, 2, 3)]
+    assert _images_digest(points, cases) == TOWER_IMAGES_SHA256
+    points = ((Fraction(3, 7), Fraction(0)), (Fraction(-5), Fraction(-3, 2)))
+    cases = [(4, (1, 2), 2), (2, (4,), 3)]
+    assert _images_digest(points, cases) == WIDE_TOWER_IMAGES_SHA256

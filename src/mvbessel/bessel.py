@@ -56,33 +56,22 @@ def sufficient_nondegeneracy(lam: Partition, p: BesselParams) -> bool:
     return p.a < -2 * (lam.weight() + p.kappa * (p.n - 1)) + 1
 
 
-def check_nondegenerate(lam: Partition, p: BesselParams) -> bool:
-    """True iff e_mu != e_lambda for every partition mu strictly contained in lambda."""
-    e_lam = bessel_eigenvalue(lam, p)
-    for mu in partitions_up_to(lam.weight(), p.n):
-        if mu != lam and lam.contains(mu) and bessel_eigenvalue(mu, p) == e_lam:
-            return False
-    return True
-
-
 class BesselPolynomial:
     """Y_lambda together with its parameters and Jack-basis coefficients."""
 
-    __slots__ = ("lam", "params", "jack_coeffs", "_sym")
+    __slots__ = ("lam", "params", "jack_coeffs")
 
     def __init__(self, lam: Partition, params: BesselParams, jack_coeffs: JackExpansion):
         self.lam = lam
         self.params = params
         self.jack_coeffs = jack_coeffs
-        self._sym = None
 
     def eigenvalue(self) -> Fraction:
         return bessel_eigenvalue(self.lam, self.params)
 
     def to_sym(self) -> SymPoly:
-        if self._sym is None:
-            self._sym = self.jack_coeffs.to_sym()
-        return self._sym
+        """The m-basis expansion, a fresh SymPoly on every call."""
+        return self.jack_coeffs.to_sym()
 
     def coeff(self, mu: Partition) -> Fraction:
         return self.jack_coeffs.coeff(mu)
@@ -159,22 +148,6 @@ def bessel_coeff_tableau(lam: Partition, mu: Partition, p: BesselParams) -> Frac
             term *= 2 * jack.lower_weight(lower, row, p.kappa, p.n) / den
         total += term
     return total
-
-
-def renormalize(Y: BesselPolynomial) -> BesselPolynomial:
-    """The unit-constant-term normalization of Y_lambda.
-
-    Divides by 2^{|lambda|} times the plus-type shifted-factor ratio at
-    rho + lambda over rho.
-    """
-    from .pieri_norms import CoefficientContext, delta_ratio
-
-    ctx = CoefficientContext(Y.params)
-    ratio = delta_ratio("+", Y.lam, ctx)
-    if ratio == 0:
-        raise PoleError(f"normalization ratio vanished for {Y.lam!r}")
-    c = Fraction(1, 2 ** Y.lam.weight()) / ratio
-    return BesselPolynomial(Y.lam, Y.params, Y.jack_coeffs.scale(c))
 
 
 def rectangular_2F0(k: int, p: BesselParams) -> BesselPolynomial:

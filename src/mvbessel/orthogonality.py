@@ -158,7 +158,7 @@ def gram_matrix(m: int, p: BesselParams) -> list[list[ReducedValue]]:
     """
     if not check_L2_condition(m, p):
         raise ConvergenceError(
-            f"degree {m} violates the square-integrability bound at a = {p.a}"
+            f"square-integrability fails: need a < {-2 * (m + p.kappa * (p.n - 1)) + 1}"
         )
     parts = partitions_up_to(m, p.n)
     basis = [bessel_expand(lam, p).to_sym() for lam in parts]

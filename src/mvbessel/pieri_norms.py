@@ -4,12 +4,16 @@ Everything here is built from two scalar coefficient functions,
 
     v(z) = (kappa + z)/z,    w(z) = ((a-1)/2 + z) / (2z(2z+1)),
 
-and from ratios of the product functions Delta_+/Delta_- whose Gamma
-quotients collapse to finite rational products at integer shifts via the
-difference equations
+and from ratios of the product functions Delta_+/Delta_-.  Their Gamma
+quotients obey the difference equations
 
     d_{v,+}(z+1) =  v(z)   d_{v,+}(z),   d_{v,-}(z+1) =  v(-z-1) d_{v,-}(z),
-    d_{w,+}(z+1) =  w(z)   d_{w,+}(z),   d_{w,-}(z+1) = -w(-z-1) d_{w,-}(z).
+    d_{w,+}(z+1) =  w(z)   d_{w,+}(z),   d_{w,-}(z+1) = -w(-z-1) d_{w,-}(z),
+
+so Delta_sign(rho + lambda)/Delta_sign(rho) is one finite product of the
+step factors of v and w, one per unit of each non-negative shift.  The
+renormalized polynomials Ytilde_lambda = Y_lambda / (2^{|lambda|}
+Delta_+(rho+lambda)/Delta_+(rho)) are the basis of the Pieri expansions.
 
 Absolute Gamma values never materialize; the lone transcendental scale
 2^{(a-1)n} Gamma(1-a)^n of the norm formulas is carried implicitly.
@@ -17,6 +21,7 @@ Absolute Gamma values never materialize; the lone transcendental scale
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import factorial, prod
@@ -24,8 +29,8 @@ from math import factorial, prod
 from .errors import ConvergenceError, PoleError
 from .partitions import Partition
 from .polyalg import ONE, ZERO, SymPoly, elementary
-from .bessel import BesselParams, BesselPolynomial, bessel_expand, renormalize, rho_vector
-from .jack import peel, rising_factorial, sym_to_jack
+from .bessel import BesselParams, BesselPolynomial, bessel_expand, rho_vector
+from .jack import JackExpansion, peel, rising_factorial, sym_to_jack
 
 
 def falling_factorial(alpha: Fraction, m: int) -> Fraction:
@@ -34,28 +39,6 @@ def falling_factorial(alpha: Fraction, m: int) -> Fraction:
     for t in range(m):
         val *= alpha - t
     return val
-
-
-class CoefficientContext:
-    """Bessel parameters, the rho vector and the renormalized Bessel
-    polynomials built so far at those parameters."""
-
-    __slots__ = ("params", "rho", "_renormalized")
-
-    def __init__(self, params: BesselParams):
-        self.params = params
-        self.rho = rho_vector(params)
-        self._renormalized: dict[Partition, BesselPolynomial] = {}
-
-    def renormalized(self, lam: Partition) -> BesselPolynomial:
-        """renormalize(bessel_expand(lam)), built once per context."""
-        Y = self._renormalized.get(lam)
-        if Y is None:
-            Y = self._renormalized[lam] = renormalize(bessel_expand(lam, self.params))
-        return Y
-
-    def __repr__(self) -> str:
-        return f"CoefficientContext({self.params})"
 
 
 class Affine:
@@ -109,64 +92,71 @@ def _ratio(factors, pole: str) -> Fraction:
     num, den = factors
     if 0 in den:
         raise PoleError(pole)
-    return prod(num) / prod(den)
+    return prod(num, start=ONE) / prod(den, start=ONE)
 
 
-def v_hat(z: Fraction, kappa: Fraction) -> Fraction:
-    """v(z) at a rational point."""
-    return _ratio(v_factors(z, kappa), "v(z) has a pole at z = 0")
+def delta_ratio(sign: str, lam: Partition, p: BesselParams) -> Fraction:
+    """Delta_sign(rho + lambda)/Delta_sign(rho).
 
-
-def w_hat(z: Fraction, a: Fraction) -> Fraction:
-    """w(z) at a rational point."""
-    return _ratio(w_factors(z, a), "w(z) has a pole at z in {0, -1/2}")
-
-
-def _step_ratio(step, z0: Fraction, m: int) -> Fraction:
-    # d(z0 + m)/d(z0) for integer m, where d(z+1) = step(z) d(z)
-    val = ONE
-    if m >= 0:
-        for t in range(m):
-            val *= step(z0 + t)
-    else:
-        for t in range(1, -m + 1):
-            s = step(z0 - t)
-            if s == 0:
-                raise PoleError("vanishing factor in a downward Gamma shift")
-            val /= s
-    return val
-
-
-def delta_shift_ratio(
-    sign: str, z: tuple, m: tuple, ctx: CoefficientContext
-) -> Fraction:
-    """Delta_sign(z + m)/Delta_sign(z) for an integer shift vector m."""
-    a, kappa = ctx.params.a, ctx.params.kappa
-    n = ctx.params.n
-    if sign == "+":
-        v_step = lambda u: v_hat(u, kappa)
-        w_step = lambda u: w_hat(u, a)
-    elif sign == "-":
-        v_step = lambda u: v_hat(-u - 1, kappa)
-        w_step = lambda u: -w_hat(-u - 1, a)
-    else:
-        raise ValueError("sign must be '+' or '-'")
-    val = ONE
-    for i in range(n):
-        for j in range(i + 1, n):
-            val *= _step_ratio(v_step, z[i] - z[j], m[i] - m[j])
-            val *= _step_ratio(v_step, z[i] + z[j], m[i] + m[j])
-        val *= _step_ratio(w_step, z[i], m[i])
-    return val
-
-
-def delta_ratio(sign: str, lam: Partition, ctx: CoefficientContext) -> Fraction:
-    """Delta_sign(rho + lambda)/Delta_sign(rho)."""
-    n = ctx.params.n
+    Each v or w factor of Delta_sign, at rho-combination z0 with shift m
+    (lambda_i - lambda_j, lambda_i + lambda_j or lambda_i, all >= 0 since
+    lambda is a partition), contributes the steps at u = z0 + t,
+    t = 0..m-1: v(u) and w(u) for '+', v(-u-1) and -w(-u-1) for '-'.
+    """
+    n = p.n
     if lam.length() > n:
         raise ValueError(f"{lam!r} has more than {n} parts")
-    m = tuple(lam.part(i) for i in range(1, n + 1))
-    return delta_shift_ratio(sign, ctx.rho, m, ctx)
+    if sign == "+":
+        at = lambda z0, t: z0 + t
+    elif sign == "-":
+        at = lambda z0, t: -z0 - t - 1
+    else:
+        raise ValueError("sign must be '+' or '-'")
+    z = rho_vector(p)
+    m = [lam.part(i) for i in range(1, n + 1)]
+    num: list = []
+    den: list = []
+
+    def take(factors) -> None:
+        num.extend(factors[0])
+        den.extend(factors[1])
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            for z0, shift in ((z[i] - z[j], m[i] - m[j]), (z[i] + z[j], m[i] + m[j])):
+                for t in range(shift):
+                    take(v_factors(at(z0, t), p.kappa))
+        for t in range(m[i]):
+            take(w_factors(at(z[i], t), p.a))
+        if sign == "-":
+            num.append((-1) ** m[i])
+    return _ratio((num, den), f"Delta_{sign} ratio at {lam!r} hits a pole of v or w")
+
+
+def renormalize(Y: BesselPolynomial) -> BesselPolynomial:
+    """The unit-constant-term normalization of Y_lambda.
+
+    Divides by 2^{|lambda|} times the plus-type shifted-factor ratio at
+    rho + lambda over rho.
+    """
+    ratio = delta_ratio("+", Y.lam, Y.params)
+    if ratio == 0:
+        raise PoleError(f"normalization ratio vanished for {Y.lam!r}")
+    c = Fraction(1, 2 ** Y.lam.weight()) / ratio
+    return BesselPolynomial(Y.lam, Y.params, Y.jack_coeffs.scale(c))
+
+
+@functools.lru_cache(maxsize=4096)
+def _renormalized_coeffs(
+    lam: Partition, p: BesselParams
+) -> tuple[tuple[Partition, Fraction], ...]:
+    """The Jack coefficients of Ytilde_lambda as immutable (Partition, Fraction) pairs."""
+    return tuple(renormalize(bessel_expand(lam, p)).jack_coeffs.sorted_coeffs())
+
+
+def renormalized_jack(lam: Partition, p: BesselParams) -> JackExpansion:
+    """Ytilde_lambda on the Jack basis: a fresh vector, which callers may modify."""
+    return JackExpansion(p.n, p.kappa, dict(_renormalized_coeffs(lam, p)))
 
 
 def E_hat_r(r: int, n: int) -> SymPoly:
@@ -253,27 +243,6 @@ def _coefficient_terms(eps, I, Ic, p: int, z: tuple, a, kappa) -> list:
     return terms
 
 
-class PieriExpansion:
-    """Expansion of E_hat_r times a renormalized Bessel polynomial."""
-
-    __slots__ = ("r", "lam", "terms")
-
-    def __init__(self, r: int, lam: Partition, terms):
-        self.r = r
-        self.lam = lam
-        # (eps tuple, I tuple) -> (target Partition, coefficient)
-        self.terms = dict(terms)
-
-    def by_target(self) -> dict[Partition, Fraction]:
-        out: dict[Partition, Fraction] = {}
-        for target, c in self.terms.values():
-            out[target] = out.get(target, ZERO) + c
-        return {t: c for t, c in out.items() if c != 0}
-
-    def __repr__(self) -> str:
-        return f"PieriExpansion(r={self.r}, lam={list(self.lam.parts)}, {len(self.terms)} terms)"
-
-
 def _shift_target(lam: Partition, n: int, I, eps) -> Partition | None:
     parts = [lam.part(i) for i in range(1, n + 1)]
     for i in I:
@@ -285,12 +254,13 @@ def _shift_target(lam: Partition, n: int, I, eps) -> Partition | None:
     return Partition(tuple(parts))
 
 
-def pieri_expand(r: int, lam: Partition, ctx: CoefficientContext) -> PieriExpansion:
+def pieri_expand(r: int, lam: Partition, p: BesselParams) -> dict[Partition, Fraction]:
     """Expand E_hat_r * Ytilde_lambda over targets lam + e_{eps I}, |I| <= r.
 
     The coefficient of the (eps, I) move is U_{I^c, r-|I|} * V_{eps I, I^c},
     both evaluated at z = rho + lambda; moves leaving the partition lattice
-    are omitted (their coefficients vanish identically).
+    are omitted (their coefficients vanish identically).  Each move reaches
+    a distinct target, so the result maps target -> nonzero coefficient.
 
     The coefficients are rational functions of (a, kappa) that can hit
     removable 0/0 cancellations at special rational parameters (for
@@ -298,17 +268,18 @@ def pieri_expand(r: int, lam: Partition, ctx: CoefficientContext) -> PieriExpans
     the perturbed line (a + t, kappa + t) and their value taken at t = 0 by
     limit_at_zero.  A genuine pole raises PoleError.
     """
-    n = ctx.params.n
+    n = p.n
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    a_t = Affine(ctx.params.a, ONE)
-    kappa_t = Affine(ctx.params.kappa, ONE)
+    a_t = Affine(p.a, ONE)
+    kappa_t = Affine(p.kappa, ONE)
+    rho = rho_vector(p)
     # rho_i(t) = (kappa+t)(n-i) + (a+t-1)/2, so the slope at index i is n-i+1/2
     z = tuple(
-        Affine(ctx.rho[i] + lam.part(i + 1), Fraction(2 * (n - i - 1) + 1, 2))
+        Affine(rho[i] + lam.part(i + 1), Fraction(2 * (n - i - 1) + 1, 2))
         for i in range(n)
     )
-    terms = {}
+    out: dict[Partition, Fraction] = {}
     for size in range(r + 1):
         for I in itertools.combinations(range(1, n + 1), size):
             Ic = tuple(j for j in range(1, n + 1) if j not in I)
@@ -317,9 +288,9 @@ def pieri_expand(r: int, lam: Partition, ctx: CoefficientContext) -> PieriExpans
                 target = _shift_target(lam, n, I, eps)
                 if target is None:
                     continue
-                p = r - size
+                q = r - size
                 try:
-                    value = limit_at_zero(_coefficient_terms(eps, I, Ic, p, z, a_t, kappa_t))
+                    value = limit_at_zero(_coefficient_terms(eps, I, Ic, q, z, a_t, kappa_t))
                 except PoleError:
                     raise PoleError(
                         f"Pieri coefficient has a genuine pole at move {(signs, I)}"
@@ -328,37 +299,37 @@ def pieri_expand(r: int, lam: Partition, ctx: CoefficientContext) -> PieriExpans
                 # carrying the extra (-1)^{r+1} the coefficients pick it up
                 # too (verified against the polynomial oracle, which rules
                 # out the sign-free transcription at r = 2).
-                terms[(signs, I)] = (target, (-1) ** (r + 1) * (-1) ** p * value)
-    return PieriExpansion(r, lam, terms)
+                c = (-1) ** (r + 1) * (-1) ** q * value
+                if c:
+                    out[target] = c
+    return out
 
 
-def pieri_verify(r: int, lam: Partition, ctx: CoefficientContext) -> bool:
+def pieri_verify(r: int, lam: Partition, p: BesselParams) -> bool:
     """Oracle check: multiply out E_hat_r * Ytilde_lambda and re-expand it
     in the renormalized basis by triangular peeling; compare exactly with
     pieri_expand."""
-    p = ctx.params
-    lhs = E_hat_r(r, p.n) * ctx.renormalized(lam).to_sym()
-    expanded = peel(sym_to_jack(lhs, p.kappa), lambda mu: ctx.renormalized(mu).jack_coeffs)
-    return expanded == pieri_expand(r, lam, ctx).by_target()
+    lhs = E_hat_r(r, p.n) * renormalized_jack(lam, p).to_sym()
+    expanded = peel(sym_to_jack(lhs, p.kappa), lambda mu: renormalized_jack(mu, p))
+    return expanded == pieri_expand(r, lam, p)
 
 
 # -- squared norms -------------------------------------------------------------
 
 
-def norm_ratio(lam: Partition, ctx: CoefficientContext) -> Fraction:
+def norm_ratio(lam: Partition, p: BesselParams) -> Fraction:
     """N_lambda / N_(0) = (-4)^{|lambda|} times the product of both Delta ratios."""
     return (
         Fraction(-4) ** lam.weight()
-        * delta_ratio("+", lam, ctx)
-        * delta_ratio("-", lam, ctx)
+        * delta_ratio("+", lam, p)
+        * delta_ratio("-", lam, p)
     )
 
 
-def norm_ratio_product(lam: Partition, ctx: CoefficientContext) -> Fraction:
+def norm_ratio_product(lam: Partition, p: BesselParams) -> Fraction:
     """N_lambda / N_(0) assembled from the explicit rising/falling factorial
     products (the second, independently evaluated route)."""
-    a, kappa = ctx.params.a, ctx.params.kappa
-    n = ctx.params.n
+    a, kappa, n = p.a, p.kappa, p.n
     val = Fraction(4) ** lam.weight()
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -391,7 +362,7 @@ def norm_ratio_product(lam: Partition, ctx: CoefficientContext) -> Fraction:
     return val
 
 
-def norm_n0_reduced(ctx: CoefficientContext) -> Fraction:
+def norm_n0_reduced(p: BesselParams) -> Fraction:
     """N_(0) divided by the transcendental scale 2^{(a-1)n} Gamma(1-a)^n.
 
     Requires kappa to be a non-negative integer so every Gamma quotient is
@@ -399,16 +370,18 @@ def norm_n0_reduced(ctx: CoefficientContext) -> Fraction:
 
         N_(0)/scale = 2^{kappa n(n-1)} n!
                       prod_i [Gamma(i kappa)/Gamma(kappa)]
-                             [Gamma(1-a-kappa(n+i-2))/Gamma(1-a)].
+                             [Gamma(1-a-kappa(n+i-2))/Gamma(1-a)],
+
+    with Gamma(i kappa)/Gamma(kappa) = (kappa+1)_{(i-1)kappa} / i, which
+    also holds as the limit 1/i at kappa = 0.
     """
-    a, kappa = ctx.params.a, ctx.params.kappa
-    n = ctx.params.n
+    a, kappa, n = p.a, p.kappa, p.n
     if kappa.denominator != 1 or kappa < 0:
         raise ValueError("reduced norms need kappa a non-negative integer")
     k = int(kappa)
     val = Fraction(2) ** (k * n * (n - 1)) * factorial(n)
     for i in range(1, n + 1):
-        val *= rising_factorial(kappa, (i - 1) * k)
+        val *= rising_factorial(kappa + 1, (i - 1) * k) / i
         for t in range(1, k * (n + i - 2) + 1):
             d = 1 - a - t
             if d == 0:
@@ -417,11 +390,10 @@ def norm_n0_reduced(ctx: CoefficientContext) -> Fraction:
     return val
 
 
-def norm_full_reduced(lam: Partition, ctx: CoefficientContext) -> Fraction:
+def norm_full_reduced(lam: Partition, p: BesselParams) -> Fraction:
     """N_lambda divided by 2^{(a-1)n} Gamma(1-a)^n, as an exact rational."""
-    p = ctx.params
     if p.a >= -2 * (lam.weight() + p.kappa * (p.n - 1)) + 1:
         raise ConvergenceError(
             f"norm undefined: need a < {-2 * (lam.weight() + p.kappa * (p.n - 1)) + 1}"
         )
-    return norm_n0_reduced(ctx) * norm_ratio(lam, ctx)
+    return norm_n0_reduced(p) * norm_ratio(lam, p)

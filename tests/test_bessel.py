@@ -7,14 +7,13 @@ from mvbessel.bessel import (
     bessel_coeff_tableau,
     bessel_eigenvalue,
     bessel_expand,
-    check_nondegenerate,
     rectangular_2F0,
-    renormalize,
     rho_vector,
     sufficient_nondegeneracy,
 )
 from mvbessel.errors import DegenerateEigenvalue
 from mvbessel.partitions import Partition, partitions_up_to
+from mvbessel.pieri_norms import renormalize
 
 SAMPLE = [
     BesselParams(Fraction(-20), Fraction(1), 2),
@@ -33,9 +32,17 @@ def test_eigenvalue_and_nondegeneracy():
     # d_(1) = 2 kappa (n-1) = 2, plus a|lambda| = -20
     assert bessel_eigenvalue(Partition((1,)), p) == -18
     assert sufficient_nondegeneracy(Partition((2, 1)), p)
-    assert check_nondegenerate(Partition((2, 1)), p)
+    assert bessel_expand(Partition((2, 1)), p).coeff(Partition((2, 1))) == 1
     bad = BesselParams(Fraction(-2), Fraction(1), 2)
-    assert not check_nondegenerate(Partition((1,)), bad)  # e_(1) = 0 = e_()
+    with pytest.raises(DegenerateEigenvalue):  # e_(1) = 0 = e_()
+        bessel_expand(Partition((1,)), bad)
+
+
+def test_to_sym_is_a_fresh_polynomial():
+    Y = bessel_expand(Partition((2, 1)), SAMPLE[0])
+    before = Y.to_json()
+    Y.to_sym().coeffs.clear()
+    assert Y.to_json() == before and before["monomial_coeffs"]
 
 
 def test_one_variable_expansion():

@@ -95,6 +95,13 @@ def test_verify_gram_inadmissible(capsys):
     assert code == 1 and "square-integrability" in err
 
 
+def test_verify_gram_at_kappa_zero(capsys):
+    code, out, _ = run(
+        ["verify", "gram", "--n=2", "--a=-20", "--kappa=0", "--max-degree=0"], capsys
+    )
+    assert code == 0 and json.loads(out)["all_pass"] is True
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(["verify", "eigen"], capsys)
     _, out2, _ = run(["verify", "eigen"], capsys)

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvbessel import pieri_norms
-from mvbessel.bessel import BesselParams, bessel_expand, renormalize
+from mvbessel.bessel import BesselParams, bessel_expand
 from mvbessel.errors import PoleError
+from mvbessel.orthogonality import inner_product
 from mvbessel.partitions import Partition, partitions_up_to
 from mvbessel.pieri_norms import (
     Affine,
-    CoefficientContext,
     E_hat_r,
     delta_ratio,
     limit_at_zero,
@@ -19,24 +19,25 @@ from mvbessel.pieri_norms import (
     norm_ratio_product,
     pieri_expand,
     pieri_verify,
-    v_hat,
-    w_hat,
+    renormalize,
+    renormalized_jack,
 )
+from mvbessel.polyalg import SymPoly
 
-CTXS = [
-    CoefficientContext(BesselParams(Fraction(-20), Fraction(1), 2)),
-    CoefficientContext(BesselParams(Fraction(-20), Fraction(2), 3)),
-    CoefficientContext(BesselParams(Fraction(-31, 2), Fraction(5, 3), 2)),
+SAMPLE = [
+    BesselParams(Fraction(-20), Fraction(1), 2),
+    BesselParams(Fraction(-20), Fraction(2), 3),
+    BesselParams(Fraction(-31, 2), Fraction(5, 3), 2),
 ]
 
 
 def test_step_function_poles():
-    with pytest.raises(PoleError):
-        v_hat(Fraction(0), Fraction(1))
-    with pytest.raises(PoleError):
-        w_hat(Fraction(0), Fraction(-20))
-    with pytest.raises(PoleError):
-        w_hat(Fraction(-1, 2), Fraction(-20))
+    # the first step of Delta_+ at lambda = (1) meets v(0) at (a, kappa, n) =
+    # (-20, 0, 2), where rho_1 = rho_2; w(0) at (1, 1, 1), where rho_1 = 0;
+    # and w(-1/2) at (0, 1, 1), where rho_1 = -1/2
+    for a, kappa, n in ((-20, 0, 2), (1, 1, 1), (0, 1, 1)):
+        with pytest.raises(PoleError):
+            delta_ratio("+", Partition((1,)), BesselParams(Fraction(a), Fraction(kappa), n))
 
 
 T = Affine(Fraction(0), Fraction(1))
@@ -85,18 +86,18 @@ def test_limit_at_zero_is_unchanged_by_doubling_every_slope(terms):
 
 
 def test_pieri_genuine_pole_names_its_move():
-    ctx = CoefficientContext(BesselParams(Fraction(0), Fraction(1), 2))
+    p = BesselParams(Fraction(0), Fraction(1), 2)
     with pytest.raises(PoleError, match=r"genuine pole at move \(\(1,\), \(1,\)\)"):
-        pieri_expand(2, Partition(()), ctx)
+        pieri_expand(2, Partition(()), p)
 
 
 def test_delta_ratio_one_variable_anchors():
-    ctx = CoefficientContext(BesselParams(Fraction(-20), Fraction(1), 1))
-    a = ctx.params.a
+    p = BesselParams(Fraction(-20), Fraction(1), 1)
+    a = p.a
     # single box: the one-variable step is w((a-1)/2) = 1/a; the second box
     # contributes w((a+1)/2) = a/((a+1)(a+2))
-    assert delta_ratio("+", Partition((1,)), ctx) == 1 / a
-    assert delta_ratio("+", Partition((2,)), ctx) == 1 / ((a + 1) * (a + 2))
+    assert delta_ratio("+", Partition((1,)), p) == 1 / a
+    assert delta_ratio("+", Partition((2,)), p) == 1 / ((a + 1) * (a + 2))
 
 
 def test_ehat_normalization():
@@ -105,11 +106,10 @@ def test_ehat_normalization():
 
 
 def test_pieri_oracle_all_sample_params():
-    for ctx in CTXS:
-        n = ctx.params.n
-        for r in range(1, n + 1):
-            for lam in partitions_up_to(3, n):
-                assert pieri_verify(r, lam, ctx), (r, lam, ctx.params)
+    for p in SAMPLE:
+        for r in range(1, p.n + 1):
+            for lam in partitions_up_to(3, p.n):
+                assert pieri_verify(r, lam, p), (r, lam, p)
 
 
 def test_pieri_verify_builds_each_basis_element_once(monkeypatch):
@@ -120,20 +120,30 @@ def test_pieri_verify_builds_each_basis_element_once(monkeypatch):
         return bessel_expand(lam, p)
 
     monkeypatch.setattr(pieri_norms, "bessel_expand", counting_bessel_expand)
-    ctx = CoefficientContext(BesselParams(Fraction(-27, 2), Fraction(1), 3))
+    pieri_norms._renormalized_coeffs.cache_clear()
+    p = BesselParams(Fraction(-27, 2), Fraction(1), 3)
     for r in (1, 2, 3):
         for lam in partitions_up_to(2, 3):
-            assert pieri_verify(r, lam, ctx)
+            assert pieri_verify(r, lam, p)
     assert calls and len(calls) == len(set(calls))
+
+
+def test_renormalized_jack_is_a_fresh_vector():
+    p = BesselParams(Fraction(-27, 2), Fraction(1), 2)
+    lam = Partition((1,))
+    before = renormalized_jack(lam, p).sorted_coeffs()
+    assert before == renormalize(bessel_expand(lam, p)).jack_coeffs.sorted_coeffs()
+    renormalized_jack(lam, p).coeffs.clear()
+    renormalized_jack(lam, p).coeffs[Partition((2,))] = Fraction(5)
+    assert renormalized_jack(lam, p).sorted_coeffs() == before
+    assert pieri_verify(1, lam, p) and pieri_verify(2, Partition(()), p)
 
 
 def test_pieri_one_variable_hand_identity():
     # x/2 = (1/a)(Ytilde_(1) - Ytilde_()) at five rational values of a
     for a in (Fraction(-20), Fraction(-31, 2), Fraction(-7), Fraction(5, 2), Fraction(3)):
         p = BesselParams(a, Fraction(1), 1)
-        ctx = CoefficientContext(p)
-        exp = pieri_expand(1, Partition(()), ctx)
-        coeffs = exp.by_target()
+        coeffs = pieri_expand(1, Partition(()), p)
         assert coeffs[Partition((1,))] == 1 / a
         assert coeffs[Partition(())] == -1 / a
         y1 = renormalize(bessel_expand(Partition((1,)), p)).to_sym()
@@ -146,30 +156,40 @@ def test_pieri_one_variable_hand_identity():
 def test_pieri_coefficients_finite_at_special_kappa():
     # kappa = 1 puts removable singularities in every factor; the limit
     # along the parameter line must exist and satisfy the oracle.
-    ctx = CoefficientContext(BesselParams(Fraction(-20), Fraction(1), 2))
-    exp = pieri_expand(2, Partition((1,)), ctx)
-    assert all(isinstance(c, Fraction) for _, c in exp.by_target().items())
+    p = BesselParams(Fraction(-20), Fraction(1), 2)
+    exp = pieri_expand(2, Partition((1,)), p)
+    assert all(isinstance(c, Fraction) for c in exp.values())
 
 
 def test_norm_ratio_two_routes():
-    for ctx in CTXS:
-        for lam in partitions_up_to(3, ctx.params.n):
-            assert norm_ratio(lam, ctx) == norm_ratio_product(lam, ctx), lam
+    for p in SAMPLE:
+        for lam in partitions_up_to(3, p.n):
+            assert norm_ratio(lam, p) == norm_ratio_product(lam, p), lam
 
 
 def test_norm_anchors():
-    ctx1 = CoefficientContext(BesselParams(Fraction(-20), Fraction(1), 1))
-    assert norm_full_reduced(Partition((1,)), ctx1) == Fraction(1, 1900)
+    p1 = BesselParams(Fraction(-20), Fraction(1), 1)
+    assert norm_full_reduced(Partition((1,)), p1) == Fraction(1, 1900)
     a = Fraction(-20)
-    ctx2 = CoefficientContext(BesselParams(a, Fraction(1), 2))
-    assert norm_n0_reduced(ctx2) == -8 / (a * a * (a + 1))
+    p2 = BesselParams(a, Fraction(1), 2)
+    assert norm_n0_reduced(p2) == -8 / (a * a * (a + 1))
 
 
 def test_norm_positivity_on_grid():
     for a in (Fraction(-20), Fraction(-31)):
         for kappa in (Fraction(1), Fraction(2)):
             for n in (1, 2, 3):
-                ctx = CoefficientContext(BesselParams(a, kappa, n))
+                p = BesselParams(a, kappa, n)
                 for lam in partitions_up_to(3, n):
                     if a < -2 * (lam.weight() + kappa * (n - 1)) + 1:
-                        assert norm_full_reduced(lam, ctx) > 0, (a, kappa, n, lam)
+                        assert norm_full_reduced(lam, p) > 0, (a, kappa, n, lam)
+
+
+def test_reduced_norm_of_one_matches_the_moment_route():
+    # N_(0) is <1, 1>; at kappa = 0 the Gamma quotient Gamma(i kappa)/Gamma(kappa)
+    # is the limit 1/i, so N_(0)/scale = 1
+    for n in range(1, 5):
+        one = SymPoly(n, {Partition(()): 1})
+        for kappa in range(4):
+            p = BesselParams(Fraction(-40), Fraction(kappa), n)
+            assert norm_n0_reduced(p) == inner_product(one, one, p).value, (n, kappa)

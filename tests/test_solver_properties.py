@@ -33,7 +33,6 @@ from mvbessel.jacobi_bc import (
 from mvbessel.operators import _higher_recursion, apply_higher
 from mvbessel.partitions import Partition, partitions_up_to
 from mvbessel.pieri_norms import (
-    CoefficientContext,
     norm_ratio,
     norm_ratio_product,
     pieri_verify,
@@ -200,8 +199,8 @@ def _pole_or_value(fn, *args):
 @given(shapes(), rationals, kappas)
 def test_norm_ratio_routes_agree(shape, a, kappa):
     n, lam = shape
-    ctx = CoefficientContext(BesselParams(a, kappa, n))
-    assert _pole_or_value(norm_ratio, lam, ctx) == _pole_or_value(norm_ratio_product, lam, ctx)
+    p = BesselParams(a, kappa, n)
+    assert _pole_or_value(norm_ratio, lam, p) == _pole_or_value(norm_ratio_product, lam, p)
 
 
 @st.composite
@@ -214,8 +213,7 @@ def pieri_cases(draw):
 @given(pieri_cases(), rationals, kappas)
 def test_pieri_expansion_matches_the_polynomial_oracle(case, a, kappa):
     n, r, lam = case
-    ctx = CoefficientContext(BesselParams(a, kappa, n))
-    assert _unless_degenerate(pieri_verify, r, lam, ctx)
+    assert _unless_degenerate(pieri_verify, r, lam, BesselParams(a, kappa, n))
 
 
 @st.composite

@@ -51,9 +51,15 @@ def bessel_eigenvalue(lam: Partition, p: BesselParams) -> Fraction:
     return jack.eigenvalue_d(lam, p.kappa, p.n) + p.a * lam.weight()
 
 
+def square_integrability_bound(m: int, p: BesselParams) -> Fraction:
+    """-2(m + kappa (n-1)) + 1: degree-m polynomials are square-integrable,
+    and eigenvalues up to degree m distinct, when a lies below it."""
+    return -2 * (m + p.kappa * (p.n - 1)) + 1
+
+
 def sufficient_nondegeneracy(lam: Partition, p: BesselParams) -> bool:
     """a < -2(|lambda| + kappa (n-1)) + 1 forces distinct eigenvalues below lambda."""
-    return p.a < -2 * (lam.weight() + p.kappa * (p.n - 1)) + 1
+    return p.a < square_integrability_bound(lam.weight(), p)
 
 
 class BesselPolynomial:

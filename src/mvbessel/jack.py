@@ -255,8 +255,13 @@ def spec_ratio_cocover(lam: Partition, i: int, kappa: Fraction, n: int) -> Fract
     return principal_spec(up, kappa, n) / den
 
 
+@functools.lru_cache(maxsize=4096)
 def lower_weight(mu: Partition, i: int, kappa: Fraction, n: int) -> Fraction:
-    """The one-box lowering weight: the coefficient of P_mu in E0 P_{mu+e_i}."""
+    """The one-box lowering weight: the coefficient of P_mu in E0 P_{mu+e_i}.
+
+    It involves neither a nor lambda, so every expansion in a suite asks
+    for the same weights again; cached as an immutable Fraction.
+    """
     return spec_ratio_cocover(mu, i, kappa, n) * binomial_cocover(mu, i, kappa)
 
 

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bessel import BesselParams, bessel_expand
+from .bessel import BesselParams, bessel_expand, square_integrability_bound
 from .errors import ConvergenceError, DegenerateRecurrence
 from .operators import apply_higher
 from .partitions import Partition, partitions_up_to
@@ -47,7 +47,7 @@ def check_L2_condition(m: int, p: BesselParams) -> bool:
     """Whether degree-m polynomials are square-integrable: a < -2(m + kappa(n-1)) + 1."""
     if p.kappa < 0:
         raise ValueError("kappa must be non-negative")
-    return p.a < -2 * (m + p.kappa * (p.n - 1)) + 1
+    return p.a < square_integrability_bound(m, p)
 
 
 def moment_1d(p: int, a: Fraction) -> Fraction:
@@ -158,7 +158,7 @@ def gram_matrix(m: int, p: BesselParams) -> list[list[ReducedValue]]:
     """
     if not check_L2_condition(m, p):
         raise ConvergenceError(
-            f"square-integrability fails: need a < {-2 * (m + p.kappa * (p.n - 1)) + 1}"
+            f"square-integrability fails: need a < {square_integrability_bound(m, p)}"
         )
     parts = partitions_up_to(m, p.n)
     basis = [bessel_expand(lam, p).to_sym() for lam in parts]

@@ -29,7 +29,13 @@ from math import factorial, prod
 from .errors import ConvergenceError, PoleError
 from .partitions import Partition
 from .polyalg import ONE, ZERO, SymPoly, elementary
-from .bessel import BesselParams, BesselPolynomial, bessel_expand, rho_vector
+from .bessel import (
+    BesselParams,
+    BesselPolynomial,
+    bessel_expand,
+    rho_vector,
+    square_integrability_bound,
+)
 from .jack import JackExpansion, peel, rising_factorial, sym_to_jack
 
 
@@ -166,18 +172,38 @@ def E_hat_r(r: int, n: int) -> SymPoly:
     return elementary(r, n).scale(Fraction((-1) ** (r + 1), 2**r))
 
 
+def _constant_ratio(num, den) -> Fraction:
+    """prod(f.c for f in num) / prod(f.c for f in den), multiplied out over
+    the integers and reduced once."""
+    top = bottom = 1
+    for f in num:
+        top *= f.c.numerator
+        bottom *= f.c.denominator
+    for f in den:
+        top *= f.c.denominator
+        bottom *= f.c.numerator
+    return Fraction(top, bottom)
+
+
 def limit_at_zero(terms) -> Fraction:
     """The value at t = 0 of a sum of products of Affine factors.
 
     Each term is a pair (numerator factors, denominator factors).  A term
-    with v more zero-constant factors upstairs than downstairs is t^v R(t)
-    with R(0) != 0, so R is expanded only to degree -v; the Laurent
+    with no zero-constant factor on either side is regular at t = 0 and
+    contributes the plain product of its constants.  A term with v more
+    zero-constant factors upstairs than downstairs is t^v R(t) with
+    R(0) != 0, so R is expanded only to degree -v; the Laurent
     coefficients of t^-m ... t^0 are summed over all terms.  Raises
     PoleError if a negative-order coefficient survives the sum.
     """
-    laurent: dict[int, Fraction] = {}
+    laurent: dict[int, Fraction] = {0: ZERO}
     for num, den in terms:
-        order = sum(f.c == 0 for f in num) - sum(f.c == 0 for f in den)
+        zeros_up = sum(not f.c for f in num)
+        zeros_down = sum(not f.c for f in den)
+        if not zeros_up and not zeros_down:
+            laurent[0] += _constant_ratio(num, den)
+            continue
+        order = zeros_up - zeros_down
         if order > 0:
             continue
         series = [ONE] + [ZERO] * -order
@@ -198,47 +224,76 @@ def limit_at_zero(terms) -> Fraction:
             laurent[k] = laurent.get(k, ZERO) + x
     if any(x for k, x in laurent.items() if k < 0):
         raise PoleError("pole at t = 0")
-    return laurent.get(0, ZERO)
+    return laurent[0]
 
 
-def _move_factors(eps, I, J, z: tuple, a, kappa, reflected: bool):
+def _join(*groups):
+    """One (numerator, denominator) factor group from several."""
+    return tuple(f for g in groups for f in g[0]), tuple(f for g in groups for f in g[1])
+
+
+class _FactorTable(dict):
+    """The factor groups of one Pieri call at z, each built from
+    v_factors/w_factors on first use and shared by every term after that.
+
+    Keys name 1-based rows and signs e = +-1 (pairs i < i2, crosses j != i):
+
+        ("w", i, e)                        w(e z_i)
+        ("pair", i, e, i2, e2, reflected)  v(u) v(u'),  u = e z_i + e2 z_i2,
+                                           u' = -u-1 if reflected else u+1
+        ("cross", i, e, j)                 v(e z_i + z_j) v(e z_i - z_j)
+    """
+
+    def __init__(self, z: tuple, a, kappa):
+        super().__init__()
+        self.a, self.kappa = a, kappa
+        self.ez = {(i, e): e * zi for i, zi in enumerate(z, start=1) for e in (1, -1)}
+
+    def __missing__(self, key):
+        kind, i, e, *rest = key
+        x = self.ez[i, e]
+        if kind == "w":
+            group = w_factors(x, self.a)
+        elif kind == "pair":
+            i2, e2, reflected = rest
+            u = x + self.ez[i2, e2]
+            step = -u - 1 if reflected else u + 1
+            group = _join(v_factors(u, self.kappa), v_factors(step, self.kappa))
+        else:
+            zj = self.ez[rest[0], 1]
+            group = _join(v_factors(x + zj, self.kappa), v_factors(x - zj, self.kappa))
+        self[key] = group
+        return group
+
+
+def _move_factors(eps, I, J, table: _FactorTable, reflected: bool):
     """Numerator and denominator factors of
 
         prod_{i in I} w(eps_i z_i) prod_{i < i' in I} v(u) v(u')
         prod_{i in I, j in J} v(eps_i z_i + z_j) v(eps_i z_i - z_j),
 
-    with u = eps_i z_i + eps_i' z_i' and u' = -u-1 if reflected else u+1.
+    with u = eps_i z_i + eps_i' z_i' and u' = -u-1 if reflected else u+1:
+    a concatenation of the call's shared factor groups.
     """
-    num: list = []
-    den: list = []
-
-    def take(factors) -> None:
-        num.extend(factors[0])
-        den.extend(factors[1])
-
-    for i in I:
-        take(w_factors(eps[i] * z[i - 1], a))
-    for i, i2 in itertools.combinations(I, 2):
-        u = eps[i] * z[i - 1] + eps[i2] * z[i2 - 1]
-        take(v_factors(u, kappa))
-        take(v_factors(-u - 1 if reflected else u + 1, kappa))
-    for i in I:
-        for j in J:
-            take(v_factors(eps[i] * z[i - 1] + z[j - 1], kappa))
-            take(v_factors(eps[i] * z[i - 1] - z[j - 1], kappa))
-    return num, den
+    groups = [table["w", i, eps[i]] for i in I]
+    groups += [
+        table["pair", i, eps[i], i2, eps[i2], reflected]
+        for i, i2 in itertools.combinations(I, 2)
+    ]
+    groups += [table["cross", i, eps[i], j] for i in I for j in J]
+    return [f for g in groups for f in g[0]], [f for g in groups for f in g[1]]
 
 
-def _coefficient_terms(eps, I, Ic, p: int, z: tuple, a, kappa) -> list:
+def _coefficient_terms(eps, I, Ic, p: int, table: _FactorTable) -> list:
     """The terms of (-1)^p U_{I^c, p} V_{eps I, I^c}: V is the unreflected
     move factor of (eps, I), and U sums the reflected move factors of
     every signed p-subset of I^c."""
-    v_num, v_den = _move_factors(eps, I, Ic, z, a, kappa, reflected=False)
+    v_num, v_den = _move_factors(eps, I, Ic, table, reflected=False)
     terms = []
     for K in itertools.combinations(Ic, p):
         rest = tuple(j for j in Ic if j not in K)
         for signs in itertools.product((1, -1), repeat=p):
-            num, den = _move_factors(dict(zip(K, signs)), K, rest, z, a, kappa, reflected=True)
+            num, den = _move_factors(dict(zip(K, signs)), K, rest, table, reflected=True)
             terms.append((num + v_num, den + v_den))
     return terms
 
@@ -271,14 +326,13 @@ def pieri_expand(r: int, lam: Partition, p: BesselParams) -> dict[Partition, Fra
     n = p.n
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    a_t = Affine(p.a, ONE)
-    kappa_t = Affine(p.kappa, ONE)
     rho = rho_vector(p)
     # rho_i(t) = (kappa+t)(n-i) + (a+t-1)/2, so the slope at index i is n-i+1/2
     z = tuple(
         Affine(rho[i] + lam.part(i + 1), Fraction(2 * (n - i - 1) + 1, 2))
         for i in range(n)
     )
+    table = _FactorTable(z, Affine(p.a, ONE), Affine(p.kappa, ONE))
     out: dict[Partition, Fraction] = {}
     for size in range(r + 1):
         for I in itertools.combinations(range(1, n + 1), size):
@@ -290,7 +344,7 @@ def pieri_expand(r: int, lam: Partition, p: BesselParams) -> dict[Partition, Fra
                     continue
                 q = r - size
                 try:
-                    value = limit_at_zero(_coefficient_terms(eps, I, Ic, q, z, a_t, kappa_t))
+                    value = limit_at_zero(_coefficient_terms(eps, I, Ic, q, table))
                 except PoleError:
                     raise PoleError(
                         f"Pieri coefficient has a genuine pole at move {(signs, I)}"
@@ -392,8 +446,7 @@ def norm_n0_reduced(p: BesselParams) -> Fraction:
 
 def norm_full_reduced(lam: Partition, p: BesselParams) -> Fraction:
     """N_lambda divided by 2^{(a-1)n} Gamma(1-a)^n, as an exact rational."""
-    if p.a >= -2 * (lam.weight() + p.kappa * (p.n - 1)) + 1:
-        raise ConvergenceError(
-            f"norm undefined: need a < {-2 * (lam.weight() + p.kappa * (p.n - 1)) + 1}"
-        )
+    bound = square_integrability_bound(lam.weight(), p)
+    if p.a >= bound:
+        raise ConvergenceError(f"norm undefined: need a < {bound}")
     return norm_n0_reduced(p) * norm_ratio(lam, p)

@@ -5,10 +5,13 @@ expansions are computed must leave every one of them unchanged.  The grid
 covers each subcommand and verify suite, the removable 0/0 Pieri path at
 kappa = 1 (including n = 3, where paired factors cancel), three
 degenerate runs that exit 2 with empty stdout, and a Gram run refused by the
-square-integrability bound (exit 1, empty stdout).
+square-integrability bound (exit 1, empty stdout).  The Pieri runs at
+n = 4 and at a generic kappa, and the Jacobi run at n = 4, degree 5, also
+pin their check counts.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -41,6 +44,11 @@ GOLDEN = [
         "e09488b027e33ff295ba0e506380d8150ae743b56859e1b3d8a1e7139d834399",
     ),
     (
+        "verify jacobi --n=4 --max-degree=5 --k1=1 --k2=1/2 --k3=3/2",
+        0,
+        "984e309b3d4e75bed28f9f16a786c508163a3d144b637fb4ffc1a06cf17cb388",
+    ),
+    (
         "verify jacobi --n=1 --k1=-3 --k2=1 --k3=1 --max-degree=2",
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -54,6 +62,16 @@ GOLDEN = [
         "verify pieri --n=3 --a=-27/2 --kappa=1 --max-degree=2",
         0,
         "3535021aacb34962f21ae5c8a2ba557ed7354a0113cf6901cce1ae57208f7551",
+    ),
+    (
+        "verify pieri --n=4 --max-degree=3 --kappa=1 --a=-27/2",
+        0,
+        "f3b87b7c35dc921515aee6c214768f8d7d38de68f3230837c6c1353db229916d",
+    ),
+    (
+        "verify pieri --n=3 --max-degree=3 --kappa=4/3 --a=-33/2",
+        0,
+        "06ac608d352cb7544e5506f769c657476bc176c3a8e1b1635ed63df56775ebff",
     ),
     (
         "verify pieri --n=2 --a=0 --kappa=1 --max-degree=2",
@@ -103,3 +121,18 @@ def test_cli_output_is_pinned(argv, code, digest, capsys):
     assert main(argv.split()) == code
     out, _ = capsys.readouterr()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+CHECK_COUNTS = {
+    "verify pieri --n=4 --max-degree=3 --kappa=1 --a=-27/2": 28,
+    "verify pieri --n=3 --max-degree=3 --kappa=4/3 --a=-33/2": 21,
+    "verify jacobi --n=4 --max-degree=5 --k1=1 --k2=1/2 --k3=3/2": 36,
+}
+
+
+@pytest.mark.parametrize("argv, count", CHECK_COUNTS.items(), ids=list(CHECK_COUNTS))
+def test_check_count_is_pinned(argv, count, capsys):
+    assert main(argv.split()) == 0
+    out, _ = capsys.readouterr()
+    checks = json.loads(out)["checks"]
+    assert len(checks) == count and all(c["status"] == "pass" for c in checks)

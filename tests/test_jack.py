@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mvbessel import diffops
+from mvbessel.bessel import BesselParams, bessel_expand
 from mvbessel.errors import PoleError
 from mvbessel.jack import (
     JackExpansion,
@@ -13,6 +14,7 @@ from mvbessel.jack import (
     hook_products,
     hyperg_trunc,
     jack_in_monomials,
+    lower_weight,
     principal_spec,
     psi_prime,
     raising_weights,
@@ -59,6 +61,30 @@ def test_jack_cache_returns_copies():
     lam, kappa, target = Partition((2,)), Fraction(1, 2), Partition((1, 1))
     jack_in_monomials(lam, kappa, 2).coeffs[target] = Fraction(99)
     assert jack_in_monomials(lam, kappa, 2).coeff(target) == Fraction(2, 3)
+
+
+def test_lower_weight_cache_hits_and_keeps_its_values():
+    # one expansion asks for each weight below lambda once; the next
+    # expansion in the same variables asks for the shared ones again
+    kappa, n = Fraction(5, 3), 3
+    p = BesselParams(Fraction(-31, 2), kappa, n)
+    lower_weight.cache_clear()
+    Y = bessel_expand(Partition((2, 1)), p)
+    assert lower_weight.cache_info().hits == 0
+    bessel_expand(Partition((2, 2)), p)
+    assert lower_weight.cache_info().hits > 0
+    args = [
+        (mu, i, kappa, n)
+        for mu in partitions_up_to(2, n)
+        for i in range(1, mu.length() + 2)
+        if mu.add_box(i) is not None and i <= n
+    ]
+    cached = [lower_weight(*x) for x in args]
+    assert cached == [lower_weight.__wrapped__(*x) for x in args]
+    lower_weight.cache_clear()
+    assert [lower_weight(*x) for x in args] == cached
+    again = bessel_expand(Partition((2, 1)), p)
+    assert again.jack_coeffs.sorted_coeffs() == Y.jack_coeffs.sorted_coeffs()
 
 
 def test_raising_weights_match_direct_differentiation():

@@ -1,7 +1,10 @@
-"""Import layering: every module imports at top level only.
+"""Source layout rules checked on the syntax tree of every module.
 
-An import inside a function hides a dependency from the module header and
-is how an import cycle between two modules gets papered over.
+Every module imports at top level only: an import inside a function hides
+a dependency from the module header and is how an import cycle between two
+modules gets papered over.  Every cache is bounded: each use of
+functools.lru_cache names an explicit, finite maxsize, and the unbounded
+functools.cache is not used.
 """
 
 import ast
@@ -21,3 +24,43 @@ def test_no_import_inside_a_function():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not nested, nested
+
+
+def _finite_maxsize(call: ast.Call) -> bool:
+    sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+    return (
+        len(sizes) == 1
+        and isinstance(sizes[0], ast.Constant)
+        and type(sizes[0].value) is int
+        and sizes[0].value > 0
+    )
+
+
+def _names_a_cache(node: ast.AST) -> bool:
+    """Whether node is lru_cache, functools.lru_cache or functools.cache."""
+    if isinstance(node, ast.Name):
+        return node.id == "lru_cache"
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("lru_cache", "cache")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "functools"
+    )
+
+
+def test_every_cache_is_bounded():
+    caches, unbounded = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                unbounded += [f"{path.name}:{node.lineno}" for x in node.names if x.name == "cache"]
+            if not _names_a_cache(node):
+                continue
+            caches.append(f"{path.name}:{node.lineno}")
+            call = calls.get(id(node))
+            if getattr(node, "attr", None) == "cache" or call is None or not _finite_maxsize(call):
+                unbounded.append(caches[-1])
+    assert caches
+    assert not unbounded, unbounded

@@ -85,6 +85,16 @@ def test_limit_at_zero_is_unchanged_by_doubling_every_slope(terms):
     assert _limit_or_pole(doubled) == _limit_or_pole(terms)
 
 
+@settings(derandomize=True, deadline=None)
+@given(st.lists(factor_terms, min_size=1, max_size=4))
+def test_plain_product_path_matches_the_series_path(terms):
+    # T/T = 1 leaves each term's value and order unchanged, but a
+    # zero-constant factor on both sides sends every term through the
+    # Laurent series instead of the plain product of its constants
+    forced = [(num + [T], den + [T]) for num, den in terms]
+    assert _limit_or_pole(forced) == _limit_or_pole(terms)
+
+
 def test_pieri_genuine_pole_names_its_move():
     p = BesselParams(Fraction(0), Fraction(1), 2)
     with pytest.raises(PoleError, match=r"genuine pole at move \(\(1,\), \(1,\)\)"):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import DegenerateEigenvalue, PoleError
 from .partitions import Partition, partitions_up_to, skew_standard_chains
-from .polyalg import ONE, ZERO, SymPoly, rat, rat_str
+from .polyalg import ONE, ZERO, SymPoly, rat_str
 from . import jack
 from .jack import JackExpansion
 
@@ -33,8 +33,8 @@ class BesselParams:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", rat(self.a))
-        object.__setattr__(self, "kappa", rat(self.kappa))
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "kappa", Fraction(self.kappa))
         if self.n < 1:
             raise ValueError("n must be a positive integer")
 
@@ -55,11 +55,6 @@ def square_integrability_bound(m: int, p: BesselParams) -> Fraction:
     """-2(m + kappa (n-1)) + 1: degree-m polynomials are square-integrable,
     and eigenvalues up to degree m distinct, when a lies below it."""
     return -2 * (m + p.kappa * (p.n - 1)) + 1
-
-
-def sufficient_nondegeneracy(lam: Partition, p: BesselParams) -> bool:
-    """a < -2(|lambda| + kappa (n-1)) + 1 forces distinct eigenvalues below lambda."""
-    return p.a < square_integrability_bound(lam.weight(), p)
 
 
 class BesselPolynomial:

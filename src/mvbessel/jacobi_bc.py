@@ -3,10 +3,11 @@
 These serve as an independent cross-check family: the eigenoperator acts on
 the Jack basis through the same five basic actions, the expansion is
 triangular with leading coefficient (-4)^{|lambda|}, and the constant term
-has a closed product formula (Opdam's specialisation) evaluated here as an
-exact ratio of shifted-factorial products.  The parameter map limit_params
-is the specialisation under which this family degenerates to the Bessel
-family.
+has a closed product formula (Opdam's specialisation), evaluated on the
+Delta_+ ratio of the Bessel family at a = k1 + 2 k2 + 1, kappa = k3, which
+shares rho, the eigenvalue and the v/w step factors.  The parameter map
+limit_params is the specialisation under which this family degenerates to
+the Bessel family.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import jack
-from .errors import PoleError
-from .jack import JackExpansion
+from .bessel import BesselParams, bessel_eigenvalue, rho_vector
+from .jack import JackExpansion, rising_factorial
 from .partitions import Partition, partitions_up_to
-from .polyalg import ZERO, rat
+from .pieri_norms import delta_ratio
+from .polyalg import ZERO
 
 
 @dataclass(frozen=True)
@@ -31,25 +33,22 @@ class JacobiParams:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "k1", rat(self.k1))
-        object.__setattr__(self, "k2", rat(self.k2))
-        object.__setattr__(self, "k3", rat(self.k3))
+        object.__setattr__(self, "k1", Fraction(self.k1))
+        object.__setattr__(self, "k2", Fraction(self.k2))
+        object.__setattr__(self, "k3", Fraction(self.k3))
         if self.n < 1:
             raise ValueError("n must be a positive integer")
 
 
-def rho_bc(jp: JacobiParams) -> tuple[Fraction, ...]:
-    """rho_i = k3 (n - i) + (k1 + 2 k2)/2."""
-    return tuple(
-        jp.k3 * (jp.n - i) + (jp.k1 + 2 * jp.k2) / 2 for i in range(1, jp.n + 1)
-    )
+def _bessel_params(jp: JacobiParams) -> BesselParams:
+    """The Bessel parameters a = k1 + 2 k2 + 1, kappa = k3 with the same rho,
+    rho_i = k3 (n - i) + (k1 + 2 k2)/2, eigenvalue and step factors."""
+    return BesselParams(jp.k1 + 2 * jp.k2 + 1, jp.k3, jp.n)
 
 
 def jacobi_eigenvalue(lam: Partition, jp: JacobiParams) -> Fraction:
     """e_lambda = d_lambda (with kappa = k3) + (k1 + 2 k2 + 1)|lambda|."""
-    if lam.length() > jp.n:
-        raise ValueError(f"{lam!r} needs more than {jp.n} variables")
-    return jack.eigenvalue_d(lam, jp.k3, jp.n) + (jp.k1 + 2 * jp.k2 + 1) * lam.weight()
+    return bessel_eigenvalue(lam, _bessel_params(jp))
 
 
 def apply_DBC_jack(v: JackExpansion, jp: JacobiParams) -> JackExpansion:
@@ -89,40 +88,18 @@ def jacobi_expand(lam: Partition, jp: JacobiParams) -> JackExpansion:
     return JackExpansion(jp.n, jp.k3, u)
 
 
-def _w_step_bc(z: Fraction, jp: JacobiParams) -> Fraction:
-    den = 2 * z * (2 * z + 1)
-    if den == 0:
-        raise PoleError("constant-term w-factor has a pole")
-    return ((jp.k1 + 2 * jp.k2) / 2 + z) * ((jp.k1 + 1) / 2 + z) / den
-
-
-def _v_step_bc(z: Fraction, jp: JacobiParams) -> Fraction:
-    if z == 0:
-        raise PoleError("constant-term v-factor has a pole")
-    return (jp.k3 + z) / z
-
-
 def jacobi_constant_term(lam: Partition, jp: JacobiParams) -> Fraction:
     """The constant term of jacobi_expand(lam) from the closed product formula.
 
     2^{2|lambda|} times the plus-type shifted-factor ratio at rho + lambda
-    over rho, with each Gamma quotient collapsed to a finite product by the
-    difference equations of the step functions.
+    over rho.  The BC w step is the Bessel w step at a = k1 + 2 k2 + 1
+    times ((k1+1)/2 + z), so this is the Bessel Delta_+ ratio times one
+    rising factorial ((k1+1)/2 + rho_i)_{lambda_i} per row.
     """
-    n = jp.n
-    rho = rho_bc(jp)
-    m = tuple(lam.part(i) for i in range(1, n + 1))
-    val = Fraction(2) ** (2 * lam.weight())
-    for i in range(n):
-        for j in range(i + 1, n):
-            for z0, shift in (
-                (rho[i] - rho[j], m[i] - m[j]),
-                (rho[i] + rho[j], m[i] + m[j]),
-            ):
-                for t in range(shift):
-                    val *= _v_step_bc(z0 + t, jp)
-        for t in range(m[i]):
-            val *= _w_step_bc(rho[i] + t, jp)
+    p = _bessel_params(jp)
+    val = Fraction(4) ** lam.weight() * delta_ratio("+", lam, p)
+    for i, rho_i in enumerate(rho_vector(p), start=1):
+        val *= rising_factorial((jp.k1 + 1) / 2 + rho_i, lam.part(i))
     return val
 
 
@@ -130,9 +107,9 @@ def limit_params(a: Fraction, kappa: Fraction, E: Fraction, n: int) -> JacobiPar
     """Jacobi parameters whose degeneration reproduces the Bessel family.
 
     k1 = (a - 1 + 2E)/2, k2 = (a - 1 - 2E)/4, k3 = kappa; the combination
-    k1 + 2 k2 = a - 1 holds identically, so rho_bc equals the Bessel rho.
+    k1 + 2 k2 = a - 1 holds identically, so both families share rho.
     """
-    a, kappa, E = rat(a), rat(kappa), rat(E)
+    a, kappa, E = Fraction(a), Fraction(kappa), Fraction(E)
     if E <= 0:
         raise ValueError("E must be positive")
     return JacobiParams((a - 1 + 2 * E) / 2, (a - 1 - 2 * E) / 4, kappa, n)

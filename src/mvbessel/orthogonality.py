@@ -31,16 +31,7 @@ from .bessel import BesselParams, bessel_expand, square_integrability_bound
 from .errors import ConvergenceError, DegenerateRecurrence
 from .operators import apply_higher
 from .partitions import Partition, partitions_up_to
-from .polyalg import SymPoly, monomial_symmetric, rat, rat_str
-
-
-@dataclass(frozen=True)
-class ReducedValue:
-    """A moment divided by the fixed scale 2^{(a-1)n} Gamma(1-a)^n."""
-
-    value: Fraction
-
-    SCALE = "2^((a-1)n)*Gamma(1-a)^n"
+from .polyalg import SymPoly, monomial_symmetric
 
 
 def check_L2_condition(m: int, p: BesselParams) -> bool:
@@ -56,7 +47,7 @@ def moment_1d(p: int, a: Fraction) -> Fraction:
 
     Requires p < 1 - a for convergence.
     """
-    a = rat(a)
+    a = Fraction(a)
     if p < 0:
         raise ValueError("exponent must be non-negative")
     if p >= 1 - a:
@@ -67,8 +58,9 @@ def moment_1d(p: int, a: Fraction) -> Fraction:
     return val
 
 
-def inner_product(f: SymPoly, g: SymPoly, p: BesselParams) -> ReducedValue:
-    """The reduced inner product of f and g, paired by partition.
+def inner_product(f: SymPoly, g: SymPoly, p: BesselParams) -> Fraction:
+    """The inner product of f and g divided by the fixed scale
+    2^{(a-1)n} Gamma(1-a)^n, paired by partition.
 
     L(x^alpha) = prod_i mom(alpha_i) is symmetric and so is
     H = g * prod_{i<j}(x_i - x_j)^{2 kappa}, so every monomial of the orbit
@@ -89,7 +81,7 @@ def inner_product(f: SymPoly, g: SymPoly, p: BesselParams) -> ReducedValue:
     if not f.n == g.n == p.n:
         raise ValueError(f"variable count mismatch: {f.n}, {g.n}, {p.n}")
     if f.is_zero() or g.is_zero():
-        return ReducedValue(Fraction(0))
+        return Fraction(0)
     two_kappa = 2 * int(p.kappa)
     top = max(lam.part(1) for lam in f.coeffs) + max(lam.part(1) for lam in g.coeffs)
     top += two_kappa * (p.n - 1)
@@ -109,7 +101,7 @@ def inner_product(f: SymPoly, g: SymPoly, p: BesselParams) -> ReducedValue:
             pair += h
         orbit = len(monomial_symmetric(nu, p.n).terms)
         total += c * Fraction(orbit * pair, scale)
-    return ReducedValue(total)
+    return total
 
 
 @functools.lru_cache(maxsize=64)
@@ -145,8 +137,9 @@ def _times_difference(terms: dict, i: int, j: int) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-def gram_matrix(m: int, p: BesselParams) -> list[list[ReducedValue]]:
-    """Gram matrix of {Y_lambda : |lambda| <= m} under the reduced inner product.
+def gram_matrix(m: int, p: BesselParams) -> list[list[Fraction]]:
+    """Gram matrix of {Y_lambda : |lambda| <= m} under the inner product,
+    each entry divided by the fixed scale 2^{(a-1)n} Gamma(1-a)^n.
 
     Basis ordered by graded lexicographic partition order.  Diagonal, with
     diagonal entries given by the closed norm formula; this function computes
@@ -163,30 +156,23 @@ def gram_matrix(m: int, p: BesselParams) -> list[list[ReducedValue]]:
     parts = partitions_up_to(m, p.n)
     basis = [bessel_expand(lam, p).to_sym() for lam in parts]
     W = {
-        nu: [inner_product(SymPoly(p.n, {nu: 1}), g, p).value for g in basis]
+        nu: [inner_product(SymPoly(p.n, {nu: 1}), g, p) for g in basis]
         for nu in parts
     }
     return [
         [
-            ReducedValue(sum((c * W[nu][j] for nu, c in f.coeffs.items()), Fraction(0)))
+            sum((c * W[nu][j] for nu, c in f.coeffs.items()), Fraction(0))
             for j in range(len(basis))
         ]
         for f in basis
     ]
 
 
-def gram_to_json(rows: list[list[ReducedValue]]) -> dict:
-    return {
-        "scale": ReducedValue.SCALE,
-        "entries": [[rat_str(v.value) for v in row] for row in rows],
-    }
-
-
 def symmetry_check(d: int, f: SymPoly, g: SymPoly, p: BesselParams) -> bool:
     """Whether the order-d eigenoperator is symmetric on the pair (f, g)."""
     lhs = inner_product(apply_higher(d, f, p), g, p)
     rhs = inner_product(f, apply_higher(d, g, p), p)
-    return lhs.value == rhs.value
+    return lhs == rhs
 
 
 @dataclass
@@ -217,7 +203,7 @@ def moments2_table(maxdeg: int, a: Fraction, kappa: Fraction) -> MomentTable2:
     I[D-2, 1]).  A vanishing leading coefficient raises DegenerateRecurrence.
     Every instance of the first recurrence inside the table is re-validated.
     """
-    a, kappa = rat(a), rat(kappa)
+    a, kappa = Fraction(a), Fraction(kappa)
     I: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
     for D in range(1, maxdeg + 1):
         for m in range(1, D // 2 + 1):

@@ -326,6 +326,8 @@ def pieri_expand(r: int, lam: Partition, p: BesselParams) -> dict[Partition, Fra
     n = p.n
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    if lam.length() > n:
+        raise ValueError(f"{lam!r} has more than {n} parts")
     rho = rho_vector(p)
     # rho_i(t) = (kappa+t)(n-i) + (a+t-1)/2, so the slope at index i is n-i+1/2
     z = tuple(
@@ -384,6 +386,8 @@ def norm_ratio_product(lam: Partition, p: BesselParams) -> Fraction:
     """N_lambda / N_(0) assembled from the explicit rising/falling factorial
     products (the second, independently evaluated route)."""
     a, kappa, n = p.a, p.kappa, p.n
+    if lam.length() > n:
+        raise ValueError(f"{lam!r} has more than {n} parts")
     val = Fraction(4) ** lam.weight()
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

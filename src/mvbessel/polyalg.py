@@ -24,11 +24,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rat(x) -> Fraction:
-    """Coerce ints/strings like '3/4' to an exact Fraction."""
-    return Fraction(x)
-
-
 def rat_str(x: Fraction) -> str:
     """Serialize a rational as 'p/q', or 'p' when the denominator is 1."""
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

@@ -9,7 +9,7 @@ from mvbessel.bessel import (
     bessel_expand,
     rectangular_2F0,
     rho_vector,
-    sufficient_nondegeneracy,
+    square_integrability_bound,
 )
 from mvbessel.errors import DegenerateEigenvalue
 from mvbessel.partitions import Partition, partitions_up_to
@@ -31,7 +31,7 @@ def test_eigenvalue_and_nondegeneracy():
     p = BesselParams(Fraction(-20), Fraction(1), 2)
     # d_(1) = 2 kappa (n-1) = 2, plus a|lambda| = -20
     assert bessel_eigenvalue(Partition((1,)), p) == -18
-    assert sufficient_nondegeneracy(Partition((2, 1)), p)
+    assert p.a < square_integrability_bound(Partition((2, 1)).weight(), p)
     assert bessel_expand(Partition((2, 1)), p).coeff(Partition((2, 1))) == 1
     bad = BesselParams(Fraction(-2), Fraction(1), 2)
     with pytest.raises(DegenerateEigenvalue):  # e_(1) = 0 = e_()

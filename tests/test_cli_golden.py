@@ -3,11 +3,12 @@
 Each digest pins the exact JSON a subcommand prints, so a change to how the
 expansions are computed must leave every one of them unchanged.  The grid
 covers each subcommand and verify suite, the removable 0/0 Pieri path at
-kappa = 1 (including n = 3, where paired factors cancel), three
-degenerate runs that exit 2 with empty stdout, and a Gram run refused by the
-square-integrability bound (exit 1, empty stdout).  The Pieri runs at
-n = 4 and at a generic kappa, and the Jacobi run at n = 4, degree 5, also
-pin their check counts.
+kappa = 1 (including n = 3, where paired factors cancel), five
+degenerate runs that exit 2 with empty stdout (two of them Jacobi runs whose
+solve succeeds but whose constant term hits a pole of w or of v), and a Gram
+run refused by the square-integrability bound (exit 1, empty stdout).  The
+Pieri runs at n = 4 and at a generic kappa, the Jacobi run at n = 4,
+degree 5, and the Gram run at kappa = 2 also pin their check counts.
 """
 
 import hashlib
@@ -54,6 +55,16 @@ GOLDEN = [
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     (
+        "verify jacobi --n=1 --k1=-4 --k2=2 --k3=1 --max-degree=2",
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        "verify jacobi --n=2 --k1=-3/2 --k2=3/2 --k3=-3/2 --max-degree=3",
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
         "verify pieri --n=2 --a=-20 --kappa=1 --max-degree=2",
         0,
         "7fc404004a0ec377fb4b6e732bcd5d3fd2cb56c3ec6cfa0d666a6a149a7ea3ce",
@@ -87,6 +98,11 @@ GOLDEN = [
         "verify gram --n=4 --a=-31/2 --kappa=1 --max-degree=3",
         0,
         "0679257c18e1a679676b1e6dab86142ca27f604e7ad9cd331905fbedc27614cd",
+    ),
+    (
+        "verify gram --n=3 --a=-20 --kappa=2 --max-degree=3",
+        0,
+        "c1f57f0f26d1bccb101a3110c52b1c860fb3625473b982f22ebba0c2549ff0b2",
     ),
     (
         "verify gram --n=3 --a=-10 --kappa=2 --max-degree=3",
@@ -127,6 +143,7 @@ CHECK_COUNTS = {
     "verify pieri --n=4 --max-degree=3 --kappa=1 --a=-27/2": 28,
     "verify pieri --n=3 --max-degree=3 --kappa=4/3 --a=-33/2": 21,
     "verify jacobi --n=4 --max-degree=5 --k1=1 --k2=1/2 --k3=3/2": 36,
+    "verify gram --n=3 --a=-20 --kappa=2 --max-degree=3": 28,
 }
 
 

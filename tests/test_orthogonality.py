@@ -9,11 +9,9 @@ from mvbessel.operators import apply_higher
 from mvbessel.orthogonality import (
     _weighted_product,
     MomentTable2,
-    ReducedValue,
     check_L2_condition,
     functional_apply,
     gram_matrix,
-    gram_to_json,
     inner_product,
     moment_1d,
     moments2_table,
@@ -49,12 +47,12 @@ def test_inner_product_anchors():
     a = Fraction(-20)
     p1 = BesselParams(a, Fraction(1), 1)
     one1 = SymPoly.constant(1, 1)
-    assert inner_product(one1, one1, p1).value == 1
+    assert inner_product(one1, one1, p1) == 1
     y1 = bessel_expand(Partition((1,)), p1).to_sym()
-    assert inner_product(y1, y1, p1).value == -4 / (a * a * (a + 1))
+    assert inner_product(y1, y1, p1) == -4 / (a * a * (a + 1))
     p2 = BesselParams(a, Fraction(1), 2)
     one2 = SymPoly.constant(2, 1)
-    assert inner_product(one2, one2, p2).value == -8 / (a * a * (a + 1))
+    assert inner_product(one2, one2, p2) == -8 / (a * a * (a + 1))
 
 
 def test_inner_product_rejects_fractional_kappa():
@@ -94,15 +92,15 @@ def test_inner_product_zero_argument_and_mismatch():
     p = BesselParams(Fraction(0), Fraction(1), 2)
     one = SymPoly.constant(2, 1)
     # at a = 0 the weight Delta^2 alone diverges, but a zero factor leaves nothing to integrate
-    assert inner_product(SymPoly.zero(2), one, p).value == 0
-    assert inner_product(one, SymPoly.zero(2), p).value == 0
+    assert inner_product(SymPoly.zero(2), one, p) == 0
+    assert inner_product(one, SymPoly.zero(2), p) == 0
     with pytest.raises(ConvergenceError):
         inner_product(one, one, p)
     with pytest.raises(ValueError):
         inner_product(SymPoly.constant(3, 1), SymPoly.constant(3, 1), p)
 
 
-def _monomial_sum_oracle(f: SymPoly, g: SymPoly, p: BesselParams) -> ReducedValue:
+def _monomial_sum_oracle(f: SymPoly, g: SymPoly, p: BesselParams) -> Fraction:
     """The reduced inner product by brute force: expand f*g*prod(x_i-x_j)^{2 kappa}
     into monomials and integrate termwise; any divergent term aborts."""
     if p.kappa.denominator != 1 or p.kappa < 0:
@@ -125,7 +123,7 @@ def _monomial_sum_oracle(f: SymPoly, g: SymPoly, p: BesselParams) -> ReducedValu
         for e in exps:
             term *= factors[e]
         total += term
-    return ReducedValue(total)
+    return total
 
 
 def _value_or_divergent(fn, *args):
@@ -192,16 +190,9 @@ def test_gram_diagonal_and_norms():
                 for i, lam in enumerate(basis):
                     for j in range(len(basis)):
                         if i != j:
-                            assert rows[i][j].value == 0, (lam, basis[j])
+                            assert rows[i][j] == 0, (lam, basis[j])
                     want = norm_full_reduced(lam, p)
-                    assert rows[i][i].value == want and want > 0
-
-
-def test_gram_json_shape():
-    p = BesselParams(Fraction(-20), Fraction(1), 1)
-    doc = gram_to_json(gram_matrix(1, p))
-    assert doc["scale"] == ReducedValue.SCALE
-    assert doc["entries"][1][1] == "1/1900"
+                    assert rows[i][i] == want and want > 0
 
 
 def test_gram_inadmissible_raises():
@@ -236,10 +227,10 @@ def test_functional_matches_measure():
     p = BesselParams(a, kappa, 2)
     t = moments2_table(8, a, kappa)
     one = SymPoly.constant(2, 1)
-    denom = inner_product(one, one, p).value
+    denom = inner_product(one, one, p)
     for lam in partitions_up_to(4, 2):
         f = SymPoly(2, {lam: Fraction(1)})
-        assert functional_apply(f, t) == inner_product(f, one, p).value / denom, lam
+        assert functional_apply(f, t) == inner_product(f, one, p) / denom, lam
 
 
 def test_functional_orthogonality():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mvbessel import pieri_norms
 from mvbessel.bessel import BesselParams, bessel_expand
 from mvbessel.errors import PoleError
+from mvbessel.jacobi_bc import JacobiParams, jacobi_constant_term
 from mvbessel.orthogonality import inner_product
 from mvbessel.partitions import Partition, partitions_up_to
 from mvbessel.pieri_norms import (
@@ -177,6 +178,23 @@ def test_norm_ratio_two_routes():
             assert norm_ratio(lam, p) == norm_ratio_product(lam, p), lam
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: norm_ratio(Partition((2, 1)), BesselParams(Fraction(-20), Fraction(1), 1)),
+        lambda: norm_ratio_product(Partition((2, 1)), BesselParams(Fraction(-20), Fraction(1), 1)),
+        lambda: pieri_expand(1, Partition((2, 1)), BesselParams(Fraction(-20), Fraction(1), 1)),
+        lambda: jacobi_constant_term(Partition((1, 1)), JacobiParams(1, 1, 1, 1)),
+    ],
+    ids=["norm_ratio", "norm_ratio_product", "pieri_expand", "jacobi_constant_term"],
+)
+def test_partition_with_more_than_n_parts_is_refused(evaluate):
+    # norm_ratio, through delta_ratio, is the control; the others once cut
+    # such a partition short to its first n parts and returned a value
+    with pytest.raises(ValueError, match="has more than 1 parts"):
+        evaluate()
+
+
 def test_norm_anchors():
     p1 = BesselParams(Fraction(-20), Fraction(1), 1)
     assert norm_full_reduced(Partition((1,)), p1) == Fraction(1, 1900)
@@ -202,4 +220,4 @@ def test_reduced_norm_of_one_matches_the_moment_route():
         one = SymPoly(n, {Partition(()): 1})
         for kappa in range(4):
             p = BesselParams(Fraction(-40), Fraction(kappa), n)
-            assert norm_n0_reduced(p) == inner_product(one, one, p).value, (n, kappa)
+            assert norm_n0_reduced(p) == inner_product(one, one, p), (n, kappa)

@@ -15,14 +15,11 @@ from mvbessel.polyalg import (
     elementary,
     monomial_symmetric,
     power_sum,
-    rat,
     rat_str,
 )
 
 
 def test_rat_parsing():
-    assert rat("3/4") == Fraction(3, 4)
-    assert rat(5) == Fraction(5)
     assert rat_str(Fraction(-7, 2)) == "-7/2"
     assert rat_str(Fraction(3)) == "3"
 

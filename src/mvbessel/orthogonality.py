@@ -8,12 +8,13 @@ symmetric polynomials is a finite sum of products of one-dimensional
 reduced moments and stays exactly rational.  This gives an independent
 oracle for orthogonality and for the closed norm formulas.
 
-Both the moment functional and H = g * prod (x_i - x_j)^{2 kappa} are
-symmetric, so an inner product pairs the m-basis coefficients of f with
-H, one sum per partition.  H is built once per g, with integer
-coefficients over one denominator, and the moments are put over their
-common denominator, so each sum runs over integers.  Gram matrices follow
-by linearity from the pairings <m_nu, Y_mu>.
+The moment functional L(x^alpha) = prod_i mom(alpha_i) and Delta^{2 kappa}
+are both symmetric, so T(delta) = L(x^delta Delta^{2 kappa}) depends only
+on the sorted delta, and the monomial pairing <m_nu, m_mu> is a short sum
+of T values.  Inner products and Gram entries are bilinear sums of that
+pairing.  Each T sums integers over the moments' common denominator.
+Delta^{2 kappa}, T and the pairing are cached under immutable keys, so
+Delta^{2 kappa} is built once per (n, 2 kappa).
 
 For n = 2 the same structure is packaged as a linear functional on the
 polynomial ring in the elementary symmetric polynomials e1, e2, with its
@@ -60,21 +61,13 @@ def moment_1d(p: int, a: Fraction) -> Fraction:
 
 def inner_product(f: SymPoly, g: SymPoly, p: BesselParams) -> Fraction:
     """The inner product of f and g divided by the fixed scale
-    2^{(a-1)n} Gamma(1-a)^n, paired by partition.
-
-    L(x^alpha) = prod_i mom(alpha_i) is symmetric and so is
-    H = g * prod_{i<j}(x_i - x_j)^{2 kappa}, so every monomial of the orbit
-    of nu pairs with H alike:
-
-        <f, g> = sum_nu f_nu |S_n nu| sum_beta H_beta prod_i mom(nu_i + beta_i).
-
-    H comes from a cache as integers over one denominator, and the moments
-    are put over their common denominator, so each inner sum is an integer.
+    2^{(a-1)n} Gamma(1-a)^n, as sum_{nu, mu} f_nu g_mu <m_nu, m_mu>.
 
     Requires kappa to be a non-negative integer.  The x_1-degree adds over
-    products, so the largest exponent in f*H is D = max nu_1(f) +
-    max nu_1(g) + 2 kappa (n - 1); when x^D has no moment the whole
-    computation raises ConvergenceError before any sum is taken.
+    products, so the largest exponent in f*g*Delta^{2 kappa} is D = max nu_1(f)
+    + max nu_1(g) + 2 kappa (n - 1); when x^D has no moment the whole
+    computation raises ConvergenceError, naming the first exponent without
+    one, before any sum is taken.
     """
     if p.kappa.denominator != 1 or p.kappa < 0:
         raise ValueError("moment oracle needs kappa a non-negative integer")
@@ -85,45 +78,64 @@ def inner_product(f: SymPoly, g: SymPoly, p: BesselParams) -> Fraction:
     two_kappa = 2 * int(p.kappa)
     top = max(lam.part(1) for lam in f.coeffs) + max(lam.part(1) for lam in g.coeffs)
     top += two_kappa * (p.n - 1)
-    # raises ConvergenceError, before H is built, when x^top has no moment
-    moms = [moment_1d(k, p.a) for k in range(top + 1)]
-    den, terms = _weighted_product(p.n, two_kappa, tuple(g.sorted_coeffs()))
+    first_divergent = max(0, math.ceil(1 - p.a))  # x^k has a moment iff k < 1 - a
+    if top >= first_divergent:
+        moment_1d(first_divergent, p.a)  # raises ConvergenceError
+    return sum(
+        c * d * _monomial_pairing(nu, mu, p.n, p.a, two_kappa)
+        for nu, c in f.coeffs.items()
+        for mu, d in g.coeffs.items()
+    )
+
+
+@functools.lru_cache(maxsize=4096)
+def _monomial_pairing(
+    nu: Partition, mu: Partition, n: int, a: Fraction, two_kappa: int
+) -> Fraction:
+    """<m_nu, m_mu> = |S_n nu| sum_{beta in S_n mu} T(sort(nu + beta)).
+
+    Every monomial of the orbit of nu pairs with m_mu alike, because m_mu
+    and the weight are symmetric.
+    """
+    padded = nu.parts + (0,) * (n - nu.length())
+    pair = sum(
+        _weighted_moment(tuple(sorted(map(sum, zip(padded, beta)), reverse=True)), a, two_kappa)
+        for beta in monomial_symmetric(mu, n).terms
+    )
+    return len(monomial_symmetric(nu, n).terms) * pair
+
+
+@functools.lru_cache(maxsize=4096)
+def _weighted_moment(delta: tuple[int, ...], a: Fraction, two_kappa: int) -> Fraction:
+    """T(delta) = L(x^delta * Delta^{two_kappa}) = sum_gamma Delta_gamma
+    prod_i mom(delta_i + gamma_i), with Delta = prod_{i<j} (x_i - x_j).
+
+    Delta^{two_kappa} is symmetric, so T depends only on the sorted delta.
+    The moments are put over their common denominator, so the sum runs over
+    integers.  Every exponent must have a moment.
+    """
+    n = len(delta)
+    moms = [moment_1d(k, a) for k in range(max(delta) + two_kappa * (n - 1) + 1)]
     common = math.lcm(*(m.denominator for m in moms))
     nums = [m.numerator * (common // m.denominator) for m in moms]
-    scale = den * common**p.n
-    total = Fraction(0)
-    for nu, c in f.coeffs.items():
-        shifted = [nums[k:] for k in nu.parts + (0,) * (p.n - nu.length())]
-        pair = 0
-        for exps, h in terms:
-            for row, e in zip(shifted, exps):
-                h *= row[e]
-            pair += h
-        orbit = len(monomial_symmetric(nu, p.n).terms)
-        total += c * Fraction(orbit * pair, scale)
-    return total
+    rows = [nums[d:] for d in delta]
+    total = 0
+    for exps, h in _vandermonde_power(n, two_kappa):
+        for row, e in zip(rows, exps):
+            h *= row[e]
+        total += h
+    return Fraction(total, common**n)
 
 
-@functools.lru_cache(maxsize=64)
-def _weighted_product(
-    n: int, two_kappa: int, g_coeffs: tuple[tuple[Partition, Fraction], ...]
-) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
-    """g * prod_{i<j} (x_i - x_j)^{two_kappa} as (denominator, integer terms).
-
-    g is given by its sorted m-basis coefficients, an immutable snapshot, so
-    the cached value never aliases a caller's polynomial.
-    """
-    den = math.lcm(*(c.denominator for _, c in g_coeffs))
-    terms: dict[tuple[int, ...], int] = {}
-    for lam, c in g_coeffs:
-        k = c.numerator * (den // c.denominator)
-        for exps in monomial_symmetric(lam, n).terms:
-            terms[exps] = k
+@functools.lru_cache(maxsize=8)
+def _vandermonde_power(n: int, two_kappa: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """prod_{i<j} (x_i - x_j)^{two_kappa} as integer terms, variables 0-based."""
+    terms = {(0,) * n: 1}
     for i in range(n):
         for j in range(i + 1, n):
             for _ in range(two_kappa):
                 terms = _times_difference(terms, i, j)
-    return den, tuple(terms.items())
+    return tuple(terms.items())
 
 
 def _times_difference(terms: dict, i: int, j: int) -> dict:
@@ -144,28 +156,13 @@ def gram_matrix(m: int, p: BesselParams) -> list[list[Fraction]]:
     Basis ordered by graded lexicographic partition order.  Diagonal, with
     diagonal entries given by the closed norm formula; this function computes
     the entries from moments and leaves the comparison to callers.
-
-    Built by linearity in the first argument: W[nu][mu] = <m_nu, Y_mu> over
-    the partitions nu up to degree m, then <Y_lambda, Y_mu> =
-    sum_nu U[lambda][nu] W[nu][mu] with U the m-basis coefficients of Y.
     """
     if not check_L2_condition(m, p):
         raise ConvergenceError(
             f"square-integrability fails: need a < {square_integrability_bound(m, p)}"
         )
-    parts = partitions_up_to(m, p.n)
-    basis = [bessel_expand(lam, p).to_sym() for lam in parts]
-    W = {
-        nu: [inner_product(SymPoly(p.n, {nu: 1}), g, p) for g in basis]
-        for nu in parts
-    }
-    return [
-        [
-            sum((c * W[nu][j] for nu, c in f.coeffs.items()), Fraction(0))
-            for j in range(len(basis))
-        ]
-        for f in basis
-    ]
+    basis = [bessel_expand(lam, p).to_sym() for lam in partitions_up_to(m, p.n)]
+    return [[inner_product(f, g, p) for g in basis] for f in basis]
 
 
 def symmetry_check(d: int, f: SymPoly, g: SymPoly, p: BesselParams) -> bool:

@@ -27,6 +27,7 @@ from mvbessel.jack import (
     binomial_cocover_product,
     jack_in_monomials,
     spec_ratio_cocover,
+    sym_to_jack,
 )
 from mvbessel.operators import apply_DB_direct, apply_higher, commutator_check
 from mvbessel.orthogonality import (
@@ -234,10 +235,11 @@ def test_criterion_11_jack_sanity():
         for i, up in co_covers(lam, 5, "up"):
             want = binomial_cocover(lam, i, kappa)
             ok = ok and binomial_cocover_product(lam, i, kappa, corrected=True) == want
+            # E0 = sum_k d/dx_k on the expanded P_up, read back in the Jack basis
             n = max(up.length(), 1)
-            from mvbessel.jack import JackExpansion, apply_basic
-
-            v = JackExpansion(n, kappa, {up: Fraction(1)})
-            forced = apply_basic("E0", v).coeff(lam) / spec_ratio_cocover(lam, i, kappa, n)
+            expanded = jack_in_monomials(up, kappa, n).expand()
+            e0 = sum((expanded.deriv(k) for k in range(1, n + 1)), MultiPoly.zero(n))
+            acted = sym_to_jack(collect_symmetric(e0), kappa)
+            forced = acted.coeff(lam) / spec_ratio_cocover(lam, i, kappa, n)
             ok = ok and forced == want
     report(11, "Jack polynomials reduce to Schur; binomial routes agree", ok)

@@ -8,7 +8,8 @@ degenerate runs that exit 2 with empty stdout (two of them Jacobi runs whose
 solve succeeds but whose constant term hits a pole of w or of v), and a Gram
 run refused by the square-integrability bound (exit 1, empty stdout).  The
 Pieri runs at n = 4 and at a generic kappa, the Jacobi run at n = 4,
-degree 5, and the Gram run at kappa = 2 also pin their check counts.
+degree 5, the Gram run at n = 3, kappa = 2, and the two Gram runs at
+degree 4 also pin their check counts.
 """
 
 import hashlib
@@ -105,6 +106,16 @@ GOLDEN = [
         "c1f57f0f26d1bccb101a3110c52b1c860fb3625473b982f22ebba0c2549ff0b2",
     ),
     (
+        "verify gram --n=5 --max-degree=4 --kappa=1 --a=-30",
+        0,
+        "ee733cd5517c502db7be40802a4947d68572905cf0d428c1c5ab7a93c03710c7",
+    ),
+    (
+        "verify gram --n=4 --max-degree=4 --kappa=2 --a=-40",
+        0,
+        "dca8cf432735d1fe0fd2c86a49767ebd4f9f1b79764e2f1a9cde18f147a9409a",
+    ),
+    (
         "verify gram --n=3 --a=-10 --kappa=2 --max-degree=3",
         1,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -144,6 +155,8 @@ CHECK_COUNTS = {
     "verify pieri --n=3 --max-degree=3 --kappa=4/3 --a=-33/2": 21,
     "verify jacobi --n=4 --max-degree=5 --k1=1 --k2=1/2 --k3=3/2": 36,
     "verify gram --n=3 --a=-20 --kappa=2 --max-degree=3": 28,
+    "verify gram --n=5 --max-degree=4 --kappa=1 --a=-30": 78,
+    "verify gram --n=4 --max-degree=4 --kappa=2 --a=-40": 78,
 }
 
 

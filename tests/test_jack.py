@@ -115,10 +115,12 @@ def test_binomial_three_routes_agree():
         for i, up in co_covers(lam, 5, "up"):
             want = binomial_cocover(lam, i, kappa)
             assert binomial_cocover_product(lam, i, kappa, corrected=True) == want
-            # route three: coefficient forced by the constant-differentiation action
+            # route three: the coefficient of P_lam in E0 P_up, with E0 = sum_k d/dx_k
+            # applied to the expanded Jack polynomial, over the spec ratio
             n = max(up.length(), 1)
-            v = JackExpansion(n, kappa, {up: Fraction(1)})
-            acted = apply_basic("E0", v)
+            expanded = jack_in_monomials(up, kappa, n).expand()
+            e0 = sum((expanded.deriv(k) for k in range(1, n + 1)), MultiPoly.zero(n))
+            acted = sym_to_jack(collect_symmetric(e0), kappa)
             forced = acted.coeff(lam) / spec_ratio_cocover(lam, i, kappa, n)
             assert forced == want, (lam, i)
 

@@ -7,7 +7,9 @@ from mvbessel.bessel import BesselParams, bessel_expand
 from mvbessel.errors import ConvergenceError, DegenerateRecurrence
 from mvbessel.operators import apply_higher
 from mvbessel.orthogonality import (
-    _weighted_product,
+    _monomial_pairing,
+    _vandermonde_power,
+    _weighted_moment,
     MomentTable2,
     check_L2_condition,
     functional_apply,
@@ -61,22 +63,33 @@ def test_inner_product_rejects_fractional_kappa():
         inner_product(SymPoly.constant(1, 1), SymPoly.constant(1, 1), p)
 
 
-def test_inner_product_reuses_an_immutable_weighted_product():
+def test_inner_product_reuses_immutable_cached_pairings():
     p = BesselParams(Fraction(-31), Fraction(2), 3)
     f = bessel_expand(Partition((2, 1)), p).to_sym()
     g = bessel_expand(Partition((1,)), p).to_sym()
     first = inner_product(f, g, p)
-    snapshot = (3, 4, tuple(g.sorted_coeffs()))
-    cached = _weighted_product(*snapshot)
-    hash(cached)  # immutable all the way down: no caller can edit it in place
-    hits = _weighted_product.cache_info().hits
+    hits = _monomial_pairing.cache_info().hits
     assert inner_product(f, g, p) == first
-    assert inner_product(f, f, p) == inner_product(f, f, p)
-    assert _weighted_product(*snapshot) == cached
-    assert _weighted_product.cache_info().hits >= hits + 3
+    assert _monomial_pairing.cache_info().hits >= hits + len(f.coeffs) * len(g.coeffs)
+    keys = {
+        _monomial_pairing: [(nu, mu, 3, p.a, 4) for nu in f.coeffs for mu in g.coeffs],
+        _weighted_moment: [((3, 1, 0), p.a, 4), ((2, 1, 1), p.a, 4), ((0, 0, 0), p.a, 4)],
+        _vandermonde_power: [(3, 4), (3, 0)],
+    }
+    for cache, args in keys.items():
+        cached = [cache(*k) for k in args]
+        hash(tuple(cached))  # immutable all the way down: no caller can edit it in place
+        assert cached == [cache.__wrapped__(*k) for k in args]
+        cache.cache_clear()
+        assert [cache(*k) for k in args] == cached
+    # with the pairings gone, a repeated call rebuilds them from the cached T values
+    hits = _weighted_moment.cache_info().hits
+    _monomial_pairing.cache_clear()
+    assert inner_product(f, g, p) == first
+    assert _weighted_moment.cache_info().hits > hits
 
 
-def test_mutating_an_input_does_not_reach_the_weighted_product_cache():
+def test_mutating_an_input_does_not_reach_the_pairing_caches():
     p = BesselParams(Fraction(-31), Fraction(2), 3)
     f = bessel_expand(Partition((1,)), p).to_sym()
     g = bessel_expand(Partition((1,)), p).to_sym()
@@ -163,6 +176,18 @@ def test_inner_product_matches_the_monomial_sum_oracle(case):
     f, g, p = case
     want = _value_or_divergent(_monomial_sum_oracle, f, g, p)
     assert _value_or_divergent(inner_product, f, g, p) == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(moment_cases(), st.data())
+def test_weighted_moment_and_inner_product_are_symmetric(case, data):
+    f, g, p = case
+    two_kappa = 2 * int(p.kappa)
+    delta = data.draw(st.lists(st.integers(0, 4), min_size=p.n, max_size=p.n))
+    shuffled = data.draw(st.permutations(delta))
+    want = _value_or_divergent(_weighted_moment, tuple(sorted(delta, reverse=True)), p.a, two_kappa)
+    assert _value_or_divergent(_weighted_moment.__wrapped__, tuple(shuffled), p.a, two_kappa) == want
+    assert _value_or_divergent(inner_product, f, g, p) == _value_or_divergent(inner_product, g, f, p)
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)

@@ -199,7 +199,7 @@ def _suite_moments2(args, checks) -> None:
     p = _bessel_params(args)
     a, kappa = p.a, p.kappa
     m = args.max_degree
-    table = orthogonality.moments2_table(2 * m, a, kappa)
+    table = orthogonality.moments2_table(max(2 * m, 2), a, kappa)
     checks.append(
         (
             "moments2 I[1,0]",

@@ -1,63 +1,82 @@
 """Direct differential-operator kernels on expanded polynomials.
 
-An interaction term sum_{i != j} w(x_i)/(x_i - x_j) d/dx_i, with w(x) = x^k
-(Sutherland) or t(t - 1) (BC Jacobi), is evaluated pairwise: for symmetric
-input the combination w(x_i) df/dx_i - w(x_j) df/dx_j is antisymmetric
-under i <-> j and therefore exactly divisible by x_i - x_j, so no fractions
-ever appear.
+An operator is a list of groups (scale, terms); each term is ("d2", k, w)
+for w sum_i x_i^k d^2/dx_i^2, ("d1", k, w) for w sum_i x_i^k d/dx_i or
+("pair", k, w) for w sum_{i != j} x_i^k/(x_i - x_j) d/dx_i, w an integer.
+One pass over f's terms, in integers over their common denominator, fills
+one integer map per group; each output term is then one Fraction.  For f
+symmetric in (x_i, x_j), c x^alpha and its swapped partner give the pair
+term c alpha_i Q(alpha_i + k - 1, alpha_j) times the other variables, with
+Q(p, q) = (x_i^p x_j^q - x_i^q x_j^p)/(x_i - x_j) written down as its
+geometric sum; a partner with another coefficient raises NotSymmetric.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .errors import NotDivisible, NotSymmetric
-from .polyalg import MultiPoly, SymPoly, collect_symmetric, divide_exact
+from .errors import NotSymmetric
+from .polyalg import MultiPoly, SymPoly, collect_symmetric
 
 
-def _pairwise_quotients(f: MultiPoly, weights: list[MultiPoly]) -> MultiPoly:
-    """sum_{i < j} (w_i df/dx_i - w_j df/dx_j)/(x_i - x_j) for symmetric f,
-    with w_i = weights[i - 1]; raises NotSymmetric when a division fails."""
+def _apply(f: MultiPoly, groups: list[tuple[Fraction, list[tuple[str, int, int]]]]) -> MultiPoly:
+    """sum over groups (scale, terms) of scale * (the terms applied to f)."""
     n = f.n
-    g = [f.deriv(i) * w for i, w in enumerate(weights, 1)]
-    out = MultiPoly.zero(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            xi_minus_xj = MultiPoly.variable(n, i) - MultiPoly.variable(n, j)
-            try:
-                q = divide_exact(g[i - 1] - g[j - 1], xi_minus_xj)
-            except NotDivisible as exc:
-                raise NotSymmetric("pairwise division failed; input is not symmetric") from exc
-            out = out + q
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}
+    accs: list[dict] = [{} for _ in groups]
+    flat = [(kind, k, w, acc) for (_, terms), acc in zip(groups, accs) for kind, k, w in terms]
+    singles = [(kind == "d2", k, w, acc) for kind, k, w, acc in flat if kind != "pair"]
+    pairs = [(k - 1, w, acc) for kind, k, w, acc in flat if kind == "pair"]
+    for e, c in ints.items():
+        x = list(e)
+        for i, ai in enumerate(e):
+            for second, k, w, acc in singles:
+                if ai > second:
+                    x[i] = ai - 1 - second + k
+                    key = tuple(x)
+                    acc[key] = acc.get(key, 0) + w * c * ai * (ai - 1 if second else 1)
+            x[i] = ai
+            for j in range(i + 1, n):
+                aj = e[j]
+                if ai != aj and ints.get(e[:i] + (aj,) + e[i + 1 : j] + (ai,) + e[j + 1 :]) != c:
+                    raise NotSymmetric(f"f is not symmetric in x_{i + 1}, x_{j + 1}")
+                if not ai:
+                    continue
+                for shift, w, acc in pairs:
+                    p = ai + shift
+                    lo, hi, v = (aj, p, w * c * ai) if p > aj else (p, aj, -w * c * ai)
+                    for t in range(lo, hi):
+                        x[i], x[j] = t, p + aj - 1 - t
+                        key = tuple(x)
+                        acc[key] = acc.get(key, 0) + v
+                x[i], x[j] = ai, aj
+    scales = [Fraction(s) for s, _ in groups]
+    q = math.lcm(*(s.denominator for s in scales))
+    nums = [s.numerator * (q // s.denominator) for s in scales]
+    out = MultiPoly(n)
+    for key in {key for acc in accs for key in acc}:
+        total = sum(m * acc.get(key, 0) for m, acc in zip(nums, accs))
+        if total:
+            out.terms[key] = Fraction(total, q * den)
     return out
-
-
-def _powers(n: int, k: int) -> list[MultiPoly]:
-    """x_1^k, ..., x_n^k."""
-    return [MultiPoly.monomial(n, [k if m == i else 0 for m in range(n)]) for i in range(n)]
 
 
 def pairwise_interaction(f: MultiPoly, k: int, kappa: Fraction) -> MultiPoly:
     """2*kappa * sum_{i != j} x_i^k/(x_i - x_j) df/dx_i for symmetric f."""
-    return _pairwise_quotients(f, _powers(f.n, k)).scale(2 * Fraction(kappa))
+    return _apply(f, [(2 * Fraction(kappa), [("pair", k, 1)])])
 
 
 def sutherland_op(f: MultiPoly, k: int, kappa: Fraction) -> MultiPoly:
     """sum_i x_i^k d^2/dx_i^2 + 2*kappa*sum_{i != j} x_i^k/(x_i-x_j) d/dx_i."""
-    out = MultiPoly.zero(f.n)
-    for i, w in enumerate(_powers(f.n, k), 1):
-        out = out + f.deriv(i).deriv(i) * w
-    return out + pairwise_interaction(f, k, kappa)
+    return _apply(f, [(1, [("d2", k, 1)]), (2 * Fraction(kappa), [("pair", k, 1)])])
 
 
 def bessel_op(f: MultiPoly, a: Fraction, kappa: Fraction) -> MultiPoly:
     """x_i^2 second-order Sutherland operator plus the (a x_i + 2) drift."""
-    n = f.n
-    out = sutherland_op(f, 2, kappa)
-    for i in range(1, n + 1):
-        g = f.deriv(i)
-        out = out + g * MultiPoly.variable(n, i) * Fraction(a) + g.scale(2)
-    return out
+    one, drift, pair = [("d2", 2, 1), ("d1", 0, 2)], [("d1", 1, 1)], [("pair", 2, 1)]
+    return _apply(f, [(1, one), (a, drift), (2 * Fraction(kappa), pair)])
 
 
 def apply_sutherland_sym(f: SymPoly, k: int, kappa: Fraction) -> SymPoly:
@@ -74,12 +93,7 @@ def jacobi_bc_op(f: MultiPoly, k1: Fraction, k2: Fraction, k3: Fraction) -> Mult
     sum t_i(t_i-1) d^2/dt_i^2 - sum (k1+k2+1/2 - (k1+2k2+1) t_i) d/dt_i
     + 2*k3 * sum_{i != j} t_i(t_i-1)/(t_i-t_j) d/dt_i.
     """
-    n = f.n
-    k1, k2, k3 = Fraction(k1), Fraction(k2), Fraction(k3)
-    ts = [MultiPoly.variable(n, i) for i in range(1, n + 1)]
-    weights = [t * t - t for t in ts]
-    out = MultiPoly.zero(n)
-    for i, (t, w) in enumerate(zip(ts, weights), 1):
-        out = out + f.deriv(i).deriv(i) * w
-        out = out + f.deriv(i) * (t * (k1 + 2 * k2 + 1) - MultiPoly.constant(n, k1 + k2 + Fraction(1, 2)))
-    return out + _pairwise_quotients(f, weights).scale(2 * k3)
+    free = [("d2", 2, 2), ("d2", 1, -2), ("d1", 1, 2), ("d1", 0, -1)]  # twice the k-free part
+    drift1, drift2 = [("d1", 1, 1), ("d1", 0, -1)], [("d1", 1, 2), ("d1", 0, -1)]
+    pair = [("pair", 2, 1), ("pair", 1, -1)]
+    return _apply(f, [(Fraction(1, 2), free), (k1, drift1), (k2, drift2), (2 * Fraction(k3), pair)])

@@ -8,8 +8,9 @@ degenerate runs that exit 2 with empty stdout (two of them Jacobi runs whose
 solve succeeds but whose constant term hits a pole of w or of v), and a Gram
 run refused by the square-integrability bound (exit 1, empty stdout).  The
 Pieri runs at n = 4 and at a generic kappa, the Jacobi run at n = 4,
-degree 5, the Gram run at n = 3, kappa = 2, and the two Gram runs at
-degree 4 also pin their check counts.
+degree 5, the Gram run at n = 3, kappa = 2, the two Gram runs at degree 4,
+the eigen run at n = 5, degree 6, and the moments2 run at degree 0 also pin
+their check counts.
 """
 
 import hashlib
@@ -39,6 +40,16 @@ GOLDEN = [
         "verify eigen --n=3 --a=-31/2 --kappa=5/3 --max-degree=3",
         0,
         "fb2a4b310fb13b736699ffe9738b133444f4ac3cf40ddf3aabe5583c39c89aa8",
+    ),
+    (
+        "verify eigen --n=5 --max-degree=6 --kappa=5/3 --a=-20",
+        0,
+        "e2015cfebcdcf90e4242125e608dc4c485b580bc0c985709db4020ce9fe94d48",
+    ),
+    (
+        "bessel --n=5 --lambda=2,2,1 --renormalize --a=-20 --kappa=3/2",
+        0,
+        "1b5131499eb29cec5b6424fbef7e22a52119b27b956e98ece63756dc3e950866",
     ),
     (
         "verify jacobi --n=3 --k1=1/3 --k2=5/7 --k3=3/2 --max-degree=3",
@@ -151,10 +162,12 @@ def test_cli_output_is_pinned(argv, code, digest, capsys):
 
 
 CHECK_COUNTS = {
+    "verify eigen --n=5 --max-degree=6 --kappa=5/3 --a=-20": 29,
     "verify pieri --n=4 --max-degree=3 --kappa=1 --a=-27/2": 28,
     "verify pieri --n=3 --max-degree=3 --kappa=4/3 --a=-33/2": 21,
     "verify jacobi --n=4 --max-degree=5 --k1=1 --k2=1/2 --k3=3/2": 36,
     "verify gram --n=3 --a=-20 --kappa=2 --max-degree=3": 28,
+    "verify moments2 --max-degree=0": 2,
     "verify gram --n=5 --max-degree=4 --kappa=1 --a=-30": 78,
     "verify gram --n=4 --max-degree=4 --kappa=2 --a=-40": 78,
 }

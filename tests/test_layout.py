@@ -4,7 +4,9 @@ Every module imports at top level only: an import inside a function hides
 a dependency from the module header and is how an import cycle between two
 modules gets papered over.  Every cache is bounded: each use of
 functools.lru_cache names an explicit, finite maxsize, and the unbounded
-functools.cache is not used.
+functools.cache is not used.  The direct differential operators in diffops
+are the oracle that the Jack, operators and bessel routes are checked
+against, so diffops imports from no package module but errors and polyalg.
 """
 
 import ast
@@ -24,6 +26,18 @@ def test_no_import_inside_a_function():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not nested, nested
+
+
+def test_diffops_imports_only_errors_and_polyalg():
+    path = next(p for p in SOURCES if p.name == "diffops.py")
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            used |= {node.module} if node.module else {x.name for x in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [x.name for x in node.names]
+            used |= {name for name in names if name.split(".")[0] == "mvbessel"}
+    assert used == {"errors", "polyalg"}, used
 
 
 def _finite_maxsize(call: ast.Call) -> bool:

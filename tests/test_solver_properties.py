@@ -1,5 +1,6 @@
 """Randomised cross-checks of the shared triangular solver, the peel, the
-commuting tower (against its two-branch recursion), the Pieri expansion,
+commuting tower (against its two-branch recursion), the direct differential
+operators (against MultiPoly products and exact division), the Pieri expansion,
 the two norm routes, the binomial coefficient routes and the Jacobi
 constant term.
 
@@ -15,7 +16,7 @@ from hypothesis import given, reject, settings, strategies as st
 
 from mvbessel import diffops
 from mvbessel.bessel import BesselParams, bessel_coeff_tableau, bessel_expand
-from mvbessel.errors import DegenerateEigenvalue, NotSymmetric, PoleError
+from mvbessel.errors import DegenerateEigenvalue, NotDivisible, NotSymmetric, PoleError
 from mvbessel.jack import (
     binomial_cocover,
     binomial_cocover_product,
@@ -37,7 +38,7 @@ from mvbessel.pieri_norms import (
     norm_ratio_product,
     pieri_verify,
 )
-from mvbessel.polyalg import FactoredFraction, MultiPoly, SymPoly, collect_symmetric
+from mvbessel.polyalg import FactoredFraction, MultiPoly, SymPoly, collect_symmetric, divide_exact
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 kappas = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -186,6 +187,76 @@ def _two_branch_recursion(d, f, p):
 def test_plus_branch_recursion_matches_the_two_branch_oracle(d, f, a, kappa):
     p = BesselParams(a, kappa, f.n)
     assert _higher_recursion(d, f, p) == _two_branch_recursion(d, f, p)
+
+
+def _pairwise_quotients(f, weights):
+    """sum_{i < j} (w_i df/dx_i - w_j df/dx_j)/(x_i - x_j), each quotient by
+    exact division, with w_i = weights[i - 1]."""
+    n = f.n
+    g = [f.deriv(i) * w for i, w in enumerate(weights, 1)]
+    out = MultiPoly.zero(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            xi_minus_xj = MultiPoly.variable(n, i) - MultiPoly.variable(n, j)
+            try:
+                out = out + divide_exact(g[i - 1] - g[j - 1], xi_minus_xj)
+            except NotDivisible as exc:
+                raise NotSymmetric("pairwise division failed") from exc
+    return out
+
+
+def _powers(n, k):
+    return [MultiPoly.monomial(n, [k if m == i else 0 for m in range(n)]) for i in range(n)]
+
+
+def _pairwise_oracle(f, k, kappa):
+    return _pairwise_quotients(f, _powers(f.n, k)).scale(2 * kappa)
+
+
+def _sutherland_oracle(f, k, kappa):
+    out = _pairwise_oracle(f, k, kappa)
+    for i, w in enumerate(_powers(f.n, k), 1):
+        out = out + f.deriv(i).deriv(i) * w
+    return out
+
+
+def _bessel_oracle(f, a, kappa):
+    out = _sutherland_oracle(f, 2, kappa)
+    for i in range(1, f.n + 1):
+        g = f.deriv(i)
+        out = out + g * MultiPoly.variable(f.n, i) * a + g.scale(2)
+    return out
+
+
+def _jacobi_bc_oracle(f, k1, k2, k3):
+    n = f.n
+    ts = [MultiPoly.variable(n, i) for i in range(1, n + 1)]
+    weights = [t * t - t for t in ts]
+    out = _pairwise_quotients(f, weights).scale(2 * k3)
+    for i, (t, w) in enumerate(zip(ts, weights), 1):
+        out = out + f.deriv(i).deriv(i) * w
+        out = out + f.deriv(i) * (t * (k1 + 2 * k2 + 1) - MultiPoly.constant(n, k1 + k2 + Fraction(1, 2)))
+    return out
+
+
+@st.composite
+def expanded_sym_polys(draw):
+    n = draw(st.integers(1, 4))
+    support = draw(st.lists(st.sampled_from(partitions_up_to(4, n)), max_size=5, unique=True))
+    return SymPoly(n, {mu: draw(rationals) for mu in support}).expand()
+
+
+with_zero = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(expanded_sym_polys(), with_zero, with_zero, with_zero, with_zero)
+def test_direct_operators_match_the_division_oracle(f, a, kappa, k1, k2):
+    for k in (0, 1, 2):
+        assert diffops.pairwise_interaction(f, k, kappa) == _pairwise_oracle(f, k, kappa)
+        assert diffops.sutherland_op(f, k, kappa) == _sutherland_oracle(f, k, kappa)
+    assert diffops.bessel_op(f, a, kappa) == _bessel_oracle(f, a, kappa)
+    assert diffops.jacobi_bc_op(f, k1, k2, kappa) == _jacobi_bc_oracle(f, k1, k2, kappa)
 
 
 def _pole_or_value(fn, *args):

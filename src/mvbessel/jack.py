@@ -3,10 +3,12 @@
 P_lambda is computed from its definition: the monic, dominance-triangular
 eigenfunction of the degree-preserving Sutherland operator, obtained by a
 triangular linear solve over the dominance class of lambda.  Hook products,
-principal specializations and co-cover data come from explicit products;
-the product formulas from the literature are kept as cross-checkable
-secondary routes (see *_product functions) because their printed index
-ranges disagree with the values forced by the operator actions.
+principal specializations and co-cover data come from explicit products.
+The closed product formulas from the literature are lists of affine factors
+in kappa, taken by polyalg.limit_at_zero at a point (the *_product functions,
+whose printed index ranges the ledger compares) or along kappa + t
+(principal_spec and the lowering weight, so kappa = 0 is covered); the
+hook quotients stay the independent, authoritative route.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import DegenerateEigenvalue, PoleError
 from .partitions import Partition, dominance_leq, partitions_of, partitions_up_to
-from .polyalg import ONE, ZERO, PartitionVector, SymPoly, accumulate
+from .polyalg import ONE, ZERO, Affine, PartitionVector, SymPoly, accumulate, join, limit_at_zero
 
 def eigenvalue_d(lam: Partition, kappa: Fraction, n: int) -> Fraction:
     """sum_i lam_i (lam_i - 1 + 2 kappa (n - i))."""
@@ -160,23 +162,18 @@ def hook_products(lam: Partition, kappa: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def principal_spec(lam: Partition, kappa: Fraction, n: int) -> Fraction:
-    """P_lambda(1,...,1) via the hook-quotient product formula."""
-    kappa = Fraction(kappa)
+    """P_lambda(1,...,1) via the hook-quotient product formula, each cell
+    factor scaled by kappa: the product over cells of
+    (kappa(n-i+1) + j-1) / (kappa(lam'_j-i+1) + lam_i-j), taken along
+    kappa + t, so kappa = 0 gives m_lambda(1^n) = n!/((n-l)! prod_i m_i!)."""
     if lam.length() > n:
         return ZERO
-    if kappa == 0:
-        raise PoleError("principal specialization needs kappa != 0")
-    alpha = 1 / kappa
+    line = Affine(Fraction(kappa), ONE)
     conj = lam.conjugate()
-    val = ONE
-    for i in range(1, lam.length() + 1):
-        for j in range(1, lam.part(i) + 1):
-            num = n - (i - 1) + alpha * (j - 1)
-            den = conj.part(j) - i + 1 + alpha * (lam.part(i) - j)
-            if den == 0:
-                raise PoleError(f"hook denominator vanished at cell ({i},{j})")
-            val *= num / den
-    return val
+    cells = [(i, j) for i in range(1, lam.length() + 1) for j in range(1, lam.part(i) + 1)]
+    num = [line * (n - i + 1) + j - 1 for i, j in cells]
+    den = [line * (conj.part(j) - i + 1) + lam.part(i) - j for i, j in cells]
+    return limit_at_zero([(num, den)], "principal specialization has a pole")
 
 
 def psi_prime(lam: Partition, i: int, kappa: Fraction) -> Fraction:
@@ -215,10 +212,8 @@ def binomial_cocover(lam: Partition, i: int, kappa: Fraction) -> Fraction:
     return psi_prime(lam, i, kappa) * h_up / h_lam
 
 
-def binomial_cocover_product(
-    lam: Partition, i: int, kappa: Fraction, corrected: bool = True
-) -> Fraction:
-    """binom(lam + e_i, lam) from the closed product formula.
+def _binomial_factors(lam: Partition, i: int, kappa: Affine, corrected: bool):
+    """binom(lam + e_i, lam) from the closed product formula, as factors in kappa.
 
     With corrected=True the row-count prefactor uses the length of
     lam + e_i and the product runs over rows j <= len(lam + e_i), j != i;
@@ -226,22 +221,22 @@ def binomial_cocover_product(
     literature (prefactor uses len(lam), product over all j != i up to n is
     read as j <= len(lam)), which disagrees with the operator-forced values.
     """
-    kappa = Fraction(kappa)
     up = lam.add_box(i)
     if up is None:
         raise ValueError(f"adding a box in row {i} of {lam!r} is not a partition")
     ell = up.length() if corrected else lam.length()
     li = lam.part(i)
-    val = li + 1 + kappa * (ell - i)
-    for j in range(1, ell + 1):
-        if j == i:
-            continue
-        lj = lam.part(j)
-        den = li - lj + 1 + kappa * (j - i)
-        if den == 0:
-            raise PoleError("binomial product denominator vanished")
-        val *= (li - lj + 1 + kappa * (j - i - 1)) / den
-    return val
+    rows = [(j, li - lam.part(j) + 1) for j in range(1, ell + 1) if j != i]
+    num = [kappa * (ell - i) + li + 1] + [kappa * (j - i - 1) + d for j, d in rows]
+    return num, [kappa * (j - i) + d for j, d in rows]
+
+
+def binomial_cocover_product(
+    lam: Partition, i: int, kappa: Fraction, corrected: bool = True
+) -> Fraction:
+    """_binomial_factors evaluated at kappa."""
+    factors = _binomial_factors(lam, i, Affine(Fraction(kappa)), corrected)
+    return limit_at_zero([factors], "binomial product denominator vanished")
 
 
 def spec_ratio_cocover(lam: Partition, i: int, kappa: Fraction, n: int) -> Fraction:
@@ -259,52 +254,50 @@ def spec_ratio_cocover(lam: Partition, i: int, kappa: Fraction, n: int) -> Fract
 def lower_weight(mu: Partition, i: int, kappa: Fraction, n: int) -> Fraction:
     """The one-box lowering weight: the coefficient of P_mu in E0 P_{mu+e_i}.
 
-    It involves neither a nor lambda, so every expansion in a suite asks
-    for the same weights again; cached as an immutable Fraction.
+    The corrected spec-ratio and binomial factors as one list, taken along
+    kappa + t.  Where the lower hook product h_mu vanishes it is a pole, as
+    on the hook-quotient route, although the limit is often finite there.
+    It involves neither a nor lambda, so every expansion in a suite asks for
+    the same weights again; cached as an immutable Fraction.
     """
-    return spec_ratio_cocover(mu, i, kappa, n) * binomial_cocover(mu, i, kappa)
+    if hook_products(mu, kappa)[0] == 0:
+        raise PoleError(f"hook product of {mu!r} vanished")
+    line = Affine(Fraction(kappa), ONE)
+    factors = join(_spec_ratio_factors(mu, i, line, n, True), _binomial_factors(mu, i, line, True))
+    return limit_at_zero([factors], f"lowering weight at {mu!r}, row {i} has a pole")
 
 
-def spec_ratio_product(
-    lam: Partition, i: int, kappa: Fraction, n: int, corrected: bool = True
-) -> Fraction:
-    """P_{lam+e_i}(1^n)/P_lam(1^n) from the closed product formula.
+def _spec_ratio_factors(lam: Partition, i: int, kappa: Affine, n: int, corrected: bool):
+    """P_{lam+e_i}(1^n)/P_lam(1^n) from the closed product formula, as factors in kappa.
 
     corrected=True drops the leading kappa factor, replaces len(lam) by
     len(lam + e_i) and restricts both products to rows j <= len(lam + e_i);
     corrected=False follows the printed formula verbatim.
     """
-    kappa = Fraction(kappa)
     up = lam.add_box(i)
     if up is None:
         raise ValueError(f"adding a box in row {i} of {lam!r} is not a partition")
     li = lam.part(i)
-    if corrected:
-        ell = up.length()
-        val = ONE
-    else:
-        ell = lam.length()
-        val = kappa
-    den0 = li + kappa * (ell - i + 1)
-    if den0 == 0:
-        raise PoleError("specialization-ratio denominator vanished")
-    val *= (li + kappa * (n - i + 1)) / den0
-    jmax = ell if corrected else n
-    for j in range(1, jmax + 1):
-        if j == i:
-            continue
-        lj = lam.part(j)
+    ell = up.length() if corrected else lam.length()
+    num = [kappa * (n - i + 1) + li] + ([] if corrected else [kappa])
+    den = [kappa * (ell - i + 1) + li]
+    for j in range(1, (ell if corrected else n) + 1):
+        d = li - lam.part(j)
         if j < i:
-            den = li - lj + 1 + kappa * (j - i - 1)
-            if den == 0:
-                raise PoleError("specialization-ratio denominator vanished")
-            val *= (li - lj + 1 + kappa * (j - i)) / den
-        else:
-            den = li - lj + kappa * (j - i)
-            if den == 0:
-                raise PoleError("specialization-ratio denominator vanished")
-            val *= (li - lj + kappa * (j - i + 1)) / den
-    return val
+            num.append(kappa * (j - i) + d + 1)
+            den.append(kappa * (j - i - 1) + d + 1)
+        elif j > i:
+            num.append(kappa * (j - i + 1) + d)
+            den.append(kappa * (j - i) + d)
+    return num, den
+
+
+def spec_ratio_product(
+    lam: Partition, i: int, kappa: Fraction, n: int, corrected: bool = True
+) -> Fraction:
+    """_spec_ratio_factors evaluated at kappa."""
+    factors = _spec_ratio_factors(lam, i, Affine(Fraction(kappa)), n, corrected)
+    return limit_at_zero([factors], "specialization-ratio denominator vanished")
 
 
 # -- expansions in the Jack basis ---------------------------------------------
@@ -423,18 +416,11 @@ def hyperg_trunc(
     lower = [Fraction(b) for b in lower]
     out: dict[Partition, Fraction] = {}
     for lam in partitions_up_to(maxdeg, n):
-        num = ONE
-        for u in upper:
-            num *= gen_pochhammer(u, lam, kappa)
-        den = ONE
-        for b in lower:
-            den *= gen_pochhammer(b, lam, kappa)
-        if den == 0:
-            if num == 0:
-                raise PoleError(f"indeterminate 0/0 term at {lam!r}")
-            raise PoleError(f"lower-parameter Pochhammer vanished at {lam!r}")
+        num = [Affine(gen_pochhammer(u, lam, kappa)) for u in upper]
+        den = [Affine(gen_pochhammer(b, lam, kappa)) for b in lower]
+        ratio = limit_at_zero([(num, den)], f"lower-parameter Pochhammer vanished at {lam!r}")
         h_lam, _ = hook_products(lam, kappa)
-        c = num / den * scale ** lam.weight() / h_lam
+        c = ratio * scale ** lam.weight() / h_lam
         if c:
             out[lam] = c
     return JackExpansion(n, kappa, out)

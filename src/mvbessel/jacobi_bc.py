@@ -19,8 +19,8 @@ from . import jack
 from .bessel import BesselParams, bessel_eigenvalue, rho_vector
 from .jack import JackExpansion, rising_factorial
 from .partitions import Partition, partitions_up_to
-from .pieri_norms import delta_ratio
-from .polyalg import ZERO
+from .pieri_norms import delta_factors
+from .polyalg import ZERO, limit_at_zero
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,11 @@ def jacobi_constant_term(lam: Partition, jp: JacobiParams) -> Fraction:
     rising factorial ((k1+1)/2 + rho_i)_{lambda_i} per row.
     """
     p = _bessel_params(jp)
-    val = Fraction(4) ** lam.weight() * delta_ratio("+", lam, p)
+    # at the point: (a + t, kappa + t) is no line of the BC family, so 0/0 stays a pole
+    plus = limit_at_zero(
+        [delta_factors("+", lam, p, ZERO)], f"Delta_+ ratio at {lam!r} hits a pole of v or w"
+    )
+    val = Fraction(4) ** lam.weight() * plus
     for i, rho_i in enumerate(rho_vector(p), start=1):
         val *= rising_factorial((jp.k1 + 1) / 2 + rho_i, lam.part(i))
     return val

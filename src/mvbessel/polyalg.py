@@ -7,6 +7,10 @@ m_lambda.  FactoredFraction, a numerator over a product of variable powers
 x_i^c and pairwise factors (x_i - x_j)^d, is the arithmetic of the test
 oracle that runs the tower recursion with both branches; the production
 tower (operators) needs no division.
+
+limit_at_zero is the one exact-limit mechanism: every closed product that
+can meet 0/0 is a list of Affine factors c + s*t, taken at t = 0 along a
+line or, with slope 0, at a point.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import NotDivisible, NotSymmetric
+from .errors import NotDivisible, NotSymmetric, PoleError
 from .partitions import Partition
 
 ZERO = Fraction(0)
@@ -422,6 +426,111 @@ def power_sum(r: int, n: int) -> SymPoly:
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     return SymPoly(n, {Partition([r]): ONE})
+
+
+# -- exact limits of affine factor products -----------------------------------
+
+
+class Affine:
+    """c + s*t, one factor of a closed product along a line through t = 0.
+
+    Closed under the sums and scalar multiples that the factors are built
+    from; Affine(x, 0) is the plain value x at a point.
+    """
+
+    __slots__ = ("c", "s")
+
+    def __init__(self, c, s=ZERO):
+        self.c = c
+        self.s = s
+
+    def __add__(self, other):
+        if isinstance(other, Affine):
+            return Affine(self.c + other.c, self.s + other.s)
+        return Affine(self.c + other, self.s)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Affine(-self.c, -self.s)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, k):
+        return Affine(self.c * k, self.s * k)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k):
+        return Affine(self.c / k, self.s / k)
+
+    def __repr__(self) -> str:
+        return f"Affine({self.c}, {self.s})"
+
+
+def join(*groups):
+    """One (numerator, denominator) factor group from several."""
+    return tuple(f for g in groups for f in g[0]), tuple(f for g in groups for f in g[1])
+
+
+def _constant_ratio(num, den) -> Fraction:
+    """prod(f.c for f in num) / prod(f.c for f in den), multiplied out over
+    the integers and reduced once."""
+    top = bottom = 1
+    for f in num:
+        top *= f.c.numerator
+        bottom *= f.c.denominator
+    for f in den:
+        top *= f.c.denominator
+        bottom *= f.c.numerator
+    return Fraction(top, bottom)
+
+
+def limit_at_zero(terms, pole: str = "pole at t = 0") -> Fraction:
+    """The value at t = 0 of a sum of products of Affine factors.
+
+    Each term is a pair (numerator factors, denominator factors).  A term
+    with no zero-constant factor on either side is regular at t = 0 and
+    contributes the plain product of its constants.  A term with v more
+    zero-constant factors upstairs than downstairs is t^v R(t) with
+    R(0) != 0, so R is expanded only to degree -v; the Laurent
+    coefficients of t^-m ... t^0 are summed over all terms.  Raises
+    PoleError(pole) on a denominator factor that vanishes identically
+    (c = s = 0, so slope-0 factors give the plain value at a point, or a
+    pole), and if a negative-order coefficient survives the sum.
+    """
+    laurent: dict[int, Fraction] = {0: ZERO}
+    for num, den in terms:
+        zeros_up = sum(not f.c for f in num)
+        zeros_down = sum(not f.c for f in den)
+        if not zeros_up and not zeros_down:
+            laurent[0] += _constant_ratio(num, den)
+            continue
+        if zeros_down and any(not f.c and not f.s for f in den):
+            raise PoleError(pole)
+        order = zeros_up - zeros_down
+        if order > 0:
+            continue
+        series = [ONE] + [ZERO] * -order
+        for f in num:
+            if f.c == 0:
+                series = [x * f.s for x in series]
+            else:
+                series = [f.c * x + f.s * y for x, y in zip(series, [ZERO] + series)]
+        for f in den:
+            if f.c == 0:
+                series = [x / f.s for x in series]
+            else:
+                quotient: list[Fraction] = []
+                for x in series:
+                    quotient.append((x - f.s * quotient[-1]) / f.c if quotient else x / f.c)
+                series = quotient
+        for k, x in enumerate(series, start=order):
+            laurent[k] = laurent.get(k, ZERO) + x
+    if any(x for k, x in laurent.items() if k < 0):
+        raise PoleError(pole)
+    return laurent[0]
 
 
 # -- factored fractions -------------------------------------------------------

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -14,6 +15,7 @@ from mvbessel.bessel import (
 from mvbessel.errors import DegenerateEigenvalue
 from mvbessel.partitions import Partition, partitions_up_to
 from mvbessel.pieri_norms import renormalize
+from mvbessel.polyalg import MultiPoly
 
 SAMPLE = [
     BesselParams(Fraction(-20), Fraction(1), 2),
@@ -91,3 +93,33 @@ def test_rectangular_2F0():
                 Y = rectangular_2F0(k, p)  # internally asserts against bessel_expand
                 lam = Partition((k,) * n)
                 assert Y.coeff(lam) == 1
+
+
+def _one_variable_bessel(k, a):
+    """Coefficients of the monic y_k with x^2 y'' + (a x + 2) y' = k(k-1+a) y
+    (Krall and Frink): the x^j coefficient gives
+    (j - k)(j + k - 1 + a) c_j + 2(j + 1) c_{j+1} = 0."""
+    c = [Fraction(0)] * k + [Fraction(1)]
+    for j in range(k - 1, -1, -1):
+        c[j] = -2 * (j + 1) * c[j + 1] / ((j - k) * (j + k - 1 + a))
+    return c
+
+
+@pytest.mark.parametrize("a", [Fraction(-20), Fraction(-31, 2), Fraction(3, 7), Fraction(5)])
+def test_kappa_zero_is_the_symmetrised_one_variable_product(a):
+    # at kappa = 0 the Bessel operator separates, so Y_lambda is the sum over
+    # distinct permutations sigma of prod_i y_{lambda_sigma(i)}(x_i)
+    for n in range(1, 5):
+        for lam in partitions_up_to(4, n):
+            oracle = MultiPoly.zero(n)
+            for sigma in set(permutations(lam.part(i) for i in range(1, n + 1))):
+                term = MultiPoly.constant(n, 1)
+                for i, k in enumerate(sigma):
+                    y = {
+                        tuple(j if m == i else 0 for m in range(n)): c
+                        for j, c in enumerate(_one_variable_bessel(k, a))
+                    }
+                    term = term * MultiPoly(n, y)
+                oracle = oracle + term
+            Y = bessel_expand(lam, BesselParams(a, Fraction(0), n))
+            assert Y.to_sym().expand() == oracle, (n, lam)

@@ -10,7 +10,9 @@ run refused by the square-integrability bound (exit 1, empty stdout).  The
 Pieri runs at n = 4 and at a generic kappa, the Jacobi run at n = 4,
 degree 5, the Gram run at n = 3, kappa = 2, the two Gram runs at degree 4,
 the eigen run at n = 5, degree 6, and the moments2 run at degree 0 also pin
-their check counts.
+their check counts.  The gram, pieri and eigen runs at kappa = 0, where every
+closed product meets 0/0 and Y_lambda is taken as its limit, pin digests and
+check counts, and the jack run there reports m_(2,1)(1,1,1) = 6.
 """
 
 import hashlib
@@ -151,6 +153,26 @@ GOLDEN = [
         0,
         "d58ad0ad62283e8b72959f5013d90c49df1cae5abf8cdeceb22671e80d9e60d8",
     ),
+    (
+        "verify gram --n=3 --max-degree=3 --kappa=0",
+        0,
+        "462e043292239ee78cfba6601cd9aec285bbe9d971d53633136d2fe5e6df243d",
+    ),
+    (
+        "verify pieri --n=3 --max-degree=3 --kappa=0",
+        0,
+        "06ac608d352cb7544e5506f769c657476bc176c3a8e1b1635ed63df56775ebff",
+    ),
+    (
+        "verify eigen --n=3 --max-degree=4 --kappa=0",
+        0,
+        "4f022273e1b43c7b510d81e4a13101a0de647040b0a67c94f3847f4f098f6081",
+    ),
+    (
+        "jack --n=3 --lambda=2,1 --kappa=0",
+        0,
+        "f8b575d62cc216c39b15dc0cd6c88bd1c7daeff20a1b46048882aaa36bb6aabb",
+    ),
 ]
 
 
@@ -170,6 +192,9 @@ CHECK_COUNTS = {
     "verify moments2 --max-degree=0": 2,
     "verify gram --n=5 --max-degree=4 --kappa=1 --a=-30": 78,
     "verify gram --n=4 --max-degree=4 --kappa=2 --a=-40": 78,
+    "verify gram --n=3 --max-degree=3 --kappa=0": 28,
+    "verify pieri --n=3 --max-degree=3 --kappa=0": 21,
+    "verify eigen --n=3 --max-degree=4 --kappa=0": 11,
 }
 
 
@@ -179,3 +204,9 @@ def test_check_count_is_pinned(argv, count, capsys):
     out, _ = capsys.readouterr()
     checks = json.loads(out)["checks"]
     assert len(checks) == count and all(c["status"] == "pass" for c in checks)
+
+
+def test_kappa_zero_principal_specialization_is_the_monomial_count(capsys):
+    assert main("jack --n=3 --lambda=2,1 --kappa=0".split()) == 0
+    out, _ = capsys.readouterr()
+    assert json.loads(out)["principal_specialization"] == "6"

@@ -182,8 +182,7 @@ def test_hook_products_and_principal_spec():
     lo, up = hook_products(lam, Fraction(1))
     assert lo == up  # kappa = 1 hooks are symmetric
     assert principal_spec(lam, Fraction(1), 3) == 8  # schur s_{21}(1,1,1)
-    with pytest.raises(PoleError):
-        principal_spec(lam, Fraction(0), 3)
+    assert principal_spec(lam, Fraction(0), 3) == 6  # m_{21}(1,1,1)
 
 
 def test_hyperg_trunc_basics():

@@ -7,6 +7,9 @@ functools.lru_cache names an explicit, finite maxsize, and the unbounded
 functools.cache is not used.  The direct differential operators in diffops
 are the oracle that the Jack, operators and bessel routes are checked
 against, so diffops imports from no package module but errors and polyalg.
+The one exact-limit mechanism, Affine and limit_at_zero, is defined in
+polyalg alone, and jack, which evaluates its closed products with it,
+imports from no package module but errors, partitions and polyalg.
 """
 
 import ast
@@ -28,8 +31,9 @@ def test_no_import_inside_a_function():
     assert not nested, nested
 
 
-def test_diffops_imports_only_errors_and_polyalg():
-    path = next(p for p in SOURCES if p.name == "diffops.py")
+def _package_imports(module: str) -> set:
+    """The package modules that module imports, by relative or absolute name."""
+    path = next(p for p in SOURCES if p.name == f"{module}.py")
     used = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.ImportFrom) and node.level:
@@ -37,7 +41,27 @@ def test_diffops_imports_only_errors_and_polyalg():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [node.module] if isinstance(node, ast.ImportFrom) else [x.name for x in node.names]
             used |= {name for name in names if name.split(".")[0] == "mvbessel"}
+    return used
+
+
+def test_diffops_imports_only_errors_and_polyalg():
+    used = _package_imports("diffops")
     assert used == {"errors", "polyalg"}, used
+
+
+def test_jack_imports_only_errors_partitions_and_polyalg():
+    used = _package_imports("jack")
+    assert used <= {"errors", "partitions", "polyalg"}, used
+
+
+def test_the_exact_limit_is_defined_only_in_polyalg():
+    defined = sorted(
+        (path.name, node.name)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in ("Affine", "limit_at_zero")
+    )
+    assert defined == [("polyalg.py", "Affine"), ("polyalg.py", "limit_at_zero")], defined
 
 
 def _finite_maxsize(call: ast.Call) -> bool:

@@ -33,12 +33,18 @@ SAMPLE = [
 
 
 def test_step_function_poles():
-    # the first step of Delta_+ at lambda = (1) meets v(0) at (a, kappa, n) =
-    # (-20, 0, 2), where rho_1 = rho_2; w(0) at (1, 1, 1), where rho_1 = 0;
-    # and w(-1/2) at (0, 1, 1), where rho_1 = -1/2
-    for a, kappa, n in ((-20, 0, 2), (1, 1, 1), (0, 1, 1)):
-        with pytest.raises(PoleError):
-            delta_ratio("+", Partition((1,)), BesselParams(Fraction(a), Fraction(kappa), n))
+    # the first step of Delta_+ at lambda = (1) meets v(0) = 0/0 at (a, kappa, n)
+    # = (-20, 0, 2), where rho_1 = rho_2: along the line it is 2, times v(-21) = 1
+    # and w(-21/2) = -1/20; w(0) = 0/0 at (1, 1, 1), where rho_1 = 0, has the
+    # limit 1 of the one-variable anchor 1/a; w(-1/2) at (0, 1, 1), where
+    # rho_1 = -1/2, is a genuine pole
+    delta = lambda a, kappa, n: delta_ratio(
+        "+", Partition((1,)), BesselParams(Fraction(a), Fraction(kappa), n)
+    )
+    assert delta(-20, 0, 2) == Fraction(-1, 10)
+    assert delta(1, 1, 1) == 1
+    with pytest.raises(PoleError):
+        delta(0, 1, 1)
 
 
 T = Affine(Fraction(0), Fraction(1))
@@ -84,6 +90,17 @@ def test_limit_at_zero_is_unchanged_by_doubling_every_slope(terms):
         for num, den in terms
     ]
     assert _limit_or_pole(doubled) == _limit_or_pole(terms)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(factor_terms, min_size=1, max_size=4), st.integers(0, 3))
+def test_identically_zero_denominator_is_a_pole(terms, k):
+    # a slope-0 zero downstairs is the plain value 1/0 at a point: PoleError,
+    # never ZeroDivisionError, whatever the other terms hold
+    num, den = terms[k % len(terms)]
+    terms[k % len(terms)] = (num, den + [Affine(Fraction(0), Fraction(0))])
+    with pytest.raises(PoleError):
+        limit_at_zero(terms)
 
 
 @settings(derandomize=True, deadline=None)

@@ -1,8 +1,9 @@
 """Randomised cross-checks of the shared triangular solver, the peel, the
 commuting tower (against its two-branch recursion), the direct differential
 operators (against MultiPoly products and exact division), the Pieri expansion,
-the two norm routes, the binomial coefficient routes and the Jacobi
-constant term.
+the two norm routes, the binomial coefficient routes, the lowering weight
+against the hook-quotient route, the principal specialization at kappa = 0
+and the Jacobi constant term.
 
 Parameters are drawn as arbitrary small rationals; a draw is rejected only
 when it lands on a degenerate point (an eigenvalue collision or a pole),
@@ -11,6 +12,7 @@ meet a pole at the same draws.
 """
 
 from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import given, reject, settings, strategies as st
 
@@ -22,6 +24,9 @@ from mvbessel.jack import (
     binomial_cocover_product,
     eigenvalue_d,
     jack_in_monomials,
+    lower_weight,
+    principal_spec,
+    spec_ratio_cocover,
     sym_to_jack,
 )
 from mvbessel.jacobi_bc import (
@@ -41,7 +46,11 @@ from mvbessel.pieri_norms import (
 from mvbessel.polyalg import FactoredFraction, MultiPoly, SymPoly, collect_symmetric, divide_exact
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
-kappas = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# kappa = 0, where Y_lambda is a symmetrised product of one-variable Bessel
+# polynomials and every closed product meets 0/0, is drawn explicitly
+kappas = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=6)
+)
 
 
 @st.composite
@@ -299,6 +308,39 @@ def test_binomial_routes_agree(cocover, kappa):
     lam, i = cocover
     forced = _unless_degenerate(binomial_cocover, lam, i, kappa)
     assert _unless_degenerate(binomial_cocover_product, lam, i, kappa, True) == forced
+
+
+@st.composite
+def weight_cases(draw):
+    n = draw(st.integers(1, 5))
+    mu = draw(st.sampled_from(partitions_up_to(5, n)))
+    return n, mu, draw(st.sampled_from([i for i in range(1, n + 1) if mu.add_box(i)]))
+
+
+@settings(derandomize=True, deadline=None)
+@given(weight_cases(), kappas)
+def test_lower_weight_matches_the_hook_route(case, kappa):
+    n, mu, i = case
+    hook = _unless_degenerate(
+        lambda: spec_ratio_cocover(mu, i, kappa, n) * binomial_cocover(mu, i, kappa)
+    )
+    assert lower_weight(mu, i, kappa, n) == hook
+
+
+@st.composite
+def spec_shapes(draw):
+    n = draw(st.integers(1, 5))
+    return n, draw(st.sampled_from(partitions_up_to(6, n)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(spec_shapes())
+def test_principal_spec_at_kappa_zero_counts_monomials(shape):
+    # P_lambda = m_lambda at kappa = 0, and m_lambda(1^n) counts the distinct
+    # rearrangements of lambda padded with zeros to n parts
+    n, lam = shape
+    count = len(set(permutations(lam.part(i) for i in range(1, n + 1))))
+    assert principal_spec(lam, Fraction(0), n) == count
 
 
 @settings(derandomize=True, deadline=None)

@@ -7,8 +7,9 @@ principal specializations and co-cover data come from explicit products.
 The closed product formulas from the literature are lists of affine factors
 in kappa, taken by polyalg.limit_at_zero at a point (the *_product functions,
 whose printed index ranges the ledger compares) or along kappa + t
-(principal_spec and the lowering weight, so kappa = 0 is covered); the
-hook quotients stay the independent, authoritative route.
+(principal_spec and the lowering weight, so kappa = 0 and the points where
+a hook product vanishes are covered wherever the limit is finite); the hook
+quotients stay the independent, authoritative route.
 """
 
 from __future__ import annotations
@@ -255,13 +256,13 @@ def lower_weight(mu: Partition, i: int, kappa: Fraction, n: int) -> Fraction:
     """The one-box lowering weight: the coefficient of P_mu in E0 P_{mu+e_i}.
 
     The corrected spec-ratio and binomial factors as one list, taken along
-    kappa + t.  Where the lower hook product h_mu vanishes it is a pole, as
-    on the hook-quotient route, although the limit is often finite there.
-    It involves neither a nor lambda, so every expansion in a suite asks for
-    the same weights again; cached as an immutable Fraction.
+    kappa + t.  Where the lower hook product h_mu vanishes the hook-quotient
+    route has a pole, but the limit along the line is often finite (at
+    kappa = -2, n = 2 the weight of mu = (2,1), i = 2 is 2); only a
+    surviving negative order is a pole.  It involves neither a nor lambda,
+    so every expansion in a suite asks for the same weights again; cached
+    as an immutable Fraction.
     """
-    if hook_products(mu, kappa)[0] == 0:
-        raise PoleError(f"hook product of {mu!r} vanished")
     line = Affine(Fraction(kappa), ONE)
     factors = join(_spec_ratio_factors(mu, i, line, n, True), _binomial_factors(mu, i, line, True))
     return limit_at_zero([factors], f"lowering weight at {mu!r}, row {i} has a pole")

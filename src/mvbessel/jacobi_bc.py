@@ -5,9 +5,11 @@ the Jack basis through the same five basic actions, the expansion is
 triangular with leading coefficient (-4)^{|lambda|}, and the constant term
 has a closed product formula (Opdam's specialisation), evaluated on the
 Delta_+ ratio of the Bessel family at a = k1 + 2 k2 + 1, kappa = k3, which
-shares rho, the eigenvalue and the v/w step factors.  The parameter map
-limit_params is the specialisation under which this family degenerates to
-the Bessel family.
+shares rho, the eigenvalue and the v/w step factors.  That ratio is the limit
+along the Bessel line (a + t, kappa + t), here (k1 + t, k2, k3 + t), so a
+removable 0/0 of the step factors is taken as its limit and only a surviving
+pole raises PoleError.  The parameter map limit_params is the specialisation
+under which this family degenerates to the Bessel family.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from . import jack
 from .bessel import BesselParams, bessel_eigenvalue, rho_vector
 from .jack import JackExpansion, rising_factorial
 from .partitions import Partition, partitions_up_to
-from .pieri_norms import delta_factors
-from .polyalg import ZERO, limit_at_zero
+from .pieri_norms import delta_ratio
+from .polyalg import ZERO
 
 
 @dataclass(frozen=True)
@@ -94,14 +96,12 @@ def jacobi_constant_term(lam: Partition, jp: JacobiParams) -> Fraction:
     2^{2|lambda|} times the plus-type shifted-factor ratio at rho + lambda
     over rho.  The BC w step is the Bessel w step at a = k1 + 2 k2 + 1
     times ((k1+1)/2 + z), so this is the Bessel Delta_+ ratio times one
-    rising factorial ((k1+1)/2 + rho_i)_{lambda_i} per row.
+    rising factorial ((k1+1)/2 + rho_i)_{lambda_i} per row.  Delta_+ is
+    taken along (a + t, kappa + t), which is the line (k1 + t, k2, k3 + t)
+    of the BC family, so a removable 0/0 there is its limit, not a pole.
     """
     p = _bessel_params(jp)
-    # at the point: (a + t, kappa + t) is no line of the BC family, so 0/0 stays a pole
-    plus = limit_at_zero(
-        [delta_factors("+", lam, p, ZERO)], f"Delta_+ ratio at {lam!r} hits a pole of v or w"
-    )
-    val = Fraction(4) ** lam.weight() * plus
+    val = Fraction(4) ** lam.weight() * delta_ratio("+", lam, p)
     for i, rho_i in enumerate(rho_vector(p), start=1):
         val *= rising_factorial((jp.k1 + 1) / 2 + rho_i, lam.part(i))
     return val

@@ -199,7 +199,7 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
     for c in range(cols):
         pivot = next((k for k in range(r, m) if aug[k][c] != 0), None)
         if pivot is None:
-            raise ValueError("interpolation system is underdetermined; enlarge grid")
+            raise ValueError("interpolation system is underdetermined")
         aug[r], aug[pivot] = aug[pivot], aug[r]
         inv = 1 / aug[r][c]
         aug[r] = [x * inv for x in aug[r]]
@@ -212,7 +212,7 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
         if r == m:
             break
     if len(pivots) < cols:
-        raise ValueError("interpolation system is underdetermined; enlarge grid")
+        raise ValueError("interpolation system is underdetermined")
     for k in range(r, m):
         if aug[k][cols] != 0:
             raise ValueError("interpolation system is inconsistent")
@@ -224,31 +224,20 @@ def _monomials_upto(n: int, total: int) -> list[tuple[int, ...]]:
     return [e for e in itertools.product(range(total + 1), repeat=n) if sum(e) <= total]
 
 
-def gamma_poly(
-    d: int,
-    p: BesselParams,
-    grid: list[Partition] | None = None,
-    eigenvalue_fn=None,
-) -> tuple[dict[tuple[int, ...], Fraction], bool]:
+def gamma_poly(d: int, p: BesselParams) -> tuple[dict[tuple[int, ...], Fraction], bool]:
     """The eigenvalue polynomial of D^B_d in the shifted coordinates.
 
     Returns (coefficient map, flag): the unique polynomial g of total degree
-    <= 2d with g(lambda + rho) equal to the D^B_d eigenvalue on Y_lambda for
-    every partition lambda in the grid, and whether g is invariant under
-    sign flips and permutations of its arguments.  The default grid is all
-    partitions in a (2d+1) x n box; eigenvalue_fn defaults to the
-    proportionality-asserting eigenvalue extraction.
+    <= 2d with g(lambda + rho) equal to eigenvalue_of(d, lambda) for every
+    partition lambda in a (2d+1) x n box, and whether g is invariant under
+    sign flips and permutations of its arguments.
     """
     n = p.n
-    if grid is None:
-        grid = partitions_in_box(2 * d + 1, n)
-    if eigenvalue_fn is None:
-        eigenvalue_fn = lambda lam: eigenvalue_of(d, lam, p)
     rho = rho_vector(p)
     monos = _monomials_upto(n, 2 * d)
     rows = []
     rhs = []
-    for lam in grid:
+    for lam in partitions_in_box(2 * d + 1, n):
         z = [rho[i] + lam.part(i + 1) for i in range(n)]
         row = []
         for e in monos:
@@ -257,7 +246,7 @@ def gamma_poly(
                 val *= zi**ei
             row.append(val)
         rows.append(row)
-        rhs.append(eigenvalue_fn(lam))
+        rhs.append(eigenvalue_of(d, lam, p))
     sol = _solve_exact(rows, rhs)
     coeffs = {e: c for e, c in zip(monos, sol) if c != 0}
     even = all(all(ei % 2 == 0 for ei in e) for e in coeffs)

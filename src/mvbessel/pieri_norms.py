@@ -52,19 +52,18 @@ def w_factors(z, a):
     return ((a - 1) / 2 + z,), (2 * z, 2 * z + 1)
 
 
-def _rho_line(p: BesselParams, slope: Fraction = ONE) -> tuple[Affine, ...]:
-    """rho along the line (a + slope t, kappa + slope t): rho_i(t) =
-    (kappa+t)(n-i) + (a+t-1)/2 at slope 1, so row i moves by n-i+1/2."""
+def _rho_line(p: BesselParams) -> tuple[Affine, ...]:
+    """rho along the line (a + t, kappa + t): rho_i(t) =
+    (kappa+t)(n-i) + (a+t-1)/2, so row i moves by n-i+1/2."""
     return tuple(
-        Affine(r, slope * Fraction(2 * (p.n - i) + 1, 2))
-        for i, r in enumerate(rho_vector(p), start=1)
+        Affine(r, Fraction(2 * (p.n - i) + 1, 2)) for i, r in enumerate(rho_vector(p), start=1)
     )
 
 
-def delta_factors(sign: str, lam: Partition, p: BesselParams, slope: Fraction = ONE):
+def delta_factors(sign: str, lam: Partition, p: BesselParams):
     """The v and w step factors of Delta_sign(rho + lambda)/Delta_sign(rho)
-    along (a + slope t, kappa + slope t), slope 0 being the point; for '-'
-    the product carries a further sign (-1)^{|lambda|}.
+    along (a + t, kappa + t); for '-' the product carries a further sign
+    (-1)^{|lambda|}.
 
     Each v or w factor of Delta_sign, at rho-combination z0 with shift m
     (lambda_i - lambda_j, lambda_i + lambda_j or lambda_i, all >= 0 since
@@ -80,8 +79,8 @@ def delta_factors(sign: str, lam: Partition, p: BesselParams, slope: Fraction = 
         at = lambda z0, t: -z0 - t - 1
     else:
         raise ValueError("sign must be '+' or '-'")
-    z = _rho_line(p, slope)
-    a, kappa = Affine(p.a, slope), Affine(p.kappa, slope)
+    z = _rho_line(p)
+    a, kappa = Affine(p.a, ONE), Affine(p.kappa, ONE)
     m = [lam.part(i) for i in range(1, n + 1)]
     groups = []
     for i in range(n):

@@ -182,10 +182,12 @@ def test_unwritable_out_path(tmp_path, capsys):
 
 
 def test_bessel_vanishing_hook_product_exit_code(capsys):
-    code, out, err = run(
+    # h_(2,1) vanishes at kappa = -2, but the lowering weight is its finite
+    # limit there, so Y_(2,2) exists and is an eigenfunction
+    code, out, _ = run(
         ["bessel", "--n=2", "--a=-20", "--kappa=-2", "--lambda=2,2"], capsys
     )
-    assert code == 2 and out == "" and "degenerate" in err
+    assert code == 0 and json.loads(out)["eigencheck"] == "pass"
 
 
 @pytest.mark.parametrize(

@@ -3,16 +3,18 @@
 Each digest pins the exact JSON a subcommand prints, so a change to how the
 expansions are computed must leave every one of them unchanged.  The grid
 covers each subcommand and verify suite, the removable 0/0 Pieri path at
-kappa = 1 (including n = 3, where paired factors cancel), five
-degenerate runs that exit 2 with empty stdout (two of them Jacobi runs whose
-solve succeeds but whose constant term hits a pole of w or of v), and a Gram
-run refused by the square-integrability bound (exit 1, empty stdout).  The
-Pieri runs at n = 4 and at a generic kappa, the Jacobi run at n = 4,
-degree 5, the Gram run at n = 3, kappa = 2, the two Gram runs at degree 4,
-the eigen run at n = 5, degree 6, and the moments2 run at degree 0 also pin
-their check counts.  The gram, pieri and eigen runs at kappa = 0, where every
-closed product meets 0/0 and Y_lambda is taken as its limit, pin digests and
-check counts, and the jack run there reports m_(2,1)(1,1,1) = 6.
+kappa = 1 (including n = 3, where paired factors cancel), three degenerate
+runs that exit 2 with empty stdout (one a Jacobi run whose eigenvalues
+collide), and a Gram run refused by the square-integrability bound (exit 1,
+empty stdout).  Two Jacobi runs whose constant term meets a removable 0/0 of
+the v or w steps take it as the limit along (k1 + t, k2, k3 + t) and pin
+their digests and check counts.  The Pieri runs at n = 4 and at a generic
+kappa, the Jacobi run at n = 4, degree 5, the Gram run at n = 3, kappa = 2,
+the two Gram runs at degree 4, the eigen run at n = 5, degree 6, and the
+moments2 run at degree 0 also pin their check counts.  The gram, pieri,
+eigen and jacobi runs at kappa = 0, where every closed product meets 0/0 and
+Y_lambda is taken as its limit, pin digests and check counts, and the jack
+run there reports m_(2,1)(1,1,1) = 6.
 """
 
 import hashlib
@@ -70,13 +72,13 @@ GOLDEN = [
     ),
     (
         "verify jacobi --n=1 --k1=-4 --k2=2 --k3=1 --max-degree=2",
-        2,
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+        "76cae8f901ba7bc090ca01d06713dcd85191de1456802b968c057cf22c9f4412",
     ),
     (
         "verify jacobi --n=2 --k1=-3/2 --k2=3/2 --k3=-3/2 --max-degree=3",
-        2,
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0,
+        "ad7b3c4e9a1d1b2bec73c8598daa9518c7a317e51918e97497b5ae7dfee126aa",
     ),
     (
         "verify pieri --n=2 --a=-20 --kappa=1 --max-degree=2",
@@ -169,6 +171,11 @@ GOLDEN = [
         "4f022273e1b43c7b510d81e4a13101a0de647040b0a67c94f3847f4f098f6081",
     ),
     (
+        "verify jacobi --n=2 --k1=0 --k2=1 --k3=0 --max-degree=3",
+        0,
+        "a4cf15e045d5fd7343801228e814eee742422a063128d80db0fe52b38dbb884c",
+    ),
+    (
         "jack --n=3 --lambda=2,1 --kappa=0",
         0,
         "f8b575d62cc216c39b15dc0cd6c88bd1c7daeff20a1b46048882aaa36bb6aabb",
@@ -195,6 +202,9 @@ CHECK_COUNTS = {
     "verify gram --n=3 --max-degree=3 --kappa=0": 28,
     "verify pieri --n=3 --max-degree=3 --kappa=0": 21,
     "verify eigen --n=3 --max-degree=4 --kappa=0": 11,
+    "verify jacobi --n=1 --k1=-4 --k2=2 --k3=1 --max-degree=2": 6,
+    "verify jacobi --n=2 --k1=-3/2 --k2=3/2 --k3=-3/2 --max-degree=3": 12,
+    "verify jacobi --n=2 --k1=0 --k2=1 --k3=0 --max-degree=3": 12,
 }
 
 

@@ -87,6 +87,15 @@ def test_lower_weight_cache_hits_and_keeps_its_values():
     assert again.jack_coeffs.sorted_coeffs() == Y.jack_coeffs.sorted_coeffs()
 
 
+def test_lower_weight_is_finite_where_the_hook_product_vanishes():
+    # h_(2,1) = 0 at kappa = -2, a pole of the hook-quotient route; in two
+    # variables P_(2,2) = m_(2,2) and P_(2,1) = m_(2,1), and
+    # E0 m_(2,2) = 2 x1 x2^2 + 2 x1^2 x2 = 2 m_(2,1)
+    mu, kappa = Partition((2, 1)), Fraction(-2)
+    assert hook_products(mu, kappa)[0] == 0
+    assert lower_weight(mu, 2, kappa, 2) == 2
+
+
 def test_raising_weights_match_direct_differentiation():
     kappa = Fraction(5, 3)
     for n in (1, 2, 3, 4):

@@ -50,6 +50,23 @@ def test_constant_term_two_routes():
                 assert exp.coeff(Partition(())) == jacobi_constant_term(lam, jp), lam
 
 
+@pytest.mark.parametrize(
+    "k1, k2, k3, n, parts, want",
+    [
+        (0, 1, 0, 2, (1,), 4),
+        (-4, 2, 1, 1, (2,), 2),
+        (Fraction(-3, 2), Fraction(3, 2), Fraction(-3, 2), 2, (2, 1), 0),
+    ],
+    ids=["k3=0", "n=1", "vanishing"],
+)
+def test_constant_term_takes_a_removable_zero_over_zero_as_its_limit(k1, k2, k3, n, parts, want):
+    # Delta_+ meets 0/0 at each point; along (k1 + t, k2, k3 + t) the
+    # closed product is finite and equals the expansion's constant term
+    lam, jp = Partition(parts), JacobiParams(k1, k2, k3, n)
+    assert jacobi_constant_term(lam, jp) == want
+    assert jacobi_expand(lam, jp).coeff(Partition(())) == want
+
+
 def test_one_variable_constant_term_sign():
     # the eigenvalue equation forces + here, not the - of the published example
     for k1, k2, k3 in TRIPLES:

@@ -14,8 +14,8 @@ a terminating hypergeometric form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import DegenerateEigenvalue, PoleError
 from .partitions import Partition, partitions_up_to, skew_standard_chains
@@ -24,18 +24,52 @@ from . import jack
 from .jack import JackExpansion
 
 
-@dataclass(frozen=True)
-class BesselParams:
+class FrozenRecord:
+    """An immutable record whose fields are its __slots__, in order.
+
+    Two records are equal, and hash alike, when they have the same type and
+    field values; the repr is Name(field=value, ...).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the field values as a tuple; attrgetter binds no self, so callers
+        # pass the record in: self._values(self)
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class BesselParams(FrozenRecord):
     """Parameter triple (a, kappa, n) for the Bessel operator."""
 
-    a: Fraction
-    kappa: Fraction
-    n: int
+    __slots__ = ("a", "kappa", "n")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "kappa", Fraction(self.kappa))
-        if self.n < 1:
+    def __init__(self, a: Fraction, kappa: Fraction, n: int):
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "kappa", Fraction(kappa))
+        object.__setattr__(self, "n", n)
+        if n < 1:
             raise ValueError("n must be a positive integer")
 
 

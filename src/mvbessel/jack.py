@@ -15,9 +15,9 @@ quotients stay the independent, authoritative route.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
 
 from .errors import DegenerateEigenvalue, PoleError
 from .partitions import Partition, dominance_leq, partitions_of, partitions_up_to

@@ -14,31 +14,27 @@ under which this family degenerates to the Bessel family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import jack
-from .bessel import BesselParams, bessel_eigenvalue, rho_vector
+from .bessel import BesselParams, FrozenRecord, bessel_eigenvalue, rho_vector
 from .jack import JackExpansion, rising_factorial
 from .partitions import Partition, partitions_up_to
 from .pieri_norms import delta_ratio
 from .polyalg import ZERO
 
 
-@dataclass(frozen=True)
-class JacobiParams:
+class JacobiParams(FrozenRecord):
     """Parameter triple (k1, k2, k3) and variable count n."""
 
-    k1: Fraction
-    k2: Fraction
-    k3: Fraction
-    n: int
+    __slots__ = ("k1", "k2", "k3", "n")
 
-    def __post_init__(self):
-        object.__setattr__(self, "k1", Fraction(self.k1))
-        object.__setattr__(self, "k2", Fraction(self.k2))
-        object.__setattr__(self, "k3", Fraction(self.k3))
-        if self.n < 1:
+    def __init__(self, k1: Fraction, k2: Fraction, k3: Fraction, n: int):
+        object.__setattr__(self, "k1", Fraction(k1))
+        object.__setattr__(self, "k2", Fraction(k2))
+        object.__setattr__(self, "k3", Fraction(k3))
+        object.__setattr__(self, "n", n)
+        if n < 1:
             raise ValueError("n must be a positive integer")
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bessel import BesselParams, bessel_expand, square_integrability_bound
@@ -172,14 +171,34 @@ def symmetry_check(d: int, f: SymPoly, g: SymPoly, p: BesselParams) -> bool:
     return lhs == rhs
 
 
-@dataclass
 class MomentTable2:
-    """Moments I[n, m] of e1^n e2^m under the two-variable functional, I[0,0]=1."""
+    """Moments I[n, m] of e1^n e2^m under the two-variable functional, I[0,0]=1.
 
-    a: Fraction
-    kappa: Fraction
-    maxdeg: int
-    I: dict[tuple[int, int], Fraction]
+    A mutable record: equal by its four fields, and so unhashable.
+    """
+
+    __hash__ = None
+
+    def __init__(
+        self, a: Fraction, kappa: Fraction, maxdeg: int, I: dict[tuple[int, int], Fraction]
+    ):
+        self.a = a
+        self.kappa = kappa
+        self.maxdeg = maxdeg
+        self.I = I
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.kappa, self.maxdeg, self.I) == (
+            other.a, other.kappa, other.maxdeg, other.I
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"MomentTable2(a={self.a!r}, kappa={self.kappa!r}, "
+            f"maxdeg={self.maxdeg!r}, I={self.I!r})"
+        )
 
     def value(self, n: int, m: int) -> Fraction:
         key = (n, m)

@@ -6,8 +6,8 @@ construction so that (2,1) and (2,1,0,0) are the same object.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from math import factorial
-from typing import Iterable, Iterator
 
 
 class Partition:

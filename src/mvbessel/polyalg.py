@@ -18,8 +18,8 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .errors import NotDivisible, NotSymmetric, PoleError
 from .partitions import Partition

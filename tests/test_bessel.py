@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import permutations
 
@@ -12,7 +14,8 @@ from mvbessel.bessel import (
     rho_vector,
     square_integrability_bound,
 )
-from mvbessel.errors import DegenerateEigenvalue
+from mvbessel.errors import DegenerateEigenvalue, PoleError
+from mvbessel.jacobi_bc import JacobiParams
 from mvbessel.partitions import Partition, partitions_up_to
 from mvbessel.pieri_norms import renormalize
 from mvbessel.polyalg import MultiPoly
@@ -22,6 +25,34 @@ SAMPLE = [
     BesselParams(Fraction(-20), Fraction(2), 3),
     BesselParams(Fraction(-31, 2), Fraction(5, 3), 2),
 ]
+
+
+def test_params_are_a_frozen_value_type():
+    p = BesselParams(-20, 1, 2)
+    q = BesselParams(Fraction(-20), Fraction(1), 2)
+    assert p == q and hash(p) == hash(q)
+    assert type(p.a) is Fraction and type(p.kappa) is Fraction
+    assert p != BesselParams(-20, 1, 3)
+    assert p != (p.a, p.kappa, p.n)
+    assert p != JacobiParams(-20, 1, 1, 2)
+    assert BesselParams(a=-20, kappa=1, n=2) == p
+    assert copy.copy(p) == p and pickle.loads(pickle.dumps(p)) == p
+    for field in ("a", "kappa", "n"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(p, field)
+    assert p == q
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        BesselParams(-20, 1, 0)
+    assert repr(p) == "BesselParams(a=Fraction(-20, 1), kappa=Fraction(1, 1), n=2)"
+    # the record's repr is part of the PoleError message
+    with pytest.raises(PoleError) as err:
+        rectangular_2F0(1, BesselParams(0, 1, 1))
+    assert str(err.value) == (
+        "Pochhammer denominator vanished for k=1, "
+        "BesselParams(a=Fraction(0, 1), kappa=Fraction(1, 1), n=1)"
+    )
 
 
 def test_rho_vector():

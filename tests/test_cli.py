@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,3 +217,23 @@ def test_pieri_r_outside_one_to_n_is_rejected(r, capsys):
 def test_moments2_rejects_n_other_than_two(capsys):
     code, out, err = run(["verify", "moments2", "--n=3", "--max-degree=1"], capsys)
     assert code == 1 and out == "" and err.startswith("error:") and "n=2" in err
+
+
+def _cli_process(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "mvbessel.cli", *argv], env=env, capture_output=True
+    )
+
+
+def test_cli_as_a_process_matches_main(capsys):
+    argv = ["jack", "--n=2", "--kappa=1", "--lambda=2,1"]
+    code, out, _ = run(argv, capsys)
+    proc = _cli_process(argv)
+    assert (proc.returncode, proc.stdout) == (code, out.encode()) and code == 0
+
+
+def test_cli_process_exit_code_when_degenerate():
+    proc = _cli_process(["bessel", "--n=2", "--a=-2", "--kappa=1", "--lambda=1"])
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"degenerate")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,29 @@ TRIPLES = [
     (Fraction(3, 2), Fraction(2), Fraction(5, 3)),
     (Fraction(2), Fraction(-1, 3), Fraction(2)),
 ]
+
+
+def test_params_are_a_frozen_value_type():
+    jp = JacobiParams(1, 2, Fraction(1, 2), 2)
+    jq = JacobiParams(Fraction(1), Fraction(2), Fraction(1, 2), 2)
+    assert jp == jq and hash(jp) == hash(jq)
+    assert all(type(k) is Fraction for k in (jp.k1, jp.k2, jp.k3))
+    assert jp != JacobiParams(1, 2, Fraction(1, 2), 3)
+    assert jp != (jp.k1, jp.k2, jp.k3, jp.n)
+    assert jp != BesselParams(1, 2, 2)
+    assert JacobiParams(k1=1, k2=2, k3=Fraction(1, 2), n=2) == jp
+    assert copy.copy(jp) == jp and pickle.loads(pickle.dumps(jp)) == jp
+    for field in ("k1", "k2", "k3", "n"):
+        with pytest.raises(AttributeError):
+            setattr(jp, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(jp, field)
+    assert jp == jq
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        JacobiParams(1, 2, 3, 0)
+    assert repr(jp) == (
+        "JacobiParams(k1=Fraction(1, 1), k2=Fraction(2, 1), k3=Fraction(1, 2), n=2)"
+    )
 
 
 def test_leading_coefficient():

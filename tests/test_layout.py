@@ -10,12 +10,19 @@ against, so diffops imports from no package module but errors and polyalg.
 The one exact-limit mechanism, Affine and limit_at_zero, is defined in
 polyalg alone, and jack, which evaluates its closed products with it,
 imports from no package module but errors, partitions and polyalg.
+Every CLI call is a fresh interpreter, so the CLI's import path stays light:
+importing mvbessel.cli loads neither dataclasses nor typing, nor the
+inspect, ast, dis and tokenize modules that dataclasses drags in.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "mvbessel").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "mvbessel").glob("*.py"))
 
 
 def test_no_import_inside_a_function():
@@ -102,3 +109,14 @@ def test_every_cache_is_bounded():
                 unbounded.append(caches[-1])
     assert caches
     assert not unbounded, unbounded
+
+
+def test_the_cli_import_path_leaves_out_heavy_modules():
+    # -S keeps site from preloading modules the package never asks for
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+    probe = f"import sys, mvbessel.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout == "[]\n", run.stdout

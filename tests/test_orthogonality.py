@@ -24,6 +24,21 @@ from mvbessel.pieri_norms import norm_full_reduced
 from mvbessel.polyalg import MultiPoly, SymPoly
 
 
+def test_moment_table_is_a_mutable_record():
+    t = moments2_table(2, Fraction(-20), Fraction(1))
+    u = MomentTable2(Fraction(-20), Fraction(1), 2, dict(t.I))
+    assert t == u and t != (t.a, t.kappa, t.maxdeg, t.I)
+    assert t != MomentTable2(Fraction(-20), Fraction(1), 3, dict(t.I))
+    with pytest.raises(TypeError):
+        hash(t)
+    u.maxdeg = 3
+    assert t != u
+    assert repr(MomentTable2(Fraction(-20), Fraction(1), 0, {(0, 0): Fraction(1)})) == (
+        "MomentTable2(a=Fraction(-20, 1), kappa=Fraction(1, 1), maxdeg=0, "
+        "I={(0, 0): Fraction(1, 1)})"
+    )
+
+
 def test_l2_condition():
     assert check_L2_condition(4, BesselParams(Fraction(-20), Fraction(2), 3))
     assert not check_L2_condition(4, BesselParams(Fraction(-15), Fraction(2), 3))

@@ -215,12 +215,13 @@ def _suite_moments2(args, checks) -> None:
         )
     )
     parts = partitions_up_to(m, 2)
-    Y = {lam: bessel.bessel_expand(lam, p).to_sym() for lam in parts}
+    Y = [bessel.bessel_expand(lam, p).to_sym() for lam in parts]
+    rows = orthogonality.functional_matrix(Y, table)
     for i, lam in enumerate(parts):
-        for mu in parts[i + 1 :]:
-            val = orthogonality.functional_apply(Y[lam] * Y[mu], table)
+        for j in range(i + 1, len(parts)):
+            val = rows[i][j]
             checks.append(
-                (f"functional Y{_key(lam)}*Y{_key(mu)} = 0", val == 0, rat_str(val))
+                (f"functional Y{_key(lam)}*Y{_key(parts[j])} = 0", val == 0, rat_str(val))
             )
 
 

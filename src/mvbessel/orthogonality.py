@@ -8,13 +8,20 @@ symmetric polynomials is a finite sum of products of one-dimensional
 reduced moments and stays exactly rational.  This gives an independent
 oracle for orthogonality and for the closed norm formulas.
 
-The moment functional L(x^alpha) = prod_i mom(alpha_i) and Delta^{2 kappa}
-are both symmetric, so T(delta) = L(x^delta Delta^{2 kappa}) depends only
-on the sorted delta, and the monomial pairing <m_nu, m_mu> is a short sum
-of T values.  Inner products and Gram entries are bilinear sums of that
-pairing.  Each T sums integers over the moments' common denominator.
+The one-variable moments are read from one cached prefix table per a.  The
+moment functional L(x^alpha) = prod_i mom(alpha_i) and Delta^{2 kappa} are
+both symmetric, so T(delta) = L(x^delta Delta^{2 kappa}) depends only on
+the sorted delta, and the monomial pairing <m_nu, m_mu> is a short sum of
+T values.  Each T sums integers over the moments' common denominator.
 Delta^{2 kappa}, T and the pairing are cached under immutable keys, so
 Delta^{2 kappa} is built once per (n, 2 kappa).
+
+Every pairing of polynomials goes through one bilinear helper,
+bilinear_matrix: given coefficient maps and a cached pairing of basis
+elements, it contracts each column once, so each entry is one dot product.
+inner_product is that helper on a single pair and gram_matrix on the whole
+basis, both over the monomial pairing; functional_matrix is the same helper
+over the two-variable functional's pairing F(m_nu m_rho).
 
 For n = 2 the same structure is packaged as a linear functional on the
 polynomial ring in the elementary symmetric polynomials e1, e2, with its
@@ -47,15 +54,56 @@ def moment_1d(p: int, a: Fraction) -> Fraction:
 
     Requires p < 1 - a for convergence.
     """
+    return _moments(p, a)[p]
+
+
+def _moments(top: int, a: Fraction) -> tuple[Fraction, ...]:
+    """The reduced moments of x^0, ..., x^top, and possibly a few more.
+
+    Raises as moment_1d does when x^top has no moment.  The table sizes are
+    powers of two capped at the number of convergent moments, so each a
+    keeps a handful of tables however many exponents are asked for.
+    """
     a = Fraction(a)
-    if p < 0:
+    if top < 0:
         raise ValueError("exponent must be non-negative")
-    if p >= 1 - a:
-        raise ConvergenceError(f"moment of x^{p} diverges at a = {a}")
-    val = Fraction(2) ** p
-    for j in range(p):
-        val /= -a - j
-    return val
+    if top >= 1 - a:
+        raise ConvergenceError(f"moment of x^{top} diverges at a = {a}")
+    return _moment_table(a, min(1 << top.bit_length(), math.ceil(1 - a)))
+
+
+@functools.lru_cache(maxsize=256)
+def _moment_table(a: Fraction, size: int) -> tuple[Fraction, ...]:
+    """mom(0), ..., mom(size - 1) by mom(0) = 1, mom(k) = mom(k-1) 2 / (-a - k + 1)."""
+    moms = [Fraction(1)]
+    for k in range(1, size):
+        moms.append(moms[-1] * 2 / (-a - k + 1))
+    return tuple(moms)
+
+
+def bilinear_matrix(fs: list[dict], gs: list[dict], pair) -> list[list[Fraction]]:
+    """[B(f, g) for g in gs] for f in fs, with B(f, g) = sum_{nu, rho} f_nu
+    g_rho pair(nu, rho) over coefficient maps f and g.
+
+    Each column w_g[nu] = sum_rho g_rho pair(nu, rho) is contracted once over
+    the union of the row supports, so every entry is one dot product
+    sum_nu f_nu w_g[nu].  pair is asked only for nu in a row support and rho
+    in a column support, once per entry of a column, so callers cache it.
+    """
+    support = set().union(*fs)
+    cols = [{nu: sum(c * pair(nu, rho) for rho, c in g.items()) for nu in support} for g in gs]
+    return [[sum(c * w[nu] for nu, c in f.items()) for w in cols] for f in fs]
+
+
+def _oracle_two_kappa(polys: list[SymPoly], p: BesselParams) -> int:
+    """2 kappa, once kappa is a non-negative integer and every polynomial has
+    p.n variables; checked before any pairing."""
+    if p.kappa.denominator != 1 or p.kappa < 0:
+        raise ValueError("moment oracle needs kappa a non-negative integer")
+    counts = [f.n for f in polys] + [p.n]
+    if len(set(counts)) > 1:
+        raise ValueError("variable count mismatch: " + ", ".join(map(str, counts)))
+    return 2 * int(p.kappa)
 
 
 def inner_product(f: SymPoly, g: SymPoly, p: BesselParams) -> Fraction:
@@ -68,22 +116,25 @@ def inner_product(f: SymPoly, g: SymPoly, p: BesselParams) -> Fraction:
     computation raises ConvergenceError, naming the first exponent without
     one, before any sum is taken.
     """
-    if p.kappa.denominator != 1 or p.kappa < 0:
-        raise ValueError("moment oracle needs kappa a non-negative integer")
-    if not f.n == g.n == p.n:
-        raise ValueError(f"variable count mismatch: {f.n}, {g.n}, {p.n}")
+    two_kappa = _oracle_two_kappa([f, g], p)
     if f.is_zero() or g.is_zero():
         return Fraction(0)
-    two_kappa = 2 * int(p.kappa)
     top = max(lam.part(1) for lam in f.coeffs) + max(lam.part(1) for lam in g.coeffs)
     top += two_kappa * (p.n - 1)
     first_divergent = max(0, math.ceil(1 - p.a))  # x^k has a moment iff k < 1 - a
     if top >= first_divergent:
         moment_1d(first_divergent, p.a)  # raises ConvergenceError
-    return sum(
-        c * d * _monomial_pairing(nu, mu, p.n, p.a, two_kappa)
-        for nu, c in f.coeffs.items()
-        for mu, d in g.coeffs.items()
+    return _monomial_form([f], [g], p, two_kappa)[0][0]
+
+
+def _monomial_form(
+    fs: list[SymPoly], gs: list[SymPoly], p: BesselParams, two_kappa: int
+) -> list[list[Fraction]]:
+    """bilinear_matrix over the m-coefficients and the monomial pairing."""
+    return bilinear_matrix(
+        [f.coeffs for f in fs],
+        [g.coeffs for g in gs],
+        lambda nu, rho: _monomial_pairing(nu, rho, p.n, p.a, two_kappa),
     )
 
 
@@ -114,7 +165,8 @@ def _weighted_moment(delta: tuple[int, ...], a: Fraction, two_kappa: int) -> Fra
     integers.  Every exponent must have a moment.
     """
     n = len(delta)
-    moms = [moment_1d(k, a) for k in range(max(delta) + two_kappa * (n - 1) + 1)]
+    top = max(delta) + two_kappa * (n - 1)
+    moms = _moments(top, a)[: top + 1]
     common = math.lcm(*(m.denominator for m in moms))
     nums = [m.numerator * (common // m.denominator) for m in moms]
     rows = [nums[d:] for d in delta]
@@ -154,14 +206,16 @@ def gram_matrix(m: int, p: BesselParams) -> list[list[Fraction]]:
 
     Basis ordered by graded lexicographic partition order.  Diagonal, with
     diagonal entries given by the closed norm formula; this function computes
-    the entries from moments and leaves the comparison to callers.
+    the entries from moments and leaves the comparison to callers.  The
+    entries are those of inner_product, taken together by bilinear_matrix
+    over the monomial pairing, so each basis element is contracted once.
     """
     if not check_L2_condition(m, p):
         raise ConvergenceError(
             f"square-integrability fails: need a < {square_integrability_bound(m, p)}"
         )
     basis = [bessel_expand(lam, p).to_sym() for lam in partitions_up_to(m, p.n)]
-    return [[inner_product(f, g, p) for g in basis] for f in basis]
+    return _monomial_form(basis, basis, p, _oracle_two_kappa(basis, p))
 
 
 def symmetry_check(d: int, f: SymPoly, g: SymPoly, p: BesselParams) -> bool:
@@ -272,3 +326,26 @@ def functional_apply(f: SymPoly, table: MomentTable2) -> Fraction:
                 key = (s1, w - s1)
                 rest[key] = rest.get(key, 0) - c * math.comb(r1 - q, s1 - q)
     return total
+
+
+def functional_matrix(fs: list[SymPoly], table: MomentTable2) -> list[list[Fraction]]:
+    """[F(f g) for g in fs] for f in fs under the two-variable functional F.
+
+    F is linear, so F(f g) = sum_{nu, rho} f_nu g_rho F(m_nu m_rho); each
+    pairing F(m_nu m_rho) = functional_apply(m_nu m_rho, table) is computed
+    once per unordered pair in this call (the table is mutable, so nothing
+    is kept across calls) and bilinear_matrix contracts the rest.
+    """
+    if any(f.n != 2 for f in fs):
+        raise ValueError("the moment functional is defined for n = 2 only")
+    memo: dict[tuple[Partition, Partition], Fraction] = {}
+
+    def pair(nu: Partition, rho: Partition) -> Fraction:
+        value = memo.get((nu, rho))
+        if value is None:
+            product = SymPoly(2, {nu: 1}) * SymPoly(2, {rho: 1})
+            value = memo[nu, rho] = memo[rho, nu] = functional_apply(product, table)
+        return value
+
+    coeffs = [f.coeffs for f in fs]
+    return bilinear_matrix(coeffs, coeffs, pair)

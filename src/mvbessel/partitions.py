@@ -30,6 +30,10 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the refusing __setattr__
+        return Partition, (self.parts,)
+
     # -- basic queries ------------------------------------------------------
 
     def weight(self) -> int:

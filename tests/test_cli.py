@@ -99,6 +99,20 @@ def test_verify_gram_inadmissible(capsys):
     assert code == 1 and "square-integrability" in err
 
 
+@pytest.mark.parametrize(
+    "kappa, message",
+    [
+        ("3/2", "error: moment oracle needs kappa a non-negative integer\n"),
+        ("-1", "error: kappa must be non-negative\n"),
+    ],
+)
+def test_verify_gram_refuses_kappa_outside_the_moment_oracle(kappa, message, capsys):
+    code, out, err = run(
+        ["verify", "gram", "--n=2", f"--kappa={kappa}", "--max-degree=2", "--a=-20"], capsys
+    )
+    assert (code, out, err) == (1, "", message)
+
+
 def test_verify_gram_at_kappa_zero(capsys):
     code, out, _ = run(
         ["verify", "gram", "--n=2", "--a=-20", "--kappa=0", "--max-degree=0"], capsys

@@ -11,10 +11,10 @@ the v or w steps take it as the limit along (k1 + t, k2, k3 + t) and pin
 their digests and check counts.  The Pieri runs at n = 4 and at a generic
 kappa, the Jacobi run at n = 4, degree 5, the Gram run at n = 3, kappa = 2,
 the two Gram runs at degree 4, the eigen run at n = 5, degree 6, and the
-moments2 run at degree 0 also pin their check counts.  The gram, pieri,
-eigen and jacobi runs at kappa = 0, where every closed product meets 0/0 and
-Y_lambda is taken as its limit, pin digests and check counts, and the jack
-run there reports m_(2,1)(1,1,1) = 6.
+moments2 runs at degrees 0 and 8 also pin their check counts.  The gram,
+pieri, eigen and jacobi runs at kappa = 0, where every closed product meets
+0/0 and Y_lambda is taken as its limit, pin digests and check counts, and
+the jack run there reports m_(2,1)(1,1,1) = 6.
 """
 
 import hashlib
@@ -146,6 +146,11 @@ GOLDEN = [
         "1517491fa13e4c88a1d7e67cf24d25fdbf7b014078c150d66577b08e80c87e00",
     ),
     (
+        "verify moments2 --max-degree=8 --a=-40 --kappa=1",
+        0,
+        "a726b4f785bf0d3eaa665df910b5727c1e9f3056d2fc79354107d309598c84ac",
+    ),
+    (
         "verify commute --n=2 --a=-20 --kappa=1 --max-degree=2 --d-max=2",
         0,
         "2fa730ff02a7d1aa69efdc9fba77c3e09206c20a6ecb8a07bebc8edd6a9f3d7b",
@@ -197,6 +202,7 @@ CHECK_COUNTS = {
     "verify jacobi --n=4 --max-degree=5 --k1=1 --k2=1/2 --k3=3/2": 36,
     "verify gram --n=3 --a=-20 --kappa=2 --max-degree=3": 28,
     "verify moments2 --max-degree=0": 2,
+    "verify moments2 --max-degree=8 --a=-40 --kappa=1": 302,
     "verify gram --n=5 --max-degree=4 --kappa=1 --a=-30": 78,
     "verify gram --n=4 --max-degree=4 --kappa=2 --a=-40": 78,
     "verify gram --n=3 --max-degree=3 --kappa=0": 28,

@@ -1,18 +1,28 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from mvbessel.bessel import BesselParams, bessel_expand
-from mvbessel.errors import ConvergenceError, DegenerateRecurrence
+from mvbessel.errors import (
+    ConvergenceError,
+    DegenerateEigenvalue,
+    DegenerateRecurrence,
+    PoleError,
+)
 from mvbessel.operators import apply_higher
 from mvbessel.orthogonality import (
+    _moment_table,
+    _moments,
     _monomial_pairing,
     _vandermonde_power,
     _weighted_moment,
     MomentTable2,
+    bilinear_matrix,
     check_L2_condition,
     functional_apply,
+    functional_matrix,
     gram_matrix,
     inner_product,
     moment_1d,
@@ -58,6 +68,39 @@ def test_moment_1d_convergence_boundary():
     assert moment_1d(20, a) != 0
     with pytest.raises(ConvergenceError):
         moment_1d(21, a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.fractions(min_value=-40, max_value=3, max_denominator=7))
+def test_moment_table_is_the_closed_product(a):
+    first_divergent = max(0, math.ceil(1 - a))
+    for p in range(first_divergent):
+        want = Fraction(2) ** p / math.prod((-a - j for j in range(p)), start=Fraction(1))
+        assert moment_1d(p, a) == want, p
+    for p in range(first_divergent, first_divergent + 3):
+        with pytest.raises(ConvergenceError):
+            moment_1d(p, a)
+    with pytest.raises(ValueError):
+        moment_1d(-1, a)
+
+
+def test_moment_table_is_a_cached_tuple():
+    a = Fraction(-31, 2)
+    table = _moments(9, a)
+    assert type(table) is tuple and len(table) >= 10
+    with pytest.raises(TypeError):
+        table[3] = Fraction(0)
+    assert _moments(9, a) is table and moment_1d(3, a) == table[3]
+    assert table == _moment_table.__wrapped__(a, len(table))
+    assert 0 < _moment_table.cache_info().maxsize < 10**6
+
+
+def test_bilinear_matrix_contracts_rows_against_columns():
+    pair = {("x", "x"): 2, ("x", "y"): 3, ("y", "x"): 3, ("y", "y"): 5}
+    rows = [{"x": 1}, {"x": 1, "y": -1}]
+    cols = [{"y": 2}, {}]
+    # B(f, g) = sum f_nu g_rho pair(nu, rho); an empty column pairs to 0
+    assert bilinear_matrix(rows, cols, lambda nu, rho: pair[nu, rho]) == [[6, 0], [-4, 0]]
 
 
 def test_inner_product_anchors():
@@ -285,7 +328,68 @@ def test_functional_orthogonality():
                 assert functional_apply(f, t) == 0, (lam, mu)
 
 
+def test_functional_matrix_needs_two_variables():
+    t = moments2_table(2, Fraction(-20), Fraction(1))
+    with pytest.raises(ValueError, match="n = 2 only"):
+        functional_matrix([SymPoly(3, {Partition((1,)): Fraction(1)})], t)
+
+
 def test_functional_degree_overflow():
     t = moments2_table(2, Fraction(-20), Fraction(1))
     with pytest.raises(ValueError):
         functional_apply(SymPoly(2, {Partition((3,)): Fraction(1)}), t)
+
+
+@st.composite
+def functional_cases(draw):
+    """Two-variable symmetric f, g of degree at most 3 and rational (a, kappa)
+    whose moment table to degree 6 does not degenerate."""
+    shapes = partitions_up_to(3, 2)
+
+    def poly():
+        support = draw(st.lists(st.sampled_from(shapes), max_size=4))
+        return SymPoly(2, {mu: draw(coefficients) or 1 for mu in support})
+
+    a, kappa = draw(coefficients), draw(coefficients)
+    try:
+        table = moments2_table(6, a, kappa)
+    except DegenerateRecurrence:
+        reject()
+    return poly(), poly(), table
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(functional_cases())
+def test_functional_matrix_matches_the_functional_of_the_product(case):
+    f, g, table = case
+    rows = functional_matrix([f, g], table)
+    assert rows[0][1] == rows[1][0] == functional_apply(f * g, table)
+    assert rows[0][0] == functional_apply(f * f, table)
+    assert rows[1][1] == functional_apply(g * g, table)
+
+
+@st.composite
+def gram_cases(draw):
+    """n <= 3, degree m <= 2, integer kappa <= 2 and a rational a just inside
+    the square-integrability bound."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 2))
+    kappa = Fraction(draw(st.sampled_from([0, 1, 2])))
+    bound = 1 - 2 * (m + kappa * (n - 1))
+    a = bound - draw(st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4))
+    return m, BesselParams(a, kappa, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(gram_cases())
+def test_gram_matrix_matches_inner_product_and_the_monomial_sum_oracle(case):
+    m, p = case
+    try:
+        rows = gram_matrix(m, p)
+        basis = [bessel_expand(lam, p).to_sym() for lam in partitions_up_to(m, p.n)]
+    except (DegenerateEigenvalue, PoleError):
+        reject()
+    assert len(rows) == len(basis)
+    for f, row in zip(basis, rows):
+        for g, entry in zip(basis, row):
+            assert entry == inner_product(f, g, p) == _monomial_sum_oracle(f, g, p)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -33,6 +35,16 @@ def test_invalid_partition():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, -1))
+
+
+@pytest.mark.parametrize("parts", [(2, 1), (), (3, 3, 1)])
+def test_copy_and_pickle_keep_an_immutable_partition(parts):
+    lam = Partition(parts)
+    clones = [copy.copy(lam), copy.deepcopy(lam), pickle.loads(pickle.dumps(lam))]
+    for clone in clones:
+        assert type(clone) is Partition and clone == lam and hash(clone) == hash(lam)
+        with pytest.raises(AttributeError, match="Partition is immutable"):
+            clone.parts = (9,)
 
 
 @given(parts_strategy)

@@ -23,8 +23,8 @@ from .polyalg import MultiPoly, SymPoly, collect_symmetric
 def _apply(f: MultiPoly, groups: list[tuple[Fraction, list[tuple[str, int, int]]]]) -> MultiPoly:
     """sum over groups (scale, terms) of scale * (the terms applied to f)."""
     n = f.n
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    ints = {e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}
+    den = math.lcm(*(c.denominator for c in f.coeffs.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in f.coeffs.items()}
     accs: list[dict] = [{} for _ in groups]
     flat = [(kind, k, w, acc) for (_, terms), acc in zip(groups, accs) for kind, k, w in terms]
     singles = [(kind == "d2", k, w, acc) for kind, k, w, acc in flat if kind != "pair"]
@@ -59,7 +59,7 @@ def _apply(f: MultiPoly, groups: list[tuple[Fraction, list[tuple[str, int, int]]
     for key in {key for acc in accs for key in acc}:
         total = sum(m * acc.get(key, 0) for m, acc in zip(nums, accs))
         if total:
-            out.terms[key] = Fraction(total, q * den)
+            out.coeffs[key] = Fraction(total, q * den)
     return out
 
 

@@ -409,7 +409,8 @@ def hyperg_trunc(
 
     The scale implements the substitution x -> scale*x, which multiplies the
     degree-|lam| term by scale^{|lam|}.  Raises PoleError when a lower
-    parameter Pochhammer vanishes for a contributing partition.
+    parameter Pochhammer or the hook product h_lam vanishes for a partition
+    up to maxdeg.
     """
     kappa = Fraction(kappa)
     scale = Fraction(scale)
@@ -419,9 +420,9 @@ def hyperg_trunc(
     for lam in partitions_up_to(maxdeg, n):
         num = [Affine(gen_pochhammer(u, lam, kappa)) for u in upper]
         den = [Affine(gen_pochhammer(b, lam, kappa)) for b in lower]
-        ratio = limit_at_zero([(num, den)], f"lower-parameter Pochhammer vanished at {lam!r}")
-        h_lam, _ = hook_products(lam, kappa)
-        c = ratio * scale ** lam.weight() / h_lam
+        den.append(Affine(hook_products(lam, kappa)[0]))
+        pole = f"lower-parameter Pochhammer or hook product vanished at {lam!r}"
+        c = limit_at_zero([(num, den)], pole) * scale ** lam.weight()
         if c:
             out[lam] = c
     return JackExpansion(n, kappa, out)

@@ -147,7 +147,7 @@ def _higher_recursion(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
     is sum_i old_{+i} = sum_i s_{1i} old_{+1}, which must be a polynomial
     (no negative exponent left) and symmetric.
     """
-    g = f.expand().terms
+    g = f.expand().coeffs
     for stage in range(2 * d):
         g = _recursion_stage(g, stage % 2 == 1, p)
     total: dict[tuple[int, ...], Fraction] = {}

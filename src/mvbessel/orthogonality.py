@@ -134,7 +134,8 @@ def _monomial_form(
     return bilinear_matrix(
         [f.coeffs for f in fs],
         [g.coeffs for g in gs],
-        lambda nu, rho: _monomial_pairing(nu, rho, p.n, p.a, two_kappa),
+        # the pairing is symmetric, so both orders share one cache entry
+        lambda nu, rho: _monomial_pairing(*sorted((nu, rho)), p.n, p.a, two_kappa),
     )
 
 
@@ -150,9 +151,9 @@ def _monomial_pairing(
     padded = nu.parts + (0,) * (n - nu.length())
     pair = sum(
         _weighted_moment(tuple(sorted(map(sum, zip(padded, beta)), reverse=True)), a, two_kappa)
-        for beta in monomial_symmetric(mu, n).terms
+        for beta in monomial_symmetric(mu, n).coeffs
     )
-    return len(monomial_symmetric(nu, n).terms) * pair
+    return len(monomial_symmetric(nu, n).coeffs) * pair
 
 
 @functools.lru_cache(maxsize=4096)

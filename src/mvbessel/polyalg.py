@@ -1,12 +1,14 @@
 """Exact sparse multivariate polynomial and factored-fraction arithmetic.
 
 All scalars are `fractions.Fraction`; there is no floating point anywhere.
-MultiPoly is a sparse exponent-map polynomial, and SymPoly stores a
-symmetric polynomial as coefficients of the monomial symmetric basis
-m_lambda.  FactoredFraction, a numerator over a product of variable powers
-x_i^c and pairwise factors (x_i - x_j)^d, is the arithmetic of the test
-oracle that runs the tower recursion with both branches; the production
-tower (operators) needs no division.
+SparseVector is the one sparse coefficient-vector arithmetic (add, scale,
+compare, order, serialize).  MultiPoly is the vector keyed by exponent
+tuples; SymPoly (the monomial symmetric basis m_lambda) and
+jack.JackExpansion (the Jack basis P_lambda) are keyed by partitions,
+through PartitionVector.  FactoredFraction, a numerator over a product of
+variable powers x_i^c and pairwise factors (x_i - x_j)^d, is the
+arithmetic of the test oracle that runs the tower recursion with both
+branches; the production tower (operators) needs no division.
 
 limit_at_zero is the one exact-limit mechanism: every closed product that
 can meet 0/0 is a list of Affine factors c + s*t, taken at t = 0 along a
@@ -42,25 +44,111 @@ def accumulate(out: dict, key, c: Fraction) -> None:
         out.pop(key, None)
 
 
-def _grlex_key(exps: tuple[int, ...]) -> tuple:
-    return (sum(exps), exps)
+class SparseVector:
+    """Shared arithmetic of the sparse coefficient vectors.
 
+    coeffs maps a key to a nonzero Fraction.  MultiPoly keys it by exponent
+    tuples; PartitionVector, the base of SymPoly and jack.JackExpansion, by
+    partitions.  A subclass supplies the hooks: _key checks and normalises
+    one key, _weight is its degree, _label names it in repr, _context is
+    what two vectors must share before they are combined or compared, and
+    _mismatch is the message raised when they do not.  The order
+    (weight, key) is graded-lex for both key kinds.  A vector never
+    compares equal to one of another type.  It is mutable (callers fill
+    coeffs in place), so a content hash can go stale and the base is
+    unhashable; SymPoly alone keeps one (see there).
+    """
 
-class MultiPoly:
-    """Sparse polynomial in n variables over the rationals."""
+    __slots__ = ("n", "coeffs")
+    _mismatch = "variable count mismatch"
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, n: int, coeffs: Mapping | None = None):
         self.n = n
-        self.terms: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            for exps, c in terms.items():
-                if len(exps) != n:
-                    raise ValueError(f"exponent tuple {exps} has length != {n}")
+        self.coeffs: dict = {}
+        if coeffs:
+            for key, c in coeffs.items():
+                key = self._key(key)
                 c = Fraction(c)
                 if c != 0:
-                    self.terms[tuple(exps)] = c
+                    self.coeffs[key] = c
+
+    def _context(self) -> tuple:
+        return (self.n,)
+
+    def _new(self, coeffs: dict):
+        """A vector in this one's context holding coeffs as given."""
+        r = type(self)(*self._context())
+        r.coeffs = coeffs
+        return r
+
+    def _check(self, other: "SparseVector") -> None:
+        if type(other) is not type(self) or self._context() != other._context():
+            raise ValueError(self._mismatch)
+
+    def _order(self, key) -> tuple:
+        return (self._weight(key), tuple(key))
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            accumulate(out, key, c)
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({key: -c for key, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return self._new({key: c * v for key, v in self.coeffs.items()} if c else {})
+
+    def coeff(self, key) -> Fraction:
+        return self.coeffs.get(key, ZERO)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def degree(self) -> int:
+        return max(map(self._weight, self.coeffs), default=0)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._context() == other._context()
+            and self.coeffs == other.coeffs
+        )
+
+    __hash__ = None
+
+    def sorted_coeffs(self) -> list:
+        return sorted(self.coeffs.items(), key=lambda t: self._order(t[0]))
+
+    def __repr__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        return " + ".join(f"{rat_str(c)}*{self._label(key)}" for key, c in self.sorted_coeffs())
+
+    def to_json(self) -> dict[str, str]:
+        return {"[" + ",".join(map(str, key)) + "]": rat_str(c) for key, c in self.sorted_coeffs()}
+
+
+class MultiPoly(SparseVector):
+    """Sparse polynomial in n variables over the rationals, keyed by exponent tuples."""
+
+    __slots__ = ()
+    _weight = staticmethod(sum)
+
+    def _key(self, exps) -> tuple[int, ...]:
+        if len(exps) != self.n:
+            raise ValueError(f"exponent tuple {exps} has length != {self.n}")
+        return tuple(exps)
+
+    @staticmethod
+    def _label(exps: tuple[int, ...]) -> str:
+        return "*".join(f"x{i+1}^{p}" for i, p in enumerate(exps) if p) or "1"
 
     # -- constructors -------------------------------------------------------
 
@@ -85,108 +173,47 @@ class MultiPoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other: "MultiPoly") -> None:
-        if self.n != other.n:
-            raise ValueError(f"variable count mismatch: {self.n} != {other.n}")
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            accumulate(out, e, c)
-        r = MultiPoly(self.n)
-        r.terms = out
-        return r
-
-    def __neg__(self) -> "MultiPoly":
-        r = MultiPoly(self.n)
-        r.terms = {e: -c for e, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
         out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
                 accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        r = MultiPoly(self.n)
-        r.terms = out
-        return r
+        return self._new(out)
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        r = MultiPoly(self.n)
-        if c:
-            r.terms = {e: c * v for e, v in self.terms.items()}
-        return r
 
     def deriv(self, i: int) -> "MultiPoly":
         """Partial derivative with respect to x_i (1-based)."""
         k = i - 1
-        r = MultiPoly(self.n)
         # lowering e_k is one-to-one on the terms with e_k > 0, so nothing
         # collides or cancels
-        r.terms = {
-            e[:k] + (e[k] - 1,) + e[i:]: c * e[k] for e, c in self.terms.items() if e[k]
-        }
-        return r
+        return self._new(
+            {e[:k] + (e[k] - 1,) + e[i:]: c * e[k] for e, c in self.coeffs.items() if e[k]}
+        )
 
     # -- queries -------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         """Leading term in graded lexicographic order."""
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        e = max(self.coeffs, key=self._order)
+        return e, self.coeffs[e]
 
     def coeff(self, exps: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exps), ZERO)
+        return self.coeffs.get(tuple(exps), ZERO)
 
     def evaluate(self, point: Iterable) -> Fraction:
         pt = [Fraction(v) for v in point]
         total = ZERO
-        for e, c in self.terms.items():
+        for e, c in self.coeffs.items():
             v = c
             for x, p in zip(pt, e):
                 if p:
                     v *= x**p
             total += v
         return total
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MultiPoly) and self.n == other.n and self.terms == other.terms
-
-    # mutable: callers fill terms in place, so a content hash would go stale
-    __hash__ = None
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(f"x{i+1}^{p}" for i, p in enumerate(e) if p) or "1"
-            bits.append(f"{rat_str(c)}*{mono}")
-        return " + ".join(bits)
-
-    def to_json(self) -> dict[str, str]:
-        return {
-            "[" + ",".join(map(str, e)) + "]": rat_str(c) for e, c in self.sorted_terms()
-        }
 
 
 def divide_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -202,11 +229,10 @@ def divide_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if f.n != g.n:
-        raise ValueError("variable count mismatch")
+    f._check(g)
     lt_e, lt_c = g.leading()
-    g_rest = [(e, c) for e, c in g.terms.items() if e != lt_e]
-    r = dict(f.terms)
+    g_rest = [(e, c) for e, c in g.coeffs.items() if e != lt_e]
+    r = dict(f.coeffs)
     heap = [_heap_key(e) for e in r]
     heapq.heapify(heap)
     q: dict[tuple[int, ...], Fraction] = {}
@@ -229,9 +255,7 @@ def divide_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                 if te not in r:
                     heapq.heappush(heap, _heap_key(te))
                 r[te] = s
-    out = MultiPoly(f.n)
-    out.terms = q
-    return out
+    return f._new(q)
 
 
 def _heap_key(e: tuple[int, ...]) -> tuple:
@@ -249,7 +273,7 @@ def monomial_symmetric(lam: Partition, n: int) -> MultiPoly:
     if lam.length() > n:
         raise ValueError(f"{lam!r} has more than {n} parts")
     poly = MultiPoly(n)
-    poly.terms = dict.fromkeys(_monomial_exponents(lam, n), ONE)
+    poly.coeffs = dict.fromkeys(_monomial_exponents(lam, n), ONE)
     return poly
 
 
@@ -260,93 +284,24 @@ def _monomial_exponents(lam: Partition, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(set(itertools.permutations(padded)))
 
 
-class PartitionVector:
-    """Shared arithmetic of the partition-keyed coefficient vectors.
+class PartitionVector(SparseVector):
+    """A SparseVector keyed by partitions of at most n parts.
 
-    coeffs maps Partition -> nonzero Fraction.  Subclasses fix the context
-    two vectors must share before they are added or compared (_context),
-    the message raised when they do not (_mismatch), and the basis letter
-    that prefixes each partition in repr (_prefix).  A vector never
-    compares equal to one of another type.  It is mutable (callers fill
-    coeffs in place), so a content hash can go stale and the base is
-    unhashable; SymPoly alone keeps one (see there).
+    Subclasses fix the basis letter that prefixes each partition in repr
+    (_prefix).
     """
 
-    __slots__ = ("n", "coeffs")
-    _mismatch = "variable count mismatch"
+    __slots__ = ()
     _prefix = ""
+    _weight = staticmethod(Partition.weight)
 
-    def __init__(self, n: int, coeffs: Mapping[Partition, Fraction] | None = None):
-        self.n = n
-        self.coeffs: dict[Partition, Fraction] = {}
-        if coeffs:
-            for lam, c in coeffs.items():
-                if lam.length() > n:
-                    raise ValueError(f"{lam!r} has more than {n} parts")
-                c = Fraction(c)
-                if c != 0:
-                    self.coeffs[lam] = c
+    def _key(self, lam: Partition) -> Partition:
+        if lam.length() > self.n:
+            raise ValueError(f"{lam!r} has more than {self.n} parts")
+        return lam
 
-    def _context(self) -> tuple:
-        return (self.n,)
-
-    def _new(self, coeffs: dict[Partition, Fraction]) -> "PartitionVector":
-        """A vector in this one's context holding coeffs as given."""
-        r = type(self)(*self._context())
-        r.coeffs = coeffs
-        return r
-
-    def __add__(self, other: "PartitionVector") -> "PartitionVector":
-        if self._context() != other._context():
-            raise ValueError(self._mismatch)
-        out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            accumulate(out, lam, c)
-        return self._new(out)
-
-    def __neg__(self) -> "PartitionVector":
-        return self._new({lam: -c for lam, c in self.coeffs.items()})
-
-    def __sub__(self, other: "PartitionVector") -> "PartitionVector":
-        return self + (-other)
-
-    def scale(self, c) -> "PartitionVector":
-        c = Fraction(c)
-        return self._new({lam: c * v for lam, v in self.coeffs.items()} if c else {})
-
-    def coeff(self, lam: Partition) -> Fraction:
-        return self.coeffs.get(lam, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        return max((lam.weight() for lam in self.coeffs), default=0)
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and self._context() == other._context()
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def sorted_coeffs(self) -> list[tuple[Partition, Fraction]]:
-        return sorted(self.coeffs.items(), key=lambda t: (t[0].weight(), t[0].parts))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            f"{rat_str(c)}*{self._prefix}{list(lam.parts)}" for lam, c in self.sorted_coeffs()
-        )
-
-    def to_json(self) -> dict[str, str]:
-        return {
-            "[" + ",".join(map(str, lam.parts)) + "]": rat_str(c)
-            for lam, c in self.sorted_coeffs()
-        }
+    def _label(self, lam: Partition) -> str:
+        return f"{self._prefix}{list(lam.parts)}"
 
 
 class SymPoly(PartitionVector):
@@ -375,10 +330,10 @@ class SymPoly(PartitionVector):
     def expand(self) -> MultiPoly:
         terms: dict[tuple[int, ...], Fraction] = {}
         for lam, c in self.coeffs.items():
-            for e in monomial_symmetric(lam, self.n).terms:
+            for e in monomial_symmetric(lam, self.n).coeffs:
                 accumulate(terms, e, c)
         total = MultiPoly(self.n)
-        total.terms = terms
+        total.coeffs = terms
         return total
 
     def evaluate(self, point: Iterable) -> Fraction:
@@ -399,14 +354,14 @@ def collect_symmetric(f: MultiPoly) -> SymPoly:
     """
     out: dict[Partition, Fraction] = {}
     seen: set[tuple[int, ...]] = set()
-    for e, c in f.terms.items():
+    for e, c in f.coeffs.items():
         if e in seen:
             continue
         rep = tuple(sorted(e, reverse=True))
         orbit = set(itertools.permutations(e))
         for o in orbit:
             seen.add(o)
-            if f.terms.get(o, ZERO) != c:
+            if f.coeffs.get(o, ZERO) != c:
                 raise NotSymmetric(f"orbit of {rep} has inconsistent coefficients")
         out[Partition(rep)] = c
     r = SymPoly(f.n)
@@ -669,17 +624,15 @@ class FactoredFraction:
         for i in range(1, self.n + 1):
             if vp[i - 1] == 0:
                 continue
-            min_e = min(e[i - 1] for e in num.terms)
+            min_e = min(e[i - 1] for e in num.coeffs)
             drop = min(vp[i - 1], min_e)
             if drop:
                 shifted = {}
-                for e, c in num.terms.items():
+                for e, c in num.coeffs.items():
                     ne = list(e)
                     ne[i - 1] -= drop
                     shifted[tuple(ne)] = c
-                p = MultiPoly(self.n)
-                p.terms = shifted
-                num = p
+                num = num._new(shifted)
                 vp[i - 1] -= drop
         pp = dict(self.pair_pows)
         for key in list(pp):

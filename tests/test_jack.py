@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mvbessel import diffops
-from mvbessel.bessel import BesselParams, bessel_expand
+from mvbessel.bessel import BesselParams, bessel_expand, rectangular_2F0
 from mvbessel.errors import PoleError
 from mvbessel.jack import (
     JackExpansion,
@@ -208,6 +208,11 @@ def test_hyperg_trunc_basics():
 def test_hyperg_lower_pole():
     with pytest.raises(PoleError):
         hyperg_trunc([Fraction(1)], [Fraction(0)], Fraction(1), Fraction(1), 2, 2)
+    # h_(1,1,1) = (1 + 2 kappa)(1 + kappa) = 0 at kappa = -1/2
+    with pytest.raises(PoleError, match=r"hook product vanished at Partition\(\[1, 1, 1\]\)"):
+        hyperg_trunc([1], [], 1, Fraction(-1, 2), 3, 3)
+    with pytest.raises(PoleError, match="hook product vanished"):
+        rectangular_2F0(1, BesselParams(-20, Fraction(-1, 2), 3))
 
 
 def test_2f1_differential_equation():

@@ -13,15 +13,20 @@ imports from no package module but errors, partitions and polyalg.
 Every CLI call is a fresh interpreter, so the CLI's import path stays light:
 importing mvbessel.cli loads neither dataclasses nor typing, nor the
 inspect, ast, dis and tokenize modules that dataclasses drags in.
+The span tracer of perfbench/tracer.py wraps each function it names
+where the module or class defines it, in that owner's own __dict__, so
+every name it traces stays defined there and not on a base class.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 SOURCES = sorted((SRC / "mvbessel").glob("*.py"))
 
 
@@ -120,3 +125,22 @@ def test_the_cli_import_path_leaves_out_heavy_modules():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout == "[]\n", run.stdout
+
+
+def test_every_traced_function_is_in_its_owners_own_namespace():
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    traced = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TRACED"
+    )
+    assert traced
+    unresolved = []
+    for short, attr in traced.values():
+        owner = importlib.import_module(f"mvbessel.{short}")
+        *outer, leaf = attr.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        if not callable(vars(owner).get(leaf)):
+            unresolved.append(f"{short}.{attr}")
+    assert not unresolved, unresolved

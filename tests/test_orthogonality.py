@@ -184,12 +184,12 @@ def _monomial_sum_oracle(f: SymPoly, g: SymPoly, p: BesselParams) -> Fraction:
                 vdm = vdm * diff
     poly = f.expand() * g.expand() * vdm
     factors = {}
-    for exps in poly.terms:
+    for exps in poly.coeffs:
         for e in exps:
             if e not in factors:
                 factors[e] = moment_1d(e, p.a)
     total = Fraction(0)
-    for exps, c in poly.terms.items():
+    for exps, c in poly.coeffs.items():
         term = c
         for e in exps:
             term *= factors[e]
@@ -276,6 +276,13 @@ def test_gram_diagonal_and_norms():
                             assert rows[i][j] == 0, (lam, basis[j])
                     want = norm_full_reduced(lam, p)
                     assert rows[i][i] == want and want > 0
+
+
+def test_gram_matrix_computes_each_unordered_pairing_once():
+    _monomial_pairing.cache_clear()
+    gram_matrix(3, BesselParams(Fraction(-20), Fraction(2), 3))
+    # 7 partitions of weight <= 3 in at most 3 parts make 28 unordered pairs
+    assert _monomial_pairing.cache_info().misses == 28
 
 
 def test_gram_inadmissible_raises():

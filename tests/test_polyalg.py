@@ -9,6 +9,8 @@ from mvbessel.partitions import Partition
 from mvbessel.polyalg import (
     FactoredFraction,
     MultiPoly,
+    PartitionVector,
+    SparseVector,
     SymPoly,
     collect_symmetric,
     divide_exact,
@@ -86,7 +88,7 @@ def test_divide_exact_round_trip(q, g):
 
 def test_monomial_symmetric_cache_returns_copies():
     lam = Partition((2, 1))
-    monomial_symmetric(lam, 2).terms[(2, 1)] = Fraction(99)
+    monomial_symmetric(lam, 2).coeffs[(2, 1)] = Fraction(99)
     assert monomial_symmetric(lam, 2).coeff((2, 1)) == 1
 
 
@@ -127,7 +129,7 @@ def test_factored_fraction_roundtrip():
 
 
 def test_mutable_value_types_are_unhashable():
-    # a content hash would go stale once coeffs or terms is edited in place
+    # a content hash would go stale once coeffs is edited in place
     mp = MultiPoly.variable(2, 1)
     jx = JackExpansion(2, Fraction(1), {Partition((1,)): Fraction(1)})
     ff = FactoredFraction.from_poly(mp)
@@ -153,3 +155,25 @@ def test_partition_vectors_share_arithmetic_but_not_equality():
         jx + JackExpansion(2, Fraction(1))
     with pytest.raises(ValueError, match="more than 1 parts"):
         JackExpansion(1, Fraction(1), {mu: Fraction(1)})
+    mp = MultiPoly(2, {(2, 0): Fraction(3), (1, 1): Fraction(-1, 2), (0, 0): 5, (0, 3): 1})
+    assert repr(mp) == "5*1 + -1/2*x1^1*x2^1 + 3*x1^2 + 1*x2^3"
+    assert list(mp.to_json().items()) == [("[0,0]", "5"), ("[1,1]", "-1/2"), ("[2,0]", "3"), ("[0,3]", "1")]
+    assert mp.degree() == 3 and mp.leading() == ((0, 3), 1) and repr(MultiPoly(2)) == "0"
+    same_map = SymPoly(2)
+    same_map.coeffs = dict(mp.coeffs)
+    assert mp != same_map and same_map != mp
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        mp + MultiPoly(3)
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        mp * same_map
+    with pytest.raises(ValueError, match="length != 2"):
+        MultiPoly(2, {(1,): Fraction(1)})
+
+
+def test_one_base_holds_the_vector_arithmetic():
+    shared = {"__add__", "__neg__", "__sub__", "scale", "is_zero", "degree", "__eq__"}
+    shared |= {"sorted_coeffs", "__repr__", "to_json"}
+    for cls in (MultiPoly, PartitionVector, SymPoly, JackExpansion):
+        assert issubclass(cls, SparseVector)
+        assert not shared & set(vars(cls)), cls
+    assert shared <= set(vars(SparseVector))

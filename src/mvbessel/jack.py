@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DegenerateEigenvalue, PoleError
-from .partitions import Partition, dominance_leq, partitions_of, partitions_up_to
+from .partitions import Partition, co_covers, dominance_leq, partitions_of, partitions_up_to
 from .polyalg import ONE, ZERO, Affine, PartitionVector, SymPoly, accumulate, join, limit_at_zero
 
 def eigenvalue_d(lam: Partition, kappa: Fraction, n: int) -> Fraction:
@@ -359,15 +359,10 @@ def apply_basic(opid: str, v: JackExpansion) -> JackExpansion:
         elif opid == "D2":
             accumulate(out, lam, c * eigenvalue_d(lam, kappa, n))
         elif opid == "MUL_P1":
-            for i in range(1, n + 1):
-                up = lam.add_box(i)
-                if up is not None:
-                    accumulate(out, up, c * psi_prime(lam, i, kappa))
+            for i, up in co_covers(lam, n, "up"):
+                accumulate(out, up, c * psi_prime(lam, i, kappa))
         else:  # E0 or D1: one-box lowering
-            for i in range(1, lam.length() + 1):
-                mu = lam.remove_box(i)
-                if mu is None:
-                    continue
+            for i, mu in co_covers(lam, n, "down"):
                 w = lower_weight(mu, i, kappa, n)
                 if opid == "D1":
                     w *= lam.part(i) - 1 + kappa * (n - i)

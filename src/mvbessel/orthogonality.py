@@ -38,7 +38,7 @@ from .bessel import BesselParams, bessel_expand, square_integrability_bound
 from .errors import ConvergenceError, DegenerateRecurrence
 from .operators import apply_higher
 from .partitions import Partition, partitions_up_to
-from .polyalg import SymPoly, monomial_symmetric
+from .polyalg import SymPoly, orbit
 
 
 def check_L2_condition(m: int, p: BesselParams) -> bool:
@@ -151,9 +151,9 @@ def _monomial_pairing(
     padded = nu.parts + (0,) * (n - nu.length())
     pair = sum(
         _weighted_moment(tuple(sorted(map(sum, zip(padded, beta)), reverse=True)), a, two_kappa)
-        for beta in monomial_symmetric(mu, n).coeffs
+        for beta in orbit(mu, n)
     )
-    return len(monomial_symmetric(nu, n).coeffs) * pair
+    return len(orbit(nu, n)) * pair
 
 
 @functools.lru_cache(maxsize=4096)

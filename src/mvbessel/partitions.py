@@ -165,9 +165,8 @@ def skew_standard_chains(lam: Partition, mu: Partition) -> list[list[Partition]]
         if current == mu:
             chains.append(acc.copy())
             return
-        for i in range(1, current.length() + 1):
-            nu = current.remove_box(i)
-            if nu is not None and nu.contains(mu):
+        for _, nu in co_covers(current, current.length(), "down"):
+            if nu.contains(mu):
                 acc.append(nu)
                 descend(nu, acc)
                 acc.pop()

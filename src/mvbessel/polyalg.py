@@ -5,10 +5,13 @@ SparseVector is the one sparse coefficient-vector arithmetic (add, scale,
 compare, order, serialize).  MultiPoly is the vector keyed by exponent
 tuples; SymPoly (the monomial symmetric basis m_lambda) and
 jack.JackExpansion (the Jack basis P_lambda) are keyed by partitions,
-through PartitionVector.  FactoredFraction, a numerator over a product of
-variable powers x_i^c and pairwise factors (x_i - x_j)^d, is the
-arithmetic of the test oracle that runs the tower recursion with both
-branches; the production tower (operators) needs no division.
+through PartitionVector.  orbit is the one table of S_n orbits, the
+exponents of each m_lambda: every crossing between the m basis and
+monomials (SymPoly.expand, collect_symmetric, the moment pairing) reads it.
+FactoredFraction, a numerator over a product of variable powers x_i^c and
+pairwise factors (x_i - x_j)^d, is the arithmetic of the test oracle that
+runs the tower recursion with both branches; the production tower
+(operators) needs no division.
 
 limit_at_zero is the one exact-limit mechanism: every closed product that
 can meet 0/0 is a list of Affine factors c + s*t, taken at t = 0 along a
@@ -144,6 +147,8 @@ class MultiPoly(SparseVector):
     def _key(self, exps) -> tuple[int, ...]:
         if len(exps) != self.n:
             raise ValueError(f"exponent tuple {exps} has length != {self.n}")
+        if not all(isinstance(p, int) and p >= 0 for p in exps):
+            raise ValueError(f"exponents must be non-negative integers, got {exps}")
         return tuple(exps)
 
     @staticmethod
@@ -265,21 +270,12 @@ def _heap_key(e: tuple[int, ...]) -> tuple:
 
 # -- monomial symmetric polynomials ------------------------------------------
 
-def monomial_symmetric(lam: Partition, n: int) -> MultiPoly:
-    """The monomial symmetric polynomial m_lambda in n variables.
-
-    Returns a fresh MultiPoly each call, so callers may modify it.
-    """
+@functools.lru_cache(maxsize=4096)
+def orbit(lam: Partition, n: int) -> tuple[tuple[int, ...], ...]:
+    """The S_n orbit of lambda: its distinct permutations padded to n parts,
+    which are the exponents of m_lambda in n variables."""
     if lam.length() > n:
         raise ValueError(f"{lam!r} has more than {n} parts")
-    poly = MultiPoly(n)
-    poly.coeffs = dict.fromkeys(_monomial_exponents(lam, n), ONE)
-    return poly
-
-
-@functools.lru_cache(maxsize=4096)
-def _monomial_exponents(lam: Partition, n: int) -> tuple[tuple[int, ...], ...]:
-    """The distinct permutations of lambda padded to n parts."""
     padded = lam.parts + (0,) * (n - lam.length())
     return tuple(set(itertools.permutations(padded)))
 
@@ -296,6 +292,8 @@ class PartitionVector(SparseVector):
     _weight = staticmethod(Partition.weight)
 
     def _key(self, lam: Partition) -> Partition:
+        if not isinstance(lam, Partition):
+            raise ValueError(f"key {lam!r} is not a Partition")
         if lam.length() > self.n:
             raise ValueError(f"{lam!r} has more than {self.n} parts")
         return lam
@@ -328,12 +326,9 @@ class SymPoly(PartitionVector):
     __rmul__ = __mul__
 
     def expand(self) -> MultiPoly:
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for lam, c in self.coeffs.items():
-            for e in monomial_symmetric(lam, self.n).coeffs:
-                accumulate(terms, e, c)
+        # distinct partitions have disjoint orbits, so no two terms collide
         total = MultiPoly(self.n)
-        total.coeffs = terms
+        total.coeffs = {e: c for lam, c in self.coeffs.items() for e in orbit(lam, self.n)}
         return total
 
     def evaluate(self, point: Iterable) -> Fraction:
@@ -358,12 +353,12 @@ def collect_symmetric(f: MultiPoly) -> SymPoly:
         if e in seen:
             continue
         rep = tuple(sorted(e, reverse=True))
-        orbit = set(itertools.permutations(e))
-        for o in orbit:
+        lam = Partition(rep)
+        for o in orbit(lam, f.n):
             seen.add(o)
             if f.coeffs.get(o, ZERO) != c:
                 raise NotSymmetric(f"orbit of {rep} has inconsistent coefficients")
-        out[Partition(rep)] = c
+        out[lam] = c
     r = SymPoly(f.n)
     r.coeffs = out
     return r

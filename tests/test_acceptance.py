@@ -45,7 +45,9 @@ from mvbessel.pieri_norms import (
     pieri_verify,
     renormalize,
 )
-from mvbessel.polyalg import MultiPoly, SymPoly, collect_symmetric, divide_exact
+from mvbessel.polyalg import MultiPoly, SymPoly, collect_symmetric
+
+from oracles import schur
 
 SAMPLE = [
     BesselParams(Fraction(-20), Fraction(1), 2),
@@ -206,30 +208,11 @@ def test_criterion_10_bc_cross_checks():
     report(10, "BC-type eigenfunctions with closed-form constant terms", ok)
 
 
-def _schur(lam, n):
-    import itertools
-
-    exps = [lam.part(i) + n - i for i in range(1, n + 1)]
-    det = MultiPoly.zero(n)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        det = det + MultiPoly.monomial(n, [exps[perm[i]] for i in range(n)], sign)
-    vand = MultiPoly.constant(n, 1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            vand = vand * (MultiPoly.variable(n, i) - MultiPoly.variable(n, j))
-    return collect_symmetric(divide_exact(det, vand))
-
-
 def test_criterion_11_jack_sanity():
     ok = True
     for n in (1, 2, 3):
         for lam in partitions_up_to(5, n):
-            ok = ok and jack_in_monomials(lam, Fraction(1), n) == _schur(lam, n)
+            ok = ok and jack_in_monomials(lam, Fraction(1), n) == schur(lam, n)
     kappa = Fraction(5, 3)
     for lam in partitions_up_to(5, 4):
         for i, up in co_covers(lam, 5, "up"):

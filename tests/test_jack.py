@@ -23,27 +23,9 @@ from mvbessel.jack import (
     sym_to_jack,
 )
 from mvbessel.partitions import Partition, co_covers, partitions_of, partitions_up_to
-from mvbessel.polyalg import MultiPoly, SymPoly, collect_symmetric, divide_exact
+from mvbessel.polyalg import MultiPoly, SymPoly, collect_symmetric
 
-
-def schur(lam: Partition, n: int) -> SymPoly:
-    """Bialternant determinant divided by the Vandermonde, as an exact oracle."""
-    exps = [lam.part(i) + n - i for i in range(1, n + 1)]
-    det = MultiPoly.zero(n)
-    import itertools
-
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        det = det + MultiPoly.monomial(n, [exps[perm[i]] for i in range(n)], sign)
-    vand = MultiPoly.constant(n, 1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            vand = vand * (MultiPoly.variable(n, i) - MultiPoly.variable(n, j))
-    return collect_symmetric(divide_exact(det, vand))
+from oracles import schur
 
 
 def test_kappa_one_is_schur():

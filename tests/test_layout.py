@@ -10,6 +10,8 @@ against, so diffops imports from no package module but errors and polyalg.
 The one exact-limit mechanism, Affine and limit_at_zero, is defined in
 polyalg alone, and jack, which evaluates its closed products with it,
 imports from no package module but errors, partitions and polyalg.
+Every S_n orbit of exponents comes from the one cached table,
+polyalg.orbit, so no other function enumerates permutations.
 Every CLI call is a fresh interpreter, so the CLI's import path stays light:
 importing mvbessel.cli loads neither dataclasses nor typing, nor the
 inspect, ast, dis and tokenize modules that dataclasses drags in.
@@ -74,6 +76,20 @@ def test_the_exact_limit_is_defined_only_in_polyalg():
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in ("Affine", "limit_at_zero")
     )
     assert defined == [("polyalg.py", "Affine"), ("polyalg.py", "limit_at_zero")], defined
+
+
+def test_only_polyalg_orbit_enumerates_permutations():
+    users = sorted(
+        {
+            (path.name, fn.name)
+            for path in SOURCES
+            for fn in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if "permutations" in (getattr(node, "id", None), getattr(node, "attr", None))
+        }
+    )
+    assert users == [("polyalg.py", "orbit")], users
 
 
 def _finite_maxsize(call: ast.Call) -> bool:

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mvbessel.errors import NotDivisible
-from mvbessel.jack import JackExpansion
-from mvbessel.partitions import Partition
+from mvbessel.errors import NotDivisible, NotSymmetric
+from mvbessel.jack import JackExpansion, principal_spec
+from mvbessel.partitions import Partition, partitions_up_to
 from mvbessel.polyalg import (
     FactoredFraction,
     MultiPoly,
@@ -15,7 +15,7 @@ from mvbessel.polyalg import (
     collect_symmetric,
     divide_exact,
     elementary,
-    monomial_symmetric,
+    orbit,
     power_sum,
     rat_str,
 )
@@ -88,17 +88,51 @@ def test_divide_exact_round_trip(q, g):
 
 def test_monomial_symmetric_cache_returns_copies():
     lam = Partition((2, 1))
-    monomial_symmetric(lam, 2).coeffs[(2, 1)] = Fraction(99)
-    assert monomial_symmetric(lam, 2).coeff((2, 1)) == 1
+    SymPoly(2, {lam: 1}).expand().coeffs[(2, 1)] = Fraction(99)
+    assert SymPoly(2, {lam: 1}).expand().coeff((2, 1)) == 1
 
 
 def test_monomial_symmetric_and_collect():
-    m21 = monomial_symmetric(Partition((2, 1)), 2)
+    m21 = SymPoly(2, {Partition((2, 1)): 1}).expand()
     assert m21.coeff((2, 1)) == 1 and m21.coeff((1, 2)) == 1
     s = collect_symmetric(m21)
     assert s.coeff(Partition((2, 1))) == 1 and len(s.coeffs) == 1
-    with pytest.raises(Exception):
+    with pytest.raises(NotSymmetric, match=r"^orbit of \(2, 1\) has inconsistent coefficients$"):
         collect_symmetric(MultiPoly.monomial(2, (2, 1)))
+
+
+def test_orbit_size_is_m_lambda_at_ones():
+    # m_lambda(1^n) = P_lambda(1^n) at kappa = 0, an independent closed form
+    for n in range(1, 6):
+        for lam in partitions_up_to(6, n):
+            assert len(orbit(lam, n)) == principal_spec(lam, Fraction(0), n), (lam, n)
+    assert isinstance(orbit(Partition((2, 1)), 3), tuple)
+    with pytest.raises(ValueError, match="more than 1 parts"):
+        orbit(Partition((1, 1)), 1)
+
+
+@st.composite
+def sym_polys(draw):
+    n = draw(st.integers(1, 5))
+    lams = partitions_up_to(4, n)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    return SymPoly(n, draw(st.dictionaries(st.sampled_from(lams), coeffs, max_size=6)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(sym_polys())
+def test_collect_symmetric_inverts_expand(f):
+    assert collect_symmetric(f.expand()) == f
+
+
+def test_vector_keys_are_validated():
+    with pytest.raises(ValueError, match="not a Partition"):
+        SymPoly(2, {(2, 1): 1})
+    with pytest.raises(ValueError, match="not a Partition"):
+        JackExpansion(2, Fraction(1), {(1,): 1})
+    for exps in ((2, 1.5), (2, -1), (Fraction(1), 0)):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            MultiPoly(2, {exps: 1})
 
 
 def test_elementary_and_power_sum():

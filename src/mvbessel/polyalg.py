@@ -7,7 +7,8 @@ tuples; SymPoly (the monomial symmetric basis m_lambda) and
 jack.JackExpansion (the Jack basis P_lambda) are keyed by partitions,
 through PartitionVector.  orbit is the one table of S_n orbits, the
 exponents of each m_lambda: every crossing between the m basis and
-monomials (SymPoly.expand, collect_symmetric, the moment pairing) reads it.
+monomials (SymPoly.expand, collect_symmetric, the moment pairing, the
+diffops kernel) reads it.
 FactoredFraction, a numerator over a product of variable powers x_i^c and
 pairwise factors (x_i - x_j)^d, is the arithmetic of the test oracle that
 runs the tower recursion with both branches; the production tower
@@ -211,6 +212,8 @@ class MultiPoly(SparseVector):
 
     def evaluate(self, point: Iterable) -> Fraction:
         pt = [Fraction(v) for v in point]
+        if len(pt) != self.n:
+            raise ValueError(f"point has {len(pt)} coordinates, expected {self.n}")
         total = ZERO
         for e, c in self.coeffs.items():
             v = c

@@ -10,8 +10,9 @@ empty stdout).  Two Jacobi runs whose constant term meets a removable 0/0 of
 the v or w steps take it as the limit along (k1 + t, k2, k3 + t) and pin
 their digests and check counts.  The Pieri runs at n = 4 and at a generic
 kappa, the Jacobi run at n = 4, degree 5, the Gram run at n = 3, kappa = 2,
-the two Gram runs at degree 4, the eigen run at n = 5, degree 6, and the
-moments2 runs at degrees 0 and 8 also pin their check counts.  The gram,
+the two Gram runs at degree 4, the eigen runs at n = 5, degree 6 and at
+n = 6, degree 8 (S_6 orbits of up to 720 monomials), and the moments2 runs
+at degrees 0 and 8 also pin their check counts.  The gram,
 pieri, eigen and jacobi runs at kappa = 0, where every closed product meets
 0/0 and Y_lambda is taken as its limit, pin digests and check counts, and
 the jack run there reports m_(2,1)(1,1,1) = 6.
@@ -49,6 +50,11 @@ GOLDEN = [
         "verify eigen --n=5 --max-degree=6 --kappa=5/3 --a=-20",
         0,
         "e2015cfebcdcf90e4242125e608dc4c485b580bc0c985709db4020ce9fe94d48",
+    ),
+    (
+        "verify eigen --n=6 --max-degree=8 --kappa=5/3 --a=-40",
+        0,
+        "b09011f61a68edb1964fa7941429d58387c31f19dfb88f330f6f8f4b42c52c60",
     ),
     (
         "bessel --n=5 --lambda=2,2,1 --renormalize --a=-20 --kappa=3/2",
@@ -197,6 +203,7 @@ def test_cli_output_is_pinned(argv, code, digest, capsys):
 
 CHECK_COUNTS = {
     "verify eigen --n=5 --max-degree=6 --kappa=5/3 --a=-20": 29,
+    "verify eigen --n=6 --max-degree=8 --kappa=5/3 --a=-40": 64,
     "verify pieri --n=4 --max-degree=3 --kappa=1 --a=-27/2": 28,
     "verify pieri --n=3 --max-degree=3 --kappa=4/3 --a=-33/2": 21,
     "verify jacobi --n=4 --max-degree=5 --k1=1 --k2=1/2 --k3=3/2": 36,

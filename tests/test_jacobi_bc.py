@@ -105,44 +105,20 @@ def test_operator_matches_direct_form():
     for lam in partitions_up_to(3, 2):
         v = JackExpansion(2, jp.k3, {lam: Fraction(1)})
         lhs = apply_DBC_jack(v, jp).to_sym()
-        rhs = collect_symmetric(
-            diffops.jacobi_bc_op(v.to_sym().expand(), jp.k1, jp.k2, jp.k3)
-        )
+        rhs = diffops.apply_jacobi_bc_sym(v.to_sym(), jp.k1, jp.k2, jp.k3)
         assert lhs == rhs, lam
 
 
-class _Expanded:
-    """Stands in for a SymPoly whose expansion is the given polynomial."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def expand(self):
-        return self.f
-
-
-def test_pairwise_terms_reject_non_symmetric_input():
-    # x_1^2 + x_1 x_2: w(x_1) d_1 f - w(x_2) d_2 f is not divisible by x_1 - x_2
+def test_collect_symmetric_rejects_non_symmetric_input():
+    # the operators take SymPoly, so an expanded polynomial reaches them only
+    # through collect_symmetric, which refuses one that is not symmetric
+    # x_1^2 + x_1 x_2
     f = MultiPoly(2, {(2, 0): Fraction(1), (1, 1): Fraction(1)})
-    for k in (0, 2):
-        with pytest.raises(NotSymmetric):
-            diffops.pairwise_interaction(f, k, Fraction(1))
-    with pytest.raises(NotSymmetric):
-        diffops.jacobi_bc_op(f, Fraction(1), Fraction(1), Fraction(1))
     # x_1^2 x_2 + x_1 x_2^2 + x_3: symmetric in (x_1, x_2) but not in (x_1, x_3)
     g = MultiPoly(3, {(2, 1, 0): Fraction(1), (1, 2, 0): Fraction(1), (0, 0, 1): Fraction(1)})
-    entry_points = [
-        lambda kappa: diffops.pairwise_interaction(g, 1, kappa),
-        lambda kappa: diffops.sutherland_op(g, 2, kappa),
-        lambda kappa: diffops.bessel_op(g, Fraction(-20), kappa),
-        lambda kappa: diffops.jacobi_bc_op(g, Fraction(1), Fraction(1), kappa),
-        lambda kappa: diffops.apply_sutherland_sym(_Expanded(g), 2, kappa),
-        lambda kappa: diffops.apply_bessel_sym(_Expanded(g), Fraction(-20), kappa),
-    ]
-    for apply in entry_points:
-        for kappa in (Fraction(0), Fraction(3, 2)):
-            with pytest.raises(NotSymmetric):
-                apply(kappa)
+    for h in (f, g):
+        with pytest.raises(NotSymmetric):
+            collect_symmetric(h)
 
 
 def test_limit_params_degeneration():

@@ -6,7 +6,7 @@ modules gets papered over.  Every cache is bounded: each use of
 functools.lru_cache names an explicit, finite maxsize, and the unbounded
 functools.cache is not used.  The direct differential operators in diffops
 are the oracle that the Jack, operators and bessel routes are checked
-against, so diffops imports from no package module but errors and polyalg.
+against, so diffops imports from no package module but polyalg.
 The one exact-limit mechanism, Affine and limit_at_zero, is defined in
 polyalg alone, and jack, which evaluates its closed products with it,
 imports from no package module but errors, partitions and polyalg.
@@ -58,9 +58,9 @@ def _package_imports(module: str) -> set:
     return used
 
 
-def test_diffops_imports_only_errors_and_polyalg():
+def test_diffops_imports_only_polyalg():
     used = _package_imports("diffops")
-    assert used == {"errors", "polyalg"}, used
+    assert used == {"polyalg"}, used
 
 
 def test_jack_imports_only_errors_partitions_and_polyalg():

@@ -152,6 +152,15 @@ def test_sympoly_ring_operations():
     assert f.evaluate([Fraction(2), Fraction(5)]) == 7
 
 
+def test_evaluate_refuses_a_point_of_the_wrong_length():
+    f = SymPoly(2, {Partition((1,)): Fraction(1)})
+    for point in ([5], [1, 2, 3]):
+        with pytest.raises(ValueError, match="expected 2"):
+            f.evaluate(point)
+        with pytest.raises(ValueError, match="expected 2"):
+            f.expand().evaluate(point)
+
+
 def test_factored_fraction_roundtrip():
     x = MultiPoly.variable(2, 1)
     y = MultiPoly.variable(2, 2)

@@ -1,6 +1,7 @@
 """Randomised cross-checks of the shared triangular solver, the peel, the
 commuting tower (against its two-branch recursion), the direct differential
-operators (against MultiPoly products and exact division), the Pieri expansion,
+operators (against MultiPoly products and exact division, and up to n = 6
+against the Jack-basis action), the Pieri expansion,
 the two norm routes, the binomial coefficient routes, the lowering weight
 against the hook-quotient route, the principal specialization at kappa = 0
 and the Jacobi constant term.
@@ -20,6 +21,7 @@ from mvbessel import diffops
 from mvbessel.bessel import BesselParams, bessel_coeff_tableau, bessel_expand
 from mvbessel.errors import DegenerateEigenvalue, NotDivisible, NotSymmetric, PoleError
 from mvbessel.jack import (
+    apply_basic,
     binomial_cocover,
     binomial_cocover_product,
     eigenvalue_d,
@@ -36,7 +38,7 @@ from mvbessel.jacobi_bc import (
     jacobi_eigenvalue,
     jacobi_expand,
 )
-from mvbessel.operators import _higher_recursion, apply_higher
+from mvbessel.operators import _higher_recursion, apply_DB_jack, apply_higher
 from mvbessel.partitions import Partition, partitions_up_to
 from mvbessel.pieri_norms import (
     norm_ratio,
@@ -261,11 +263,28 @@ with_zero = st.one_of(st.just(Fraction(0)), rationals)
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(expanded_sym_polys(), with_zero, with_zero, with_zero, with_zero)
 def test_direct_operators_match_the_division_oracle(f, a, kappa, k1, k2):
+    g = collect_symmetric(f)
     for k in (0, 1, 2):
-        assert diffops.pairwise_interaction(f, k, kappa) == _pairwise_oracle(f, k, kappa)
-        assert diffops.sutherland_op(f, k, kappa) == _sutherland_oracle(f, k, kappa)
-    assert diffops.bessel_op(f, a, kappa) == _bessel_oracle(f, a, kappa)
-    assert diffops.jacobi_bc_op(f, k1, k2, kappa) == _jacobi_bc_oracle(f, k1, k2, kappa)
+        assert diffops.apply_sutherland_sym(g, k, kappa).expand() == _sutherland_oracle(f, k, kappa)
+    assert diffops.apply_bessel_sym(g, a, kappa).expand() == _bessel_oracle(f, a, kappa)
+    assert diffops.apply_jacobi_bc_sym(g, k1, k2, kappa).expand() == _jacobi_bc_oracle(f, k1, k2, kappa)
+
+
+@st.composite
+def sym_polys_to_six_variables(draw):
+    n = draw(st.integers(1, 6))
+    support = draw(st.lists(st.sampled_from(partitions_up_to(5, n)), max_size=4, unique=True))
+    return SymPoly(n, {mu: draw(rationals) for mu in support})
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(sym_polys_to_six_variables(), rationals, kappas)
+def test_direct_operators_match_the_jack_basis_action(f, a, kappa):
+    # up to n = 6, where one S_n orbit has up to 720 monomials
+    v = _unless_degenerate(sym_to_jack, f, kappa)
+    p = BesselParams(a, kappa, f.n)
+    assert diffops.apply_bessel_sym(f, a, kappa) == _unless_degenerate(apply_DB_jack, v, p).to_sym()
+    assert diffops.apply_sutherland_sym(f, 2, kappa) == apply_basic("D2", v).to_sym()
 
 
 def _pole_or_value(fn, *args):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .polyalg import Partition, SymPoly, orbit
+from .polyalg import Partition, SymPoly, orbit_size
 
 
 def _apply(f: SymPoly, groups: list[tuple[Fraction, list[tuple[str, int, int]]]]) -> SymPoly:
@@ -33,7 +33,7 @@ def _apply(f: SymPoly, groups: list[tuple[Fraction, list[tuple[str, int, int]]]]
     singles = [(kind == "d2", k, 2 * w, acc) for kind, k, w, acc in flat if kind != "pair"]
     pairs = [(k - 1, w, acc) for kind, k, w, acc in flat if kind == "pair"]
     for mu, c in f.coeffs.items():
-        c = c.numerator * (den // c.denominator) * len(orbit(mu, n))
+        c = c.numerator * (den // c.denominator) * orbit_size(mu, n)
         e = mu.parts + (0,) * (n - mu.length())
         x = list(e)
         for i, ai in enumerate(mu.parts):
@@ -62,7 +62,7 @@ def _apply(f: SymPoly, groups: list[tuple[Fraction, list[tuple[str, int, int]]]]
         total = sum(m * acc.get(key, 0) for m, acc in zip(nums, accs))
         if total:
             lam = Partition(key)
-            out.coeffs[lam] = Fraction(total, 2 * q * den * len(orbit(lam, n)))
+            out.coeffs[lam] = Fraction(total, 2 * q * den * orbit_size(lam, n))
     return out
 
 

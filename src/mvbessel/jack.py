@@ -24,13 +24,11 @@ from .partitions import Partition, co_covers, dominance_leq, partitions_of, part
 from .polyalg import ONE, ZERO, Affine, PartitionVector, SymPoly, accumulate, join, limit_at_zero
 
 def eigenvalue_d(lam: Partition, kappa: Fraction, n: int) -> Fraction:
-    """sum_i lam_i (lam_i - 1 + 2 kappa (n - i))."""
-    kappa = Fraction(kappa)
-    total = ZERO
-    for i in range(1, lam.length() + 1):
-        li = lam.part(i)
-        total += li * (li - 1 + 2 * kappa * (n - i))
-    return total
+    """sum_i lam_i (lam_i - 1 + 2 kappa (n - i)): two integer sums, one Fraction step."""
+    parts = lam.parts
+    return sum(li * (li - 1) for li in parts) + 2 * Fraction(kappa) * sum(
+        li * (n - i) for i, li in enumerate(parts, start=1)
+    )
 
 
 def raising_weights(mu: Partition) -> dict[Partition, int]:
@@ -97,16 +95,18 @@ def peel(f, basis: Callable) -> dict[Partition, Fraction]:
 
     basis(mu) has its graded-lex leading term at mu.  The leading term of
     the remainder is peeled off until nothing is left, so each subtraction
-    only introduces strictly smaller partitions.
+    only introduces strictly smaller partitions, in place on one copy of f.
     """
     out: dict[Partition, Fraction] = {}
-    rest = f
-    while not rest.is_zero():
-        mu = max(rest.coeffs)
+    rest = dict(f.coeffs)
+    while rest:
+        mu = max(rest)
         b = basis(mu)
-        c = rest.coeff(mu) / b.coeff(mu)
+        f._check(b)
+        c = rest[mu] / b.coeff(mu)
         out[mu] = c
-        rest = rest - b.scale(c)
+        for nu, v in b.coeffs.items():
+            accumulate(rest, nu, -c * v)
     return out
 
 

@@ -38,7 +38,7 @@ from .bessel import BesselParams, bessel_expand, square_integrability_bound
 from .errors import ConvergenceError, DegenerateRecurrence
 from .operators import apply_higher
 from .partitions import Partition, partitions_up_to
-from .polyalg import SymPoly, orbit
+from .polyalg import SymPoly, orbit, orbit_size
 
 
 def check_L2_condition(m: int, p: BesselParams) -> bool:
@@ -153,7 +153,7 @@ def _monomial_pairing(
         _weighted_moment(tuple(sorted(map(sum, zip(padded, beta)), reverse=True)), a, two_kappa)
         for beta in orbit(mu, n)
     )
-    return len(orbit(nu, n)) * pair
+    return orbit_size(nu, n) * pair
 
 
 @functools.lru_cache(maxsize=4096)

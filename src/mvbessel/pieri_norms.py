@@ -15,8 +15,10 @@ step factors of v and w, one per unit of each non-negative shift.  The
 renormalized polynomials Ytilde_lambda = Y_lambda / (2^{|lambda|}
 Delta_+(rho+lambda)/Delta_+(rho)) are the basis of the Pieri expansions.
 The Delta ratios, both norm routes and the Pieri coefficients are lists of
-polyalg.Affine factors along the line (a + t, kappa + t), on one perturbed
-rho, taken at t = 0 by polyalg.limit_at_zero.
+polyalg.Affine factors along the line (a + t, kappa + t), taken at t = 0 by
+polyalg.limit_at_zero.  Except in norm_ratio_product, the independent
+second route, that line is scaled to integers (_rho_line), and the Pieri
+factor groups of one (lambda, p) are built once, in one cached table.
 
 Absolute Gamma values never materialize; the lone transcendental scale
 2^{(a-1)n} Gamma(1-a)^n of the norm formulas is carried implicitly.
@@ -27,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import ConvergenceError, PoleError
 from .partitions import Partition
@@ -36,7 +38,6 @@ from .bessel import (
     BesselParams,
     BesselPolynomial,
     bessel_expand,
-    rho_vector,
     square_integrability_bound,
 )
 from .jack import JackExpansion, peel, rising_factorial, sym_to_jack
@@ -47,17 +48,20 @@ def v_factors(z, kappa):
     return (kappa + z,), (z,)
 
 
-def w_factors(z, a):
-    """w(z) = ((a-1)/2 + z)/(2z(2z+1)) as (numerator factors, denominator factors)."""
-    return ((a - 1) / 2 + z,), (2 * z, 2 * z + 1)
+def w_factors(z, h, D: int):
+    """w(z) = (h + z)/(2z(2z+1)), h = (a-1)/2, on the line scaled by D: D(h+z)/(2z(2z+D))."""
+    return (Affine(D, 0), h + z), (2 * z, 2 * z + D)
 
 
-def _rho_line(p: BesselParams) -> tuple[Affine, ...]:
-    """rho along the line (a + t, kappa + t): rho_i(t) =
-    (kappa+t)(n-i) + (a+t-1)/2, so row i moves by n-i+1/2."""
-    return tuple(
-        Affine(r, Fraction(2 * (p.n - i) + 1, 2)) for i, r in enumerate(rho_vector(p), start=1)
-    )
+def _rho_line(p: BesselParams):
+    """(rho, kappa, h, D) along (a + t, kappa + t), h = (a-1)/2, all times
+    D = 2 lcm(den a, den kappa): Affines with integer constant and slope,
+    on which a unit step is D.  Every v or w step has as many factors up
+    as down, so D cancels."""
+    D = 2 * lcm(p.a.denominator, p.kappa.denominator)
+    kappa = Affine(D // p.kappa.denominator * p.kappa.numerator, D)
+    h = Affine(D // 2 // p.a.denominator * (p.a.numerator - p.a.denominator), D // 2)
+    return tuple(kappa * (p.n - i) + h for i in range(1, p.n + 1)), kappa, h, D
 
 
 def delta_factors(sign: str, lam: Partition, p: BesselParams):
@@ -73,21 +77,20 @@ def delta_factors(sign: str, lam: Partition, p: BesselParams):
     n = p.n
     if lam.length() > n:
         raise ValueError(f"{lam!r} has more than {n} parts")
+    z, kappa, h, D = _rho_line(p)
     if sign == "+":
-        at = lambda z0, t: z0 + t
+        at = lambda z0, t: z0 + t * D
     elif sign == "-":
-        at = lambda z0, t: -z0 - t - 1
+        at = lambda z0, t: -z0 - (t + 1) * D
     else:
         raise ValueError("sign must be '+' or '-'")
-    z = _rho_line(p)
-    a, kappa = Affine(p.a, ONE), Affine(p.kappa, ONE)
     m = [lam.part(i) for i in range(1, n + 1)]
     groups = []
     for i in range(n):
         for j in range(i + 1, n):
             for z0, shift in ((z[i] - z[j], m[i] - m[j]), (z[i] + z[j], m[i] + m[j])):
                 groups += [v_factors(at(z0, t), kappa) for t in range(shift)]
-        groups += [w_factors(at(z[i], t), a) for t in range(m[i])]
+        groups += [w_factors(at(z[i], t), h, D) for t in range(m[i])]
     return join(*groups)
 
 
@@ -129,7 +132,7 @@ def _renormalized_coeffs(
 
 def renormalized_jack(lam: Partition, p: BesselParams) -> JackExpansion:
     """Ytilde_lambda on the Jack basis: a fresh vector, which callers may modify."""
-    return JackExpansion(p.n, p.kappa, dict(_renormalized_coeffs(lam, p)))
+    return JackExpansion(p.n, p.kappa)._new(dict(_renormalized_coeffs(lam, p)))
 
 
 def E_hat_r(r: int, n: int) -> SymPoly:
@@ -140,8 +143,8 @@ def E_hat_r(r: int, n: int) -> SymPoly:
 
 
 class _FactorTable(dict):
-    """The factor groups of one Pieri call at z, each built from
-    v_factors/w_factors on first use and shared by every term after that.
+    """The factor groups of the Pieri calls at z = rho + lambda, each built
+    from v_factors/w_factors on first use and shared by every term and r.
 
     Keys name 1-based rows and signs e = +-1 (pairs i < i2, crosses j != i):
 
@@ -149,28 +152,41 @@ class _FactorTable(dict):
         ("pair", i, e, i2, e2, reflected)  v(u) v(u'),  u = e z_i + e2 z_i2,
                                            u' = -u-1 if reflected else u+1
         ("cross", i, e, j)                 v(e z_i + z_j) v(e z_i - z_j)
+        ("U", Ic, q)                       the terms of U_{Ic, q}, for any signs of I
     """
 
-    def __init__(self, z: tuple, a, kappa):
+    def __init__(self, lam: Partition, p: BesselParams):
         super().__init__()
-        self.a, self.kappa = a, kappa
-        self.ez = {(i, e): e * zi for i, zi in enumerate(z, start=1) for e in (1, -1)}
+        z, self.kappa, self.h, self.D = _rho_line(p)
+        rows = enumerate(z, start=1)
+        self.ez = {(i, e): e * (zi + lam.part(i) * self.D) for i, zi in rows for e in (1, -1)}
 
     def __missing__(self, key):
-        kind, i, e, *rest = key
-        x = self.ez[i, e]
-        if kind == "w":
-            group = w_factors(x, self.a)
+        kind, *rest = key
+        if kind == "U":
+            Ic, q = rest
+            group = tuple(
+                _move_factors(dict(zip(K, signs)), K, [j for j in Ic if j not in K], self, True)
+                for K in itertools.combinations(Ic, q)
+                for signs in itertools.product((1, -1), repeat=q)
+            )
+        elif kind == "w":
+            group = w_factors(self.ez[tuple(rest)], self.h, self.D)
         elif kind == "pair":
-            i2, e2, reflected = rest
-            u = x + self.ez[i2, e2]
-            step = -u - 1 if reflected else u + 1
+            i, e, i2, e2, reflected = rest
+            u = self.ez[i, e] + self.ez[i2, e2]
+            step = -u - self.D if reflected else u + self.D
             group = join(v_factors(u, self.kappa), v_factors(step, self.kappa))
         else:
-            zj = self.ez[rest[0], 1]
+            i, e, j = rest
+            x, zj = self.ez[i, e], self.ez[j, 1]
             group = join(v_factors(x + zj, self.kappa), v_factors(x - zj, self.kappa))
         self[key] = group
         return group
+
+
+# one table per (lambda, p), shared by the Pieri calls of every r
+_factor_table = functools.lru_cache(maxsize=4096)(_FactorTable)
 
 
 def _move_factors(eps, I, J, table: _FactorTable, reflected: bool):
@@ -180,7 +196,7 @@ def _move_factors(eps, I, J, table: _FactorTable, reflected: bool):
         prod_{i in I, j in J} v(eps_i z_i + z_j) v(eps_i z_i - z_j),
 
     with u = eps_i z_i + eps_i' z_i' and u' = -u-1 if reflected else u+1:
-    a concatenation of the call's shared factor groups.
+    a concatenation of the table's shared factor groups.
     """
     groups = [table["w", i, eps[i]] for i in I]
     groups += [
@@ -188,7 +204,7 @@ def _move_factors(eps, I, J, table: _FactorTable, reflected: bool):
         for i, i2 in itertools.combinations(I, 2)
     ]
     groups += [table["cross", i, eps[i], j] for i in I for j in J]
-    return [f for g in groups for f in g[0]], [f for g in groups for f in g[1]]
+    return join(*groups)
 
 
 def _coefficient_terms(eps, I, Ic, p: int, table: _FactorTable) -> list:
@@ -196,13 +212,7 @@ def _coefficient_terms(eps, I, Ic, p: int, table: _FactorTable) -> list:
     move factor of (eps, I), and U sums the reflected move factors of
     every signed p-subset of I^c."""
     v_num, v_den = _move_factors(eps, I, Ic, table, reflected=False)
-    terms = []
-    for K in itertools.combinations(Ic, p):
-        rest = tuple(j for j in Ic if j not in K)
-        for signs in itertools.product((1, -1), repeat=p):
-            num, den = _move_factors(dict(zip(K, signs)), K, rest, table, reflected=True)
-            terms.append((num + v_num, den + v_den))
-    return terms
+    return [(num + v_num, den + v_den) for num, den in table["U", Ic, p]]
 
 
 def _shift_target(lam: Partition, n: int, I, eps) -> Partition | None:
@@ -235,8 +245,7 @@ def pieri_expand(r: int, lam: Partition, p: BesselParams) -> dict[Partition, Fra
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if lam.length() > n:
         raise ValueError(f"{lam!r} has more than {n} parts")
-    z = tuple(r + lam.part(i) for i, r in enumerate(_rho_line(p), start=1))
-    table = _FactorTable(z, Affine(p.a, ONE), Affine(p.kappa, ONE))
+    table = _factor_table(lam, p)
     out: dict[Partition, Fraction] = {}
     for size in range(r + 1):
         for I in itertools.combinations(range(1, n + 1), size):

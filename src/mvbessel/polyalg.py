@@ -7,8 +7,8 @@ tuples; SymPoly (the monomial symmetric basis m_lambda) and
 jack.JackExpansion (the Jack basis P_lambda) are keyed by partitions,
 through PartitionVector.  orbit is the one table of S_n orbits, the
 exponents of each m_lambda: every crossing between the m basis and
-monomials (SymPoly.expand, collect_symmetric, the moment pairing, the
-diffops kernel) reads it.
+monomials (SymPoly.expand, collect_symmetric, the moment pairing) reads
+it, and orbit_size counts one without listing it.
 FactoredFraction, a numerator over a product of variable powers x_i^c and
 pairwise factors (x_i - x_j)^d, is the arithmetic of the test oracle that
 runs the tower recursion with both branches; the production tower
@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
@@ -281,6 +282,15 @@ def orbit(lam: Partition, n: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError(f"{lam!r} has more than {n} parts")
     padded = lam.parts + (0,) * (n - lam.length())
     return tuple(set(itertools.permutations(padded)))
+
+
+def orbit_size(lam: Partition, n: int) -> int:
+    """len(orbit(lam, n)) = n!/((n-l)! prod_i m_i!), l = len(lam), m_i the
+    multiplicity of the part i: counted without listing the orbit."""
+    if lam.length() > n:
+        raise ValueError(f"{lam!r} has more than {n} parts")
+    count = math.factorial(n) // math.factorial(n - lam.length())
+    return count // math.prod(math.factorial(lam.parts.count(x)) for x in set(lam.parts))
 
 
 class PartitionVector(SparseVector):

@@ -15,6 +15,7 @@ from mvbessel.jack import (
     hyperg_trunc,
     jack_in_monomials,
     lower_weight,
+    peel,
     principal_spec,
     psi_prime,
     raising_weights,
@@ -165,6 +166,19 @@ def test_sym_to_jack_roundtrip():
     n = 3
     f = SymPoly(n, {Partition((2, 1)): Fraction(3), Partition((1,)): Fraction(-1, 2)})
     assert sym_to_jack(f, kappa).to_sym() == f
+
+
+def test_peel_and_sym_to_jack_leave_their_input_unchanged():
+    # the peel reduces one copy of its input's coefficients in place
+    kappa, n = Fraction(5, 3), 3
+    f = SymPoly(n, {Partition((3,)): 2, Partition((2, 1)): 3, Partition((1,)): Fraction(-1, 2)})
+    before = f.sorted_coeffs()
+    v = sym_to_jack(f, kappa)
+    assert f.sorted_coeffs() == before
+    jack_before = v.sorted_coeffs()
+    # m_mu has leading term P_mu on the Jack basis, so peeling by it gives f back
+    assert peel(v, lambda mu: sym_to_jack(SymPoly(n, {mu: 1}), kappa)) == f.coeffs
+    assert v.sorted_coeffs() == jack_before
 
 
 def test_hook_products_and_principal_spec():

@@ -156,6 +156,23 @@ def test_pieri_verify_builds_each_basis_element_once(monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
+def test_factor_groups_are_built_once_for_every_r(monkeypatch):
+    # every r at one (lambda, p) reads one factor table, so no group is built twice
+    built = []
+    missing = pieri_norms._FactorTable.__missing__
+
+    def counting_missing(table, key):
+        built.append(key)
+        return missing(table, key)
+
+    monkeypatch.setattr(pieri_norms._FactorTable, "__missing__", counting_missing)
+    pieri_norms._factor_table.cache_clear()
+    p = BesselParams(Fraction(-27, 2), Fraction(1), 4)
+    for r in range(1, p.n + 1):
+        pieri_expand(r, Partition((2, 1)), p)
+    assert built and len(built) == len(set(built))
+
+
 def test_renormalized_jack_is_a_fresh_vector():
     p = BesselParams(Fraction(-27, 2), Fraction(1), 2)
     lam = Partition((1,))

@@ -16,6 +16,7 @@ from mvbessel.polyalg import (
     divide_exact,
     elementary,
     orbit,
+    orbit_size,
     power_sum,
     rat_str,
 )
@@ -102,13 +103,16 @@ def test_monomial_symmetric_and_collect():
 
 
 def test_orbit_size_is_m_lambda_at_ones():
-    # m_lambda(1^n) = P_lambda(1^n) at kappa = 0, an independent closed form
-    for n in range(1, 6):
+    # m_lambda(1^n) = P_lambda(1^n) at kappa = 0, an independent closed form;
+    # orbit_size counts the orbit that orbit lists
+    for n in range(1, 7):
         for lam in partitions_up_to(6, n):
-            assert len(orbit(lam, n)) == principal_spec(lam, Fraction(0), n), (lam, n)
+            size = principal_spec(lam, Fraction(0), n)
+            assert len(orbit(lam, n)) == orbit_size(lam, n) == size, (lam, n)
     assert isinstance(orbit(Partition((2, 1)), 3), tuple)
-    with pytest.raises(ValueError, match="more than 1 parts"):
-        orbit(Partition((1, 1)), 1)
+    for count in (orbit, orbit_size):
+        with pytest.raises(ValueError, match="more than 1 parts"):
+            count(Partition((1, 1)), 1)
 
 
 @st.composite

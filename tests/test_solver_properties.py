@@ -294,9 +294,20 @@ def _pole_or_value(fn, *args):
         return PoleError
 
 
+# norm_ratio and pieri_expand scale the line by 2 lcm(den a, den kappa), so
+# their draws reach denominators up to 12; kappa = 0 and kappa = 1, where
+# their factors meet 0/0, are drawn explicitly
+line_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+line_kappas = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+)
+
+
 @settings(derandomize=True, deadline=None)
-@given(shapes(), rationals, kappas)
+@given(shapes(), line_rationals, line_kappas)
 def test_norm_ratio_routes_agree(shape, a, kappa):
+    # the integer Delta route against the Fraction factorial route
     n, lam = shape
     p = BesselParams(a, kappa, n)
     assert _pole_or_value(norm_ratio, lam, p) == _pole_or_value(norm_ratio_product, lam, p)
@@ -305,14 +316,16 @@ def test_norm_ratio_routes_agree(shape, a, kappa):
 @st.composite
 def pieri_cases(draw):
     n = draw(st.integers(1, 3))
-    return n, draw(st.integers(1, n)), draw(st.sampled_from(partitions_up_to(2, n)))
+    return n, draw(st.sampled_from(partitions_up_to(2, n)))
 
 
 @settings(derandomize=True, deadline=None)
-@given(pieri_cases(), rationals, kappas)
+@given(pieri_cases(), line_rationals, line_kappas)
 def test_pieri_expansion_matches_the_polynomial_oracle(case, a, kappa):
-    n, r, lam = case
-    assert _unless_degenerate(pieri_verify, r, lam, BesselParams(a, kappa, n))
+    n, lam = case
+    p = BesselParams(a, kappa, n)
+    for r in range(1, n + 1):
+        assert _unless_degenerate(pieri_verify, r, lam, p), r
 
 
 @st.composite

@@ -5,11 +5,12 @@ application and the Jack-basis action); the higher operators D^B_d are built
 by a 2d-stage recursion through non-symmetric intermediates.  The recursion
 pairs a +i and a -i intermediate for each variable; on symmetric input the
 -i one is (-1)^stage times the +i one, and the +j one is the +1 one with
-x_1 and x_j swapped, so a single Laurent polynomial is carried (the
-two-branch form is the test oracle).  Each (x_1 - x_j) quotient is written
-down term by term, so no division is ever carried out.  Being linear, D^B_d
-is applied to a polynomial as a sum of cached images of the monomial
-symmetric functions m_mu.
+x_1 and x_j swapped, so a single Laurent polynomial g = old_{+1} is carried
+(the two-branch form is the test oracle), as one coefficient sum per orbit
+of S_{n-1}, under which g is invariant.  Each (x_1 - x_j) quotient is
+written down term by term, so no division is ever carried out.  Being
+linear, D^B_d is applied to a polynomial as a sum of cached images of the
+monomial symmetric functions m_mu.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from .partitions import Partition, partitions_in_box, partitions_up_to
 from .polyalg import (
     ONE,
     ZERO,
-    MultiPoly,
     SymPoly,
     accumulate,
-    collect_symmetric,
+    orbit_size,
 )
 
 __all__ = [
@@ -63,7 +63,7 @@ def _recursion_stage(
     g: dict[tuple[int, ...], Fraction], flipped: bool, p: BesselParams
 ) -> dict[tuple[int, ...], Fraction]:
     """One recursion step on g = old_{+1}, a Laurent polynomial held as
-    exponent tuple -> coefficient (exponents may be negative).
+    S_{n-1} representative -> orbit sum (exponents may be negative).
 
     new_{+i} = x_i d_i old_{+i} + (1/2)(a - 1 + 2/x_i)(old_{+i} - old_{-i})
                + (kappa/2) sum_{j != i} ((x_i+x_j)/(x_i-x_j))(old_{+i} - old_{+j})
@@ -104,11 +104,10 @@ def _recursion_stage(
 
 
 def _with_pair(e: tuple[int, ...], j: int, first: int, at_j: int) -> tuple[int, ...]:
-    """e with its first entry set to first and entry j (0-based) to at_j."""
-    out = list(e)
-    out[0] = first
-    out[j] = at_j
-    return tuple(out)
+    """The S_{n-1} representative (e_1; e_2 >= ... >= e_n) of e with entry 0
+    set to first and entry j to at_j.  The stage commutes with S_{n-1}, so
+    its image regrouped by representative holds the next orbit sums."""
+    return (first, *sorted(e[1:j] + (at_j,) + e[j + 1 :], reverse=True))
 
 
 def apply_higher(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
@@ -142,22 +141,24 @@ def _higher_on_monomial(
 def _higher_recursion(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
     """D^B_d f by the recursion itself.
 
-    Runs the recursion for 2d stages from the expanded f.  After an even
-    number of stages the -i intermediates equal the +i ones, so the image
-    is sum_i old_{+i} = sum_i s_{1i} old_{+1}, which must be a polynomial
-    (no negative exponent left) and symmetric.
+    Runs the recursion for 2d stages on the S_{n-1} orbit sums of the
+    expanded f.  After an even number of stages the -i intermediates equal
+    the +i ones, so the image is sum_i s_{1i} g, whose S_n orbit sums are n
+    times g's: [m_lambda] = n/|S_n lambda| sum_{r sorting to lambda} g[r].
+    It must be a polynomial (no negative exponent left).
     """
-    g = f.expand().coeffs
+    g: dict[tuple[int, ...], Fraction] = {}
+    for e, c in f.expand().coeffs.items():
+        accumulate(g, (e[0], *sorted(e[1:], reverse=True)), c)
     for stage in range(2 * d):
         g = _recursion_stage(g, stage % 2 == 1, p)
-    total: dict[tuple[int, ...], Fraction] = {}
+    sums: dict[tuple[int, ...], Fraction] = {}
     for e, c in g.items():
-        accumulate(total, e, c)
-        for j in range(1, p.n):
-            accumulate(total, _with_pair(e, j, e[j], e[0]), c)
-    if any(x < 0 for e in total for x in e):
+        accumulate(sums, tuple(sorted(e, reverse=True)), c)
+    if any(e[-1] < 0 for e in sums):
         raise NotDivisible(f"D_{d} image keeps a negative exponent")
-    return collect_symmetric(MultiPoly(p.n, total))
+    out = {Partition(e): c for e, c in sums.items()}
+    return SymPoly(p.n, {lam: p.n * c / orbit_size(lam, p.n) for lam, c in out.items()})
 
 
 def eigenvalue_of(d: int, lam: Partition, p: BesselParams) -> Fraction:

@@ -8,7 +8,8 @@ jack.JackExpansion (the Jack basis P_lambda) are keyed by partitions,
 through PartitionVector.  orbit is the one table of S_n orbits, the
 exponents of each m_lambda: every crossing between the m basis and
 monomials (SymPoly.expand, collect_symmetric, the moment pairing) reads
-it, and orbit_size counts one without listing it.
+it, and orbit_size counts one without listing it (the diffops kernel, the
+moment pairing and the tower's image read the count).
 FactoredFraction, a numerator over a product of variable powers x_i^c and
 pairwise factors (x_i - x_j)^d, is the arithmetic of the test oracle that
 runs the tower recursion with both branches; the production tower
@@ -424,9 +425,6 @@ class Affine:
         return Affine(self.c * k, self.s * k)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, k):
-        return Affine(self.c / k, self.s / k)
 
     def __repr__(self) -> str:
         return f"Affine({self.c}, {self.s})"

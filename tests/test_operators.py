@@ -116,6 +116,11 @@ TOWER_IMAGES_SHA256 = "2358be25b3d67f4afb63de4c38b3e321d413c00a66cc1398d4c4002c9
 # one Laurent polynomial per stage.
 WIDE_TOWER_IMAGES_SHA256 = "913c388ff51863f2e90b2d30e30c140f6aeb52954427cf4b3d14b7710499e4d4"
 
+# The same over n = 5 (d <= 3) and n = 6 (d <= 2), |mu| <= 4, where the
+# S_{n-1} orbits the recursion carries are large, recorded before the
+# recursion carried one coefficient sum per S_{n-1} orbit.
+LARGE_ORBIT_TOWER_IMAGES_SHA256 = "3880ecaf208b1992e54cc87139df164656cb1d6211f57343871e9ba1c2ca6eb5"
+
 
 def _images_digest(points, cases):
     h = hashlib.sha256()
@@ -136,3 +141,6 @@ def test_tower_images_are_pinned():
     points = ((Fraction(3, 7), Fraction(0)), (Fraction(-5), Fraction(-3, 2)))
     cases = [(4, (1, 2), 2), (2, (4,), 3)]
     assert _images_digest(points, cases) == WIDE_TOWER_IMAGES_SHA256
+    points = ((Fraction(-31, 2), Fraction(5, 3)), (Fraction(3, 7), Fraction(0)))
+    cases = [(5, (1, 2, 3), 4), (6, (1, 2), 4)]
+    assert _images_digest(points, cases) == LARGE_ORBIT_TOWER_IMAGES_SHA256

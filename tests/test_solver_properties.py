@@ -1,7 +1,8 @@
 """Randomised cross-checks of the shared triangular solver, the peel, the
-commuting tower (against its two-branch recursion), the direct differential
-operators (against MultiPoly products and exact division, and up to n = 6
-against the Jack-basis action), the Pieri expansion,
+commuting tower (against its two-branch recursion, and at n = 4 to 6
+against the direct operator and the Bessel eigenfunctions), the direct
+differential operators (against MultiPoly products and exact division, and
+up to n = 6 against the Jack-basis action), the Pieri expansion,
 the two norm routes, the binomial coefficient routes, the lowering weight
 against the hook-quotient route, the principal specialization at kappa = 0
 and the Jacobi constant term.
@@ -38,7 +39,13 @@ from mvbessel.jacobi_bc import (
     jacobi_eigenvalue,
     jacobi_expand,
 )
-from mvbessel.operators import _higher_recursion, apply_DB_jack, apply_higher
+from mvbessel.operators import (
+    _higher_recursion,
+    apply_DB_direct,
+    apply_DB_jack,
+    apply_higher,
+    eigenvalue_of,
+)
 from mvbessel.partitions import Partition, partitions_up_to
 from mvbessel.pieri_norms import (
     norm_ratio,
@@ -296,7 +303,8 @@ def _pole_or_value(fn, *args):
 
 # norm_ratio and pieri_expand scale the line by 2 lcm(den a, den kappa), so
 # their draws reach denominators up to 12; kappa = 0 and kappa = 1, where
-# their factors meet 0/0, are drawn explicitly
+# their factors meet 0/0, are drawn explicitly (the tower checks below draw
+# from the same)
 line_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 line_kappas = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1)]),
@@ -326,6 +334,30 @@ def test_pieri_expansion_matches_the_polynomial_oracle(case, a, kappa):
     p = BesselParams(a, kappa, n)
     for r in range(1, n + 1):
         assert _unless_degenerate(pieri_verify, r, lam, p), r
+
+
+@st.composite
+def sym_polys_in_four_to_six_variables(draw):
+    n = draw(st.integers(4, 6))
+    support = draw(st.lists(st.sampled_from(partitions_up_to(4, n)), min_size=1, max_size=4, unique=True))
+    return SymPoly(n, {mu: draw(line_rationals) or 1 for mu in support})
+
+
+@settings(derandomize=True, deadline=None)
+@given(sym_polys_in_four_to_six_variables(), line_rationals, line_kappas)
+def test_first_tower_operator_is_the_direct_operator_to_six_variables(f, a, kappa):
+    # the diffops kernel is a route apart from the tower's S_{n-1} orbit sums
+    p = BesselParams(a, kappa, f.n)
+    assert apply_higher(1, f, p) == apply_DB_direct(f, p)
+
+
+@settings(derandomize=True, deadline=None)
+@given(line_rationals, line_kappas)
+def test_second_tower_operator_has_the_bessel_eigenfunctions_in_five_variables(a, kappa):
+    # eigenvalue_of raises NotProportional unless D_2 Y_lambda is a multiple of Y_lambda
+    p = BesselParams(a, kappa, 5)
+    for lam in partitions_up_to(3, 5):
+        _unless_degenerate(eigenvalue_of, 2, lam, p)
 
 
 @st.composite

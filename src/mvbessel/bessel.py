@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .errors import DegenerateEigenvalue, PoleError
-from .partitions import Partition, partitions_up_to, skew_standard_chains
+from .partitions import Partition, skew_standard_chains
 from .polyalg import ONE, ZERO, SymPoly, rat_str
 from . import jack
 from .jack import JackExpansion
@@ -85,6 +85,11 @@ def bessel_eigenvalue(lam: Partition, p: BesselParams) -> Fraction:
     return jack.eigenvalue_d(lam, p.kappa, p.n) + p.a * lam.weight()
 
 
+def jack_weights(p: BesselParams) -> dict[str, Fraction]:
+    """D^B = D_2 + a E_1 + 2 E_0 on the Jack basis: the weights besides D_2's."""
+    return {"E1": p.a, "E0": 2}
+
+
 def square_integrability_bound(m: int, p: BesselParams) -> Fraction:
     """-2(m + kappa (n-1)) + 1: degree-m polynomials are square-integrable,
     and eigenvalues up to degree m distinct, when a lies below it."""
@@ -134,20 +139,7 @@ def bessel_expand(lam: Partition, p: BesselParams) -> BesselPolynomial:
             = 2 sum_i spec_ratio(mu, i) binom(mu+e_i, mu) u_{lambda, mu+e_i},
     the sum running over rows i with mu + e_i still contained in lambda.
     """
-    if lam.length() > p.n:
-        raise ValueError(f"{lam!r} needs more than {p.n} variables")
-    inside = [mu for mu in partitions_up_to(lam.weight(), p.n) if mu != lam and lam.contains(mu)]
-
-    def feed(mu: Partition, u: dict[Partition, Fraction]) -> Fraction:
-        rhs = ZERO
-        for i in range(1, min(p.n, lam.length()) + 1):
-            up = mu.add_box(i)
-            if up is not None and lam.contains(up):
-                rhs += jack.lower_weight(mu, i, p.kappa, p.n) * u.get(up, ZERO)
-        return 2 * rhs
-
-    u = jack.triangular_solve(lam, ONE, inside, lambda mu: bessel_eigenvalue(mu, p), feed)
-    return BesselPolynomial(lam, p, JackExpansion(p.n, p.kappa, u))
+    return BesselPolynomial(lam, p, jack.lowering_solve(lam, ONE, p.n, p.kappa, **jack_weights(p)))
 
 
 def bessel_coeff_tableau(lam: Partition, mu: Partition, p: BesselParams) -> Fraction:

@@ -1,15 +1,15 @@
 """Jack polynomials and the scalar data attached to them.
 
-P_lambda is computed from its definition: the monic, dominance-triangular
-eigenfunction of the degree-preserving Sutherland operator, obtained by a
-triangular linear solve over the dominance class of lambda.  Hook products,
-principal specializations and co-cover data come from explicit products.
-The closed product formulas from the literature are lists of affine factors
-in kappa, taken by polyalg.limit_at_zero at a point (the *_product functions,
-whose printed index ranges the ledger compares) or along kappa + t
-(principal_spec and the lowering weight, so kappa = 0 and the points where
-a hook product vanishes are covered wherever the limit is finite); the hook
-quotients stay the independent, authoritative route.
+P_lambda is the monic, dominance-triangular eigenfunction of the degree-
+preserving Sutherland operator, from a triangular solve over the dominance
+class of lambda.  The closed product formulas from the literature are affine
+factor lists in kappa, taken by polyalg.limit_at_zero at a point (the
+*_product functions, whose printed index ranges the ledger compares) or along
+kappa + t (principal_spec and lower_weight, finite at kappa = 0 and where a
+hook product vanishes whenever the limit is); the hook quotients stay the
+independent, authoritative route.  A Jack-basis operator is a weighted sum of
+D_2, D_1, E_1, E_0 and p_1: apply_basic applies one in one pass, and
+lowering_solve, behind the Bessel and Jacobi expansions, inverts one without p_1.
 """
 
 from __future__ import annotations
@@ -341,33 +341,59 @@ def sym_to_jack(f: SymPoly, kappa: Fraction) -> JackExpansion:
 
 # -- the five basic operator actions ------------------------------------------
 
-BASIC_OPS = ("E0", "E1", "D1", "D2", "MUL_P1")
 
+def apply_basic(v: JackExpansion, D2=0, D1=0, E1=0, E0=0, MUL_P1=0) -> JackExpansion:
+    """D2 D_2 + D1 D_1 + E1 E_1 + E0 E_0 + MUL_P1 p_1 applied to v in one pass.
 
-def apply_basic(opid: str, v: JackExpansion) -> JackExpansion:
-    """Action of one of the basic operators on a Jack-basis vector.
-
-    E1 and D2 are diagonal; E0 and D1 remove one box; MUL_P1 adds one box.
+    D_2 and E_1 are diagonal, with eigenvalues d_lam and |lam|.  D_1 and E_0
+    take P_lam to lower_weight(mu, i) P_mu for each mu = lam - e_i, D_1 times
+    mu_i + kappa (n - i).  p_1 adds one box with weight psi_prime.
     """
-    if opid not in BASIC_OPS:
-        raise ValueError(f"unknown operator {opid!r}")
     n, kappa = v.n, v.kappa
     out: dict[Partition, Fraction] = {}
     for lam, c in v.coeffs.items():
-        if opid == "E1":
-            accumulate(out, lam, c * lam.weight())
-        elif opid == "D2":
-            accumulate(out, lam, c * eigenvalue_d(lam, kappa, n))
-        elif opid == "MUL_P1":
-            for i, up in co_covers(lam, n, "up"):
-                accumulate(out, up, c * psi_prime(lam, i, kappa))
-        else:  # E0 or D1: one-box lowering
+        if D2 or E1:
+            accumulate(out, lam, c * (D2 * eigenvalue_d(lam, kappa, n) + E1 * lam.weight()))
+        if D1 or E0:
             for i, mu in co_covers(lam, n, "down"):
-                w = lower_weight(mu, i, kappa, n)
-                if opid == "D1":
-                    w *= lam.part(i) - 1 + kappa * (n - i)
-                accumulate(out, mu, c * w)
+                w = E0 + D1 * (mu.part(i) + kappa * (n - i))
+                accumulate(out, mu, c * lower_weight(mu, i, kappa, n) * w)
+        if MUL_P1:
+            for i, up in co_covers(lam, n, "up"):
+                accumulate(out, up, c * MUL_P1 * psi_prime(lam, i, kappa))
     return v._new(out)
+
+
+def lowering_solve(
+    lam: Partition, top: Fraction, n: int, kappa: Fraction, E1: Fraction, E0: Fraction, D1=0
+) -> JackExpansion:
+    """The eigenvector of D_2 + D1 D_1 + E1 E_1 + E0 E_0 with coefficient top on P_lam.
+
+    Only D_1 and E_0 couple P_mu to its co-covers mu + e_i, so the solve runs
+    over the partitions inside lam.  The lower_weight of every co-cover inside
+    lam is evaluated, also where its coefficient is zero, so a pole is never
+    multiplied away.
+    """
+    if lam.length() > n:
+        raise ValueError(f"{lam!r} needs more than {n} variables")
+    inside = [mu for mu in partitions_up_to(lam.weight(), n) if mu != lam and lam.contains(mu)]
+    rows = range(1, min(n, lam.length()) + 1)
+
+    def feed(mu: Partition, u: dict[Partition, Fraction]) -> Fraction:
+        rhs = ZERO
+        for i in rows:
+            up = mu.add_box(i)
+            if up is not None and lam.contains(up):
+                w = lower_weight(mu, i, kappa, n)
+                if D1:
+                    w *= E0 + D1 * (mu.part(i) + kappa * (n - i))
+                rhs += w * u.get(up, ZERO)
+        return rhs if D1 else E0 * rhs
+
+    def eigen(mu: Partition) -> Fraction:
+        return eigenvalue_d(mu, kappa, n) + E1 * mu.weight()
+
+    return JackExpansion(n, kappa, triangular_solve(lam, top, inside, eigen, feed))
 
 
 # -- generalized Pochhammer symbols and hypergeometric series ------------------

@@ -1,13 +1,13 @@
 """BC_n Jacobi polynomials in the t-coordinate Jack basis.
 
-These serve as an independent cross-check family: the eigenoperator acts on
-the Jack basis through the same five basic actions, the expansion is
-triangular with leading coefficient (-4)^{|lambda|}, and the constant term
-has a closed product formula (Opdam's specialisation), evaluated on the
-Delta_+ ratio of the Bessel family at a = k1 + 2 k2 + 1, kappa = k3, which
-shares rho, the eigenvalue and the v/w step factors.  That ratio is the limit
-along the Bessel line (a + t, kappa + t), here (k1 + t, k2, k3 + t), so a
-removable 0/0 of the step factors is taken as its limit and only a surviving
+These serve as an independent cross-check family: the eigenoperator is one set
+of Jack-basis weights (jack_weights) for jack.apply_basic and jack.lowering_solve,
+the expansion is triangular with leading coefficient (-4)^{|lambda|}, and the
+constant term has a closed product formula (Opdam's specialisation), evaluated
+on the Delta_+ ratio of the Bessel family at a = k1 + 2 k2 + 1, kappa = k3,
+which shares rho, the eigenvalue and the v/w step factors.  That ratio is the
+limit along the Bessel line (a + t, kappa + t), here (k1 + t, k2, k3 + t), so
+a removable 0/0 of the step factors is taken as its limit and only a surviving
 pole raises PoleError.  The parameter map limit_params is the specialisation
 under which this family degenerates to the Bessel family.
 """
@@ -19,9 +19,8 @@ from fractions import Fraction
 from . import jack
 from .bessel import BesselParams, FrozenRecord, bessel_eigenvalue, rho_vector
 from .jack import JackExpansion, rising_factorial
-from .partitions import Partition, partitions_up_to
+from .partitions import Partition
 from .pieri_norms import delta_ratio
-from .polyalg import ZERO
 
 
 class JacobiParams(FrozenRecord):
@@ -49,14 +48,16 @@ def jacobi_eigenvalue(lam: Partition, jp: JacobiParams) -> Fraction:
     return bessel_eigenvalue(lam, _bessel_params(jp))
 
 
+def jack_weights(jp: JacobiParams) -> dict[str, Fraction]:
+    """D^BC = D_2 - D_1 + (k1+2k2+1) E_1 - (k1+k2+1/2) E_0: the weights besides D_2's."""
+    return {"D1": -1, "E1": jp.k1 + 2 * jp.k2 + 1, "E0": -(jp.k1 + jp.k2 + Fraction(1, 2))}
+
+
 def apply_DBC_jack(v: JackExpansion, jp: JacobiParams) -> JackExpansion:
-    """Apply D_2 - D_1 + (k1+2k2+1) E_1 - (k1+k2+1/2) E_0 in the Jack basis."""
+    """Apply D^BC in the Jack basis."""
     if v.n != jp.n or v.kappa != jp.k3:
         raise ValueError("JackExpansion context does not match parameters")
-    out = jack.apply_basic("D2", v) - jack.apply_basic("D1", v)
-    out = out + jack.apply_basic("E1", v).scale(jp.k1 + 2 * jp.k2 + 1)
-    out = out - jack.apply_basic("E0", v).scale(jp.k1 + jp.k2 + Fraction(1, 2))
-    return out
+    return jack.apply_basic(v, D2=1, **jack_weights(jp))
 
 
 def jacobi_expand(lam: Partition, jp: JacobiParams) -> JackExpansion:
@@ -67,23 +68,7 @@ def jacobi_expand(lam: Partition, jp: JacobiParams) -> JackExpansion:
     D1 and E0 parts of that operator lower a box; from P_{mu+e_i} they give
     P_mu with weight -lower_weight(mu, i) (mu_i + k3 (n-i) + k1 + k2 + 1/2).
     """
-    if lam.length() > jp.n:
-        raise ValueError(f"{lam!r} needs more than {jp.n} variables")
-    inside = [mu for mu in partitions_up_to(lam.weight(), jp.n) if mu != lam and lam.contains(mu)]
-    shift = jp.k1 + jp.k2 + Fraction(1, 2)
-
-    def feed(mu: Partition, u: dict[Partition, Fraction]) -> Fraction:
-        rhs = ZERO
-        for i in range(1, min(jp.n, lam.length()) + 1):
-            up = mu.add_box(i)
-            if up in u:  # only co-covers already holding a nonzero coefficient
-                w = jack.lower_weight(mu, i, jp.k3, jp.n)
-                rhs -= u[up] * w * (mu.part(i) + jp.k3 * (jp.n - i) + shift)
-        return rhs
-
-    top = Fraction(-4) ** lam.weight()
-    u = jack.triangular_solve(lam, top, inside, lambda mu: jacobi_eigenvalue(mu, jp), feed)
-    return JackExpansion(jp.n, jp.k3, u)
+    return jack.lowering_solve(lam, Fraction(-4) ** lam.weight(), jp.n, jp.k3, **jack_weights(jp))
 
 
 def jacobi_constant_term(lam: Partition, jp: JacobiParams) -> Fraction:

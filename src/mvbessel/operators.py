@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 
 from . import diffops, jack
-from .bessel import BesselParams, bessel_expand, rho_vector
+from .bessel import BesselParams, bessel_expand, jack_weights, rho_vector
 from .errors import NotDivisible, NotProportional
 from .jack import JackExpansion
 from .partitions import Partition, partitions_in_box, partitions_up_to
@@ -53,10 +53,7 @@ def apply_DB_jack(v: JackExpansion, p: BesselParams) -> JackExpansion:
     """Apply D^B in the Jack basis: D^B = D_2 + a E_1 + 2 E_0."""
     if v.n != p.n or v.kappa != p.kappa:
         raise ValueError("JackExpansion context does not match parameters")
-    out = jack.apply_basic("D2", v)
-    out = out + jack.apply_basic("E1", v).scale(p.a)
-    out = out + jack.apply_basic("E0", v).scale(2)
-    return out
+    return jack.apply_basic(v, D2=1, **jack_weights(p))
 
 
 def _recursion_stage(

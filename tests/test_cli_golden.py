@@ -3,10 +3,12 @@
 Each digest pins the exact JSON a subcommand prints, so a change to how the
 expansions are computed must leave every one of them unchanged.  The grid
 covers each subcommand and verify suite, the removable 0/0 Pieri path at
-kappa = 1 (including n = 3, where paired factors cancel), three degenerate
+kappa = 1 (including n = 3, where paired factors cancel), four degenerate
 runs that exit 2 with empty stdout (one a Jacobi run whose eigenvalues
-collide), and a Gram run refused by the square-integrability bound (exit 1,
-empty stdout).  Two Jacobi runs whose constant term meets a removable 0/0 of
+collide, one a Bessel run whose lowering weight has a pole at a co-cover
+whose coefficient is zero, which the solve evaluates all the same), and a
+Gram run refused by the square-integrability bound (exit 1, empty stdout).
+Two Jacobi runs whose constant term meets a removable 0/0 of
 the v or w steps take it as the limit along (k1 + t, k2, k3 + t) and pin
 their digests and check counts.  The Pieri runs at n = 4 and at a generic
 kappa, the Jacobi run at n = 4, degree 5, the Gram run at n = 3, kappa = 2,
@@ -38,6 +40,11 @@ GOLDEN = [
     ),
     (
         "bessel --n=2 --a=-2 --kappa=1 --lambda=1",
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    (
+        "bessel --n=2 --a=1 --kappa=-1 --lambda=3",
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),

@@ -156,7 +156,7 @@ def test_mul_p1_matches_polynomial_multiplication():
     p1 = SymPoly(n, {Partition((1,)): Fraction(1)})
     for lam in partitions_up_to(4, n):
         v = JackExpansion(n, kappa, {lam: Fraction(1)})
-        lhs = apply_basic("MUL_P1", v).to_sym()
+        lhs = apply_basic(v, MUL_P1=1).to_sym()
         rhs = p1 * v.to_sym()
         assert lhs == rhs, lam
 
@@ -219,11 +219,8 @@ def test_2f1_differential_equation():
     a1, a2, b = Fraction(2), Fraction(-3, 2), Fraction(7, 3)
     maxdeg = 4
     F = hyperg_trunc([a1, a2], [b], Fraction(1), kappa, n, maxdeg)
-    lhs = (
-        apply_basic("D1", F)
-        - apply_basic("D2", F)
-        + apply_basic("E0", F).scale(b - kappa * (n - 1))
-        - apply_basic("E1", F).scale(a1 + a2 + 1 - kappa * (n - 1))
+    lhs = apply_basic(
+        F, D2=-1, D1=1, E1=-(a1 + a2 + 1 - kappa * (n - 1)), E0=b - kappa * (n - 1)
     )
     rhs = F.scale(n * a1 * a2)
     assert (lhs - rhs).truncate(maxdeg - 1).is_zero()

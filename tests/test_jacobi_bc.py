@@ -6,7 +6,7 @@ import pytest
 
 from mvbessel import diffops
 from mvbessel.bessel import BesselParams, bessel_eigenvalue
-from mvbessel.errors import NotSymmetric
+from mvbessel.errors import NotSymmetric, PoleError
 from mvbessel.jack import JackExpansion
 from mvbessel.jacobi_bc import (
     JacobiParams,
@@ -17,7 +17,7 @@ from mvbessel.jacobi_bc import (
     limit_params,
 )
 from mvbessel.partitions import Partition, partitions_up_to
-from mvbessel.polyalg import MultiPoly, collect_symmetric
+from mvbessel.polyalg import MultiPoly, SymPoly, collect_symmetric
 
 TRIPLES = [
     (Fraction(1), Fraction(1), Fraction(1)),
@@ -90,6 +90,20 @@ def test_constant_term_takes_a_removable_zero_over_zero_as_its_limit(k1, k2, k3,
     lam, jp = Partition(parts), JacobiParams(k1, k2, k3, n)
     assert jacobi_constant_term(lam, jp) == want
     assert jacobi_expand(lam, jp).coeff(Partition(())) == want
+
+
+def test_a_pole_is_not_multiplied_away_by_a_zero_coefficient():
+    # below (3) at n = 2, k1 = k2 = 0, k3 = -1, the lowering weight at (1),
+    # row 1, has a pole; skipping it where the coefficient of its target is
+    # zero gave -64 P_(3), which the direct operator refutes
+    lam, jp = Partition((3,)), JacobiParams(0, 0, -1, 2)
+    with pytest.raises(PoleError, match=r"lowering weight at Partition\(\[1\]\), row 1"):
+        jacobi_expand(lam, jp)
+    f = JackExpansion(2, jp.k3, {lam: Fraction(-64)}).to_sym()
+    residual = diffops.apply_jacobi_bc_sym(f, jp.k1, jp.k2, jp.k3) - f.scale(
+        jacobi_eigenvalue(lam, jp)
+    )
+    assert residual == SymPoly(2, {Partition((1, 1)): Fraction(-1152)})
 
 
 def test_one_variable_constant_term_sign():

@@ -138,15 +138,19 @@ def _higher_on_monomial(
 def _higher_recursion(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
     """D^B_d f by the recursion itself.
 
-    Runs the recursion for 2d stages on the S_{n-1} orbit sums of the
-    expanded f.  After an even number of stages the -i intermediates equal
-    the +i ones, so the image is sum_i s_{1i} g, whose S_n orbit sums are n
-    times g's: [m_lambda] = n/|S_n lambda| sum_{r sorting to lambda} g[r].
-    It must be a polynomial (no negative exponent left).
+    Runs the recursion for 2d stages on the S_{n-1} orbit sums of f: m_lambda
+    holds one orbit (v; lambda minus one v), of size orbit_size(lambda minus
+    v, n - 1), per distinct part v of lambda padded to n parts.  After an
+    even number of stages the -i intermediates equal the +i ones, so the
+    image is sum_i s_{1i} g, whose S_n orbit sums are n times g's:
+    [m_lambda] = n/|S_n lambda| sum_{r sorting to lambda} g[r].  It must be
+    a polynomial (no negative exponent left).
     """
     g: dict[tuple[int, ...], Fraction] = {}
-    for e, c in f.expand().coeffs.items():
-        accumulate(g, (e[0], *sorted(e[1:], reverse=True)), c)
+    for lam, c in f.coeffs.items():
+        e = lam.parts + (0,) * (p.n - lam.length())
+        for i in map(e.index, set(e)):
+            g[(e[i], *e[:i], *e[i + 1 :])] = c * orbit_size(Partition(e[:i] + e[i + 1 :]), p.n - 1)
     for stage in range(2 * d):
         g = _recursion_stage(g, stage % 2 == 1, p)
     sums: dict[tuple[int, ...], Fraction] = {}

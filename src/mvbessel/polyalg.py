@@ -1,23 +1,25 @@
-"""Exact sparse multivariate polynomial and factored-fraction arithmetic.
+"""Exact sparse polynomial arithmetic on the monomial symmetric basis.
 
 All scalars are `fractions.Fraction`; there is no floating point anywhere.
 SparseVector is the one sparse coefficient-vector arithmetic (add, scale,
-compare, order, serialize).  MultiPoly is the vector keyed by exponent
-tuples; SymPoly (the monomial symmetric basis m_lambda) and
-jack.JackExpansion (the Jack basis P_lambda) are keyed by partitions,
+compare, order, serialize).  SymPoly (the monomial symmetric basis m_lambda)
+and jack.JackExpansion (the Jack basis P_lambda) are keyed by partitions,
 through PartitionVector.  orbit is the one table of S_n orbits, the
-exponents of each m_lambda: every crossing between the m basis and
-monomials (SymPoly.expand, collect_symmetric, the moment pairing) reads
-it, and orbit_size counts one without listing it (the diffops kernel, the
-moment pairing and the tower's image read the count).
-FactoredFraction, a numerator over a product of variable powers x_i^c and
-pairwise factors (x_i - x_j)^d, is the arithmetic of the test oracle that
-runs the tower recursion with both branches; the production tower
-(operators) needs no division.
+exponents of each m_lambda; orbit_size counts one without listing it.
+
+apply_equivariant is the one kernel of S_n-equivariant linear maps on the m
+basis: the diffops operators and the SymPoly product act on one exponent
+per partition, so no production path expands a SymPoly into monomials.
 
 limit_at_zero is the one exact-limit mechanism: every closed product that
 can meet 0/0 is a list of Affine factors c + s*t, taken at t = 0 along a
 line or, with slope 0, at a point.
+
+The last section, with SymPoly.expand, is test-oracle arithmetic: MultiPoly
+keyed by exponent tuples, divide_exact, collect_symmetric and
+FactoredFraction (the tower's two-branch recursion).  Nothing in the
+package calls it; it stays because the tests check the kernel and the tower
+against it and perfbench/tracer.py names its functions.
 """
 
 from __future__ import annotations
@@ -140,6 +142,268 @@ class SparseVector:
     def to_json(self) -> dict[str, str]:
         return {"[" + ",".join(map(str, key)) + "]": rat_str(c) for key, c in self.sorted_coeffs()}
 
+
+# -- monomial symmetric polynomials ------------------------------------------
+
+@functools.lru_cache(maxsize=4096)
+def orbit(lam: Partition, n: int) -> tuple[tuple[int, ...], ...]:
+    """The S_n orbit of lambda: its distinct permutations padded to n parts,
+    which are the exponents of m_lambda in n variables."""
+    if lam.length() > n:
+        raise ValueError(f"{lam!r} has more than {n} parts")
+    padded = lam.parts + (0,) * (n - lam.length())
+    return tuple(set(itertools.permutations(padded)))
+
+
+def orbit_size(lam: Partition, n: int) -> int:
+    """len(orbit(lam, n)) = n!/((n-l)! prod_i m_i!), l = len(lam), m_i the
+    multiplicity of the part i: counted without listing the orbit."""
+    if lam.length() > n:
+        raise ValueError(f"{lam!r} has more than {n} parts")
+    count = math.factorial(n) // math.factorial(n - lam.length())
+    return count // math.prod(math.factorial(lam.parts.count(x)) for x in set(lam.parts))
+
+
+class PartitionVector(SparseVector):
+    """A SparseVector keyed by partitions of at most n parts.
+
+    Subclasses fix the basis letter that prefixes each partition in repr
+    (_prefix).
+    """
+
+    __slots__ = ()
+    _prefix = ""
+    _weight = staticmethod(Partition.weight)
+
+    def _key(self, lam: Partition) -> Partition:
+        if not isinstance(lam, Partition):
+            raise ValueError(f"key {lam!r} is not a Partition")
+        if lam.length() > self.n:
+            raise ValueError(f"{lam!r} has more than {self.n} parts")
+        return lam
+
+    def _label(self, lam: Partition) -> str:
+        return f"{self._prefix}{list(lam.parts)}"
+
+
+class SymPoly(PartitionVector):
+    """Symmetric polynomial stored as Partition -> coefficient in the m basis."""
+
+    __slots__ = ()
+    _prefix = "m"
+
+    @classmethod
+    def zero(cls, n: int) -> "SymPoly":
+        return cls(n)
+
+    @classmethod
+    def constant(cls, n: int, c) -> "SymPoly":
+        return cls(n, {Partition(): Fraction(c)})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if isinstance(other, SymPoly):
+            self._check(other)
+            small, big = sorted((self, other), key=lambda v: len(v.coeffs))
+            return apply_equivariant(big, [(c, [("mul", a, 1)]) for a, c in small.coeffs.items()])
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def expand(self) -> MultiPoly:
+        # test oracle only; distinct partitions have disjoint orbits, so no collision
+        total = MultiPoly(self.n)
+        total.coeffs = {e: c for lam, c in self.coeffs.items() for e in orbit(lam, self.n)}
+        return total
+
+    # perfbench/tracer.py counts repeated apply_higher arguments in a set, so
+    # SymPoly keeps its content hash until that count no longer hashes it;
+    # it goes stale if coeffs is edited while the value sits in a set.
+    def __hash__(self):
+        return hash((self.n, frozenset(self.coeffs.items())))
+
+
+# -- the one kernel of S_n-equivariant maps on the m basis --------------------
+
+
+def apply_equivariant(f: SymPoly, groups: list[tuple[Fraction, list[tuple]]]) -> SymPoly:
+    """sum over groups (scale, terms) of scale * (the terms applied to f).
+
+    A term, w an integer, is ("d2", k, w): w sum_i x_i^k d^2/dx_i^2;
+    ("d1", k, w): w sum_i x_i^k d/dx_i; ("pair", k, w): w sum_{i != j}
+    x_i^k/(x_i - x_j) d/dx_i; or ("mul", alpha, w): w m_alpha times.  As F
+    commutes with S_n, [m_lambda] F(m_mu) = |O(mu)|/|O(lambda)| sum_{beta
+    sorting to lambda} [x^beta] F(x^mu), O the S_n orbit, so F acts on one
+    exponent mu per partition; m_alpha x^mu = sum_{beta in O(alpha)}
+    x^(mu + beta), and each ordered pair i != j takes the pair term's half
+    1/2 mu_i Q(mu_i + k - 1, mu_j) x^rest, with the geometric sum Q(p, q) =
+    (x_i^p x_j^q - x_i^q x_j^p)/(x_i - x_j).  The counts are integers over a
+    common denominator, one map per group, and each output one Fraction.
+    """
+    n = f.n
+    den = math.lcm(*(c.denominator for c in f.coeffs.values()))
+    accs: list[dict] = [{} for _ in groups]
+    flat = [(kind, k, w, acc) for (_, terms), acc in zip(groups, accs) for kind, k, w in terms]
+    # every count is doubled, so that the pair term's half stays an integer
+    singles = [(kind == "d2", k, 2 * w, acc) for kind, k, w, acc in flat if kind in ("d2", "d1")]
+    pairs = [(k - 1, w, acc) for kind, k, w, acc in flat if kind == "pair"]
+    muls = [(orbit(alpha, n), 2 * w, acc) for kind, alpha, w, acc in flat if kind == "mul"]
+    for mu, c in f.coeffs.items():
+        c = c.numerator * (den // c.denominator) * orbit_size(mu, n)
+        e = mu.parts + (0,) * (n - mu.length())
+        for betas, w, acc in muls:
+            for beta in betas:
+                key = tuple(sorted([a + b for a, b in zip(e, beta)], reverse=True))
+                acc[key] = acc.get(key, 0) + w * c
+        x = list(e)
+        for i, ai in enumerate(mu.parts):
+            for second, k, w, acc in singles:
+                if ai > second:
+                    x[i] = ai - 1 - second + k
+                    key = tuple(sorted(x, reverse=True))
+                    acc[key] = acc.get(key, 0) + w * c * ai * (ai - 1 if second else 1)
+            x[i] = ai
+            for j, aj in enumerate(e):
+                if j == i:
+                    continue
+                for shift, w, acc in pairs:
+                    p = ai + shift
+                    lo, hi, v = (aj, p, w * c * ai) if p > aj else (p, aj, -w * c * ai)
+                    for t in range(lo, hi):
+                        x[i], x[j] = t, p + aj - 1 - t
+                        key = tuple(sorted(x, reverse=True))
+                        acc[key] = acc.get(key, 0) + v
+                x[i], x[j] = ai, aj
+    scales = [Fraction(s) for s, _ in groups]
+    q = math.lcm(*(s.denominator for s in scales))
+    nums = [s.numerator * (q // s.denominator) for s in scales]
+    out = SymPoly(n)
+    for key in {key for acc in accs for key in acc}:
+        total = sum(m * acc.get(key, 0) for m, acc in zip(nums, accs))
+        if total:
+            lam = Partition(key)
+            out.coeffs[lam] = Fraction(total, 2 * q * den * orbit_size(lam, n))
+    return out
+
+
+def elementary(r: int, n: int) -> SymPoly:
+    """The elementary symmetric polynomial e_r = m_(1^r) in n variables."""
+    if not 0 <= r <= n:
+        raise ValueError(f"need 0 <= r <= {n}, got {r}")
+    return SymPoly(n, {Partition([1] * r): ONE})
+
+
+def power_sum(r: int, n: int) -> SymPoly:
+    """The power sum p_r = x_1^r + ... + x_n^r = m_(r)."""
+    if r < 1:
+        raise ValueError(f"need r >= 1, got {r}")
+    return SymPoly(n, {Partition([r]): ONE})
+
+
+# -- exact limits of affine factor products -----------------------------------
+
+
+class Affine:
+    """c + s*t, one factor of a closed product along a line through t = 0.
+
+    Closed under the sums and scalar multiples that the factors are built
+    from; Affine(x, 0) is the plain value x at a point.
+    """
+
+    __slots__ = ("c", "s")
+
+    def __init__(self, c, s=ZERO):
+        self.c = c
+        self.s = s
+
+    def __add__(self, other):
+        if isinstance(other, Affine):
+            return Affine(self.c + other.c, self.s + other.s)
+        return Affine(self.c + other, self.s)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Affine(-self.c, -self.s)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, k):
+        return Affine(self.c * k, self.s * k)
+
+    __rmul__ = __mul__
+
+    def __repr__(self) -> str:
+        return f"Affine({self.c}, {self.s})"
+
+
+def join(*groups):
+    """One (numerator, denominator) factor group from several."""
+    return tuple(f for g in groups for f in g[0]), tuple(f for g in groups for f in g[1])
+
+
+def _constant_ratio(num, den) -> Fraction:
+    """prod(f.c for f in num) / prod(f.c for f in den), multiplied out over
+    the integers and reduced once."""
+    top = bottom = 1
+    for f in num:
+        top *= f.c.numerator
+        bottom *= f.c.denominator
+    for f in den:
+        top *= f.c.denominator
+        bottom *= f.c.numerator
+    return Fraction(top, bottom)
+
+
+def limit_at_zero(terms, pole: str = "pole at t = 0") -> Fraction:
+    """The value at t = 0 of a sum of products of Affine factors.
+
+    Each term is a pair (numerator factors, denominator factors).  A term
+    with no zero-constant factor on either side is regular at t = 0 and
+    contributes the plain product of its constants.  A term with v more
+    zero-constant factors upstairs than downstairs is t^v R(t) with
+    R(0) != 0, so R is expanded only to degree -v; the Laurent
+    coefficients of t^-m ... t^0 are summed over all terms.  Raises
+    PoleError(pole) on a denominator factor that vanishes identically
+    (c = s = 0, so slope-0 factors give the plain value at a point, or a
+    pole), and if a negative-order coefficient survives the sum.
+    """
+    laurent: dict[int, Fraction] = {0: ZERO}
+    for num, den in terms:
+        zeros_up = sum(not f.c for f in num)
+        zeros_down = sum(not f.c for f in den)
+        if not zeros_up and not zeros_down:
+            laurent[0] += _constant_ratio(num, den)
+            continue
+        if zeros_down and any(not f.c and not f.s for f in den):
+            raise PoleError(pole)
+        order = zeros_up - zeros_down
+        if order > 0:
+            continue
+        series = [ONE] + [ZERO] * -order
+        for f in num:
+            if f.c == 0:
+                series = [x * f.s for x in series]
+            else:
+                series = [f.c * x + f.s * y for x, y in zip(series, [ZERO] + series)]
+        for f in den:
+            if f.c == 0:
+                series = [x / f.s for x in series]
+            else:
+                quotient: list[Fraction] = []
+                for x in series:
+                    quotient.append((x - f.s * quotient[-1]) / f.c if quotient else x / f.c)
+                series = quotient
+        for k, x in enumerate(series, start=order):
+            laurent[k] = laurent.get(k, ZERO) + x
+    if any(x for k, x in laurent.items() if k < 0):
+        raise PoleError(pole)
+    return laurent[0]
+
+
+# -- test-oracle arithmetic on expanded polynomials (see the module docstring) -
 
 class MultiPoly(SparseVector):
     """Sparse polynomial in n variables over the rationals, keyed by exponent tuples."""
@@ -273,88 +537,6 @@ def _heap_key(e: tuple[int, ...]) -> tuple:
     return ((-sum(e), tuple(-x for x in e)), e)
 
 
-# -- monomial symmetric polynomials ------------------------------------------
-
-@functools.lru_cache(maxsize=4096)
-def orbit(lam: Partition, n: int) -> tuple[tuple[int, ...], ...]:
-    """The S_n orbit of lambda: its distinct permutations padded to n parts,
-    which are the exponents of m_lambda in n variables."""
-    if lam.length() > n:
-        raise ValueError(f"{lam!r} has more than {n} parts")
-    padded = lam.parts + (0,) * (n - lam.length())
-    return tuple(set(itertools.permutations(padded)))
-
-
-def orbit_size(lam: Partition, n: int) -> int:
-    """len(orbit(lam, n)) = n!/((n-l)! prod_i m_i!), l = len(lam), m_i the
-    multiplicity of the part i: counted without listing the orbit."""
-    if lam.length() > n:
-        raise ValueError(f"{lam!r} has more than {n} parts")
-    count = math.factorial(n) // math.factorial(n - lam.length())
-    return count // math.prod(math.factorial(lam.parts.count(x)) for x in set(lam.parts))
-
-
-class PartitionVector(SparseVector):
-    """A SparseVector keyed by partitions of at most n parts.
-
-    Subclasses fix the basis letter that prefixes each partition in repr
-    (_prefix).
-    """
-
-    __slots__ = ()
-    _prefix = ""
-    _weight = staticmethod(Partition.weight)
-
-    def _key(self, lam: Partition) -> Partition:
-        if not isinstance(lam, Partition):
-            raise ValueError(f"key {lam!r} is not a Partition")
-        if lam.length() > self.n:
-            raise ValueError(f"{lam!r} has more than {self.n} parts")
-        return lam
-
-    def _label(self, lam: Partition) -> str:
-        return f"{self._prefix}{list(lam.parts)}"
-
-
-class SymPoly(PartitionVector):
-    """Symmetric polynomial stored as Partition -> coefficient in the m basis."""
-
-    __slots__ = ()
-    _prefix = "m"
-
-    @classmethod
-    def zero(cls, n: int) -> "SymPoly":
-        return cls(n)
-
-    @classmethod
-    def constant(cls, n: int, c) -> "SymPoly":
-        return cls(n, {Partition(): Fraction(c)})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if isinstance(other, SymPoly):
-            return collect_symmetric(self.expand() * other.expand())
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def expand(self) -> MultiPoly:
-        # distinct partitions have disjoint orbits, so no two terms collide
-        total = MultiPoly(self.n)
-        total.coeffs = {e: c for lam, c in self.coeffs.items() for e in orbit(lam, self.n)}
-        return total
-
-    def evaluate(self, point: Iterable) -> Fraction:
-        return self.expand().evaluate(point)
-
-    # perfbench/tracer.py counts repeated apply_higher arguments in a set, so
-    # SymPoly keeps its content hash until that count no longer hashes it;
-    # it goes stale if coeffs is edited while the value sits in a set.
-    def __hash__(self):
-        return hash((self.n, frozenset(self.coeffs.items())))
-
-
 def collect_symmetric(f: MultiPoly) -> SymPoly:
     """Rewrite an expanded polynomial in the m_lambda basis.
 
@@ -376,125 +558,6 @@ def collect_symmetric(f: MultiPoly) -> SymPoly:
     r = SymPoly(f.n)
     r.coeffs = out
     return r
-
-
-def elementary(r: int, n: int) -> SymPoly:
-    """The elementary symmetric polynomial e_r = m_(1^r) in n variables."""
-    if not 0 <= r <= n:
-        raise ValueError(f"need 0 <= r <= {n}, got {r}")
-    return SymPoly(n, {Partition([1] * r): ONE})
-
-
-def power_sum(r: int, n: int) -> SymPoly:
-    """The power sum p_r = x_1^r + ... + x_n^r = m_(r)."""
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
-    return SymPoly(n, {Partition([r]): ONE})
-
-
-# -- exact limits of affine factor products -----------------------------------
-
-
-class Affine:
-    """c + s*t, one factor of a closed product along a line through t = 0.
-
-    Closed under the sums and scalar multiples that the factors are built
-    from; Affine(x, 0) is the plain value x at a point.
-    """
-
-    __slots__ = ("c", "s")
-
-    def __init__(self, c, s=ZERO):
-        self.c = c
-        self.s = s
-
-    def __add__(self, other):
-        if isinstance(other, Affine):
-            return Affine(self.c + other.c, self.s + other.s)
-        return Affine(self.c + other, self.s)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Affine(-self.c, -self.s)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, k):
-        return Affine(self.c * k, self.s * k)
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"Affine({self.c}, {self.s})"
-
-
-def join(*groups):
-    """One (numerator, denominator) factor group from several."""
-    return tuple(f for g in groups for f in g[0]), tuple(f for g in groups for f in g[1])
-
-
-def _constant_ratio(num, den) -> Fraction:
-    """prod(f.c for f in num) / prod(f.c for f in den), multiplied out over
-    the integers and reduced once."""
-    top = bottom = 1
-    for f in num:
-        top *= f.c.numerator
-        bottom *= f.c.denominator
-    for f in den:
-        top *= f.c.denominator
-        bottom *= f.c.numerator
-    return Fraction(top, bottom)
-
-
-def limit_at_zero(terms, pole: str = "pole at t = 0") -> Fraction:
-    """The value at t = 0 of a sum of products of Affine factors.
-
-    Each term is a pair (numerator factors, denominator factors).  A term
-    with no zero-constant factor on either side is regular at t = 0 and
-    contributes the plain product of its constants.  A term with v more
-    zero-constant factors upstairs than downstairs is t^v R(t) with
-    R(0) != 0, so R is expanded only to degree -v; the Laurent
-    coefficients of t^-m ... t^0 are summed over all terms.  Raises
-    PoleError(pole) on a denominator factor that vanishes identically
-    (c = s = 0, so slope-0 factors give the plain value at a point, or a
-    pole), and if a negative-order coefficient survives the sum.
-    """
-    laurent: dict[int, Fraction] = {0: ZERO}
-    for num, den in terms:
-        zeros_up = sum(not f.c for f in num)
-        zeros_down = sum(not f.c for f in den)
-        if not zeros_up and not zeros_down:
-            laurent[0] += _constant_ratio(num, den)
-            continue
-        if zeros_down and any(not f.c and not f.s for f in den):
-            raise PoleError(pole)
-        order = zeros_up - zeros_down
-        if order > 0:
-            continue
-        series = [ONE] + [ZERO] * -order
-        for f in num:
-            if f.c == 0:
-                series = [x * f.s for x in series]
-            else:
-                series = [f.c * x + f.s * y for x, y in zip(series, [ZERO] + series)]
-        for f in den:
-            if f.c == 0:
-                series = [x / f.s for x in series]
-            else:
-                quotient: list[Fraction] = []
-                for x in series:
-                    quotient.append((x - f.s * quotient[-1]) / f.c if quotient else x / f.c)
-                series = quotient
-        for k, x in enumerate(series, start=order):
-            laurent[k] = laurent.get(k, ZERO) + x
-    if any(x for k, x in laurent.items() if k < 0):
-        raise PoleError(pole)
-    return laurent[0]
-
-
-# -- factored fractions -------------------------------------------------------
 
 
 class FactoredFraction:

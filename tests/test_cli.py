@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from mvbessel import bessel
+from mvbessel import bessel, polyalg
 from mvbessel.cli import main
+from mvbessel.polyalg import MultiPoly, SymPoly
 
 
 def run(argv, capsys):
@@ -251,3 +252,39 @@ def test_cli_process_exit_code_when_degenerate():
     proc = _cli_process(["bessel", "--n=2", "--a=-2", "--kappa=1", "--lambda=1"])
     assert proc.returncode == 2 and proc.stdout == b""
     assert proc.stderr.startswith(b"degenerate")
+
+
+def _clear_package_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mvbessel"):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+ORACLE_FREE = [
+    "verify pieri --n=3 --max-degree=3 --kappa=4/3 --a=-33/2",
+    "verify moments2 --a=-20 --kappa=3/2 --max-degree=3",
+    "verify commute --n=3 --max-degree=3 --d-max=2",
+    "verify eigen --n=3 --a=-31/2 --kappa=5/3 --max-degree=3",
+    "bessel --n=3 --a=-31/2 --kappa=3/2 --lambda=2,1 --renormalize",
+]
+
+
+def test_no_command_expands_into_monomials(monkeypatch, capsys):
+    # the expanded-polynomial arithmetic is the tests' oracle: with it made to
+    # raise, and no cache left to answer from, each command prints the same
+    unpatched = []
+    for argv in ORACLE_FREE:
+        _clear_package_caches()
+        unpatched.append(run(argv.split(), capsys))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a production path expanded into monomials")
+
+    for cls, attr in ((MultiPoly, "__mul__"), (MultiPoly, "__rmul__"), (SymPoly, "expand")):
+        monkeypatch.setattr(cls, attr, refuse)
+    monkeypatch.setattr(polyalg, "collect_symmetric", refuse)
+    for argv, (code, out, _) in zip(ORACLE_FREE, unpatched):
+        _clear_package_caches()
+        assert code == 0 and run(argv.split(), capsys)[:2] == (code, out), argv

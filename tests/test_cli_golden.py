@@ -10,8 +10,9 @@ whose coefficient is zero, which the solve evaluates all the same), and a
 Gram run refused by the square-integrability bound (exit 1, empty stdout).
 Two Jacobi runs whose constant term meets a removable 0/0 of
 the v or w steps take it as the limit along (k1 + t, k2, k3 + t) and pin
-their digests and check counts.  The Pieri runs at n = 4 and at a generic
-kappa, the Jacobi run at n = 4, degree 5, the Gram run at n = 3, kappa = 2,
+their digests and check counts.  The Pieri runs at n = 4, at a generic
+kappa and at n = 5, degree 4 (where the products E_r Ytilde_lambda are
+largest), the Jacobi run at n = 4, degree 5, the Gram run at n = 3, kappa = 2,
 the two Gram runs at degree 4, the eigen runs at n = 5, degree 6 and at
 n = 6, degree 8 (S_6 orbits of up to 720 monomials), and the moments2 runs
 at degrees 0 and 8 also pin their check counts.  The gram,
@@ -114,6 +115,11 @@ GOLDEN = [
         "06ac608d352cb7544e5506f769c657476bc176c3a8e1b1635ed63df56775ebff",
     ),
     (
+        "verify pieri --n=5 --max-degree=4 --kappa=5/3 --a=-41/2",
+        0,
+        "a632cbb9ad4b9150e61135ba8252c39aef184a2223d67e44fb85ff9040755dc7",
+    ),
+    (
         "verify pieri --n=2 --a=0 --kappa=1 --max-degree=2",
         2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -213,6 +219,7 @@ CHECK_COUNTS = {
     "verify eigen --n=6 --max-degree=8 --kappa=5/3 --a=-40": 64,
     "verify pieri --n=4 --max-degree=3 --kappa=1 --a=-27/2": 28,
     "verify pieri --n=3 --max-degree=3 --kappa=4/3 --a=-33/2": 21,
+    "verify pieri --n=5 --max-degree=4 --kappa=5/3 --a=-41/2": 60,
     "verify jacobi --n=4 --max-degree=5 --k1=1 --k2=1/2 --k3=3/2": 36,
     "verify gram --n=3 --a=-20 --kappa=2 --max-degree=3": 28,
     "verify moments2 --max-degree=0": 2,

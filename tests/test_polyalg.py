@@ -153,16 +153,35 @@ def test_sympoly_ring_operations():
     assert g.coeff(Partition((2,))) == 1 and g.coeff(Partition((1, 1))) == 2
     assert (g - g).is_zero()
     assert g.degree() == 2
-    assert f.evaluate([Fraction(2), Fraction(5)]) == 7
+    assert f.expand().evaluate([Fraction(2), Fraction(5)]) == 7
 
 
 def test_evaluate_refuses_a_point_of_the_wrong_length():
-    f = SymPoly(2, {Partition((1,)): Fraction(1)})
+    f = SymPoly(2, {Partition((1,)): Fraction(1)}).expand()
     for point in ([5], [1, 2, 3]):
         with pytest.raises(ValueError, match="expected 2"):
             f.evaluate(point)
-        with pytest.raises(ValueError, match="expected 2"):
-            f.expand().evaluate(point)
+
+
+@st.composite
+def sym_poly_pairs(draw):
+    n = draw(st.integers(1, 6))
+    lams = partitions_up_to(4, n)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    pair = [draw(st.dictionaries(st.sampled_from(lams), coeffs, max_size=5)) for _ in range(2)]
+    return tuple(SymPoly(n, terms) for terms in pair)
+
+
+@settings(derandomize=True, deadline=None)
+@given(sym_poly_pairs())
+def test_product_on_the_m_basis_is_the_expanded_product(pair):
+    # the kernel multiplies on one exponent per partition; the oracle
+    # multiplies every monomial and collects the orbits
+    f, g = pair
+    for left, right in ((f, g), (f, SymPoly.zero(f.n)), (SymPoly.constant(f.n, Fraction(-2, 3)), g)):
+        assert left * right == right * left == collect_symmetric(left.expand() * right.expand())
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        f * SymPoly(f.n + 1)
 
 
 def test_factored_fraction_roundtrip():

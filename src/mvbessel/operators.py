@@ -8,15 +8,20 @@ pairs a +i and a -i intermediate for each variable; on symmetric input the
 x_1 and x_j swapped, so a single Laurent polynomial g = old_{+1} is carried
 (the two-branch form is the test oracle), as one coefficient sum per orbit
 of S_{n-1}, under which g is invariant.  Each (x_1 - x_j) quotient is
-written down term by term, so no division is ever carried out.  Being
-linear, D^B_d is applied to a polynomial as a sum of cached images of the
-monomial symmetric functions m_mu.
+written down term by term, so no division is ever carried out.  The sums
+are integers: with D = lcm(den(kappa/2), den(a)) every stage weight times D
+is an integer, so after s stages the sums hold g / (den(f) D^s), and the
+image is read off with one division per output partition.  Being linear,
+D^B_d is applied to a polynomial as a sum of cached images of the monomial
+symmetric functions m_mu, each cached as integers over one denominator and
+composed over their common denominator, one Fraction per output.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from . import diffops, jack
@@ -28,7 +33,6 @@ from .polyalg import (
     ONE,
     ZERO,
     SymPoly,
-    accumulate,
     orbit_size,
 )
 
@@ -56,11 +60,24 @@ def apply_DB_jack(v: JackExpansion, p: BesselParams) -> JackExpansion:
     return jack.apply_basic(v, D2=1, **jack_weights(p))
 
 
+def _stage_weights(p: BesselParams) -> tuple[int, int, int, int]:
+    """(D, D kappa/2, D shift_even, D shift_odd) for D = lcm(den(kappa/2),
+    den(a)), which makes every stage weight an integer; shift is the weight
+    on e itself besides e_1: kappa/2 per j != 1, and a - 1 after an odd
+    number of stages."""
+    half_kappa = p.kappa / 2
+    D = math.lcm(half_kappa.denominator, p.a.denominator)
+    shift = (p.n - 1) * half_kappa
+    return D, int(D * half_kappa), int(D * shift), int(D * (shift + p.a - 1))
+
+
 def _recursion_stage(
-    g: dict[tuple[int, ...], Fraction], flipped: bool, p: BesselParams
-) -> dict[tuple[int, ...], Fraction]:
+    g: dict[tuple[int, ...], int], flipped: bool, weights: tuple[int, int, int, int]
+) -> dict[tuple[int, ...], int]:
     """One recursion step on g = old_{+1}, a Laurent polynomial held as
-    S_{n-1} representative -> orbit sum (exponents may be negative).
+    S_{n-1} representative -> integer orbit sum (exponents may be negative).
+    The weights are _stage_weights(p), so the step multiplies by D: after s
+    steps from a seed scaled by den(f), the true sums are g / (den(f) D^s).
 
     new_{+i} = x_i d_i old_{+i} + (1/2)(a - 1 + 2/x_i)(old_{+i} - old_{-i})
                + (kappa/2) sum_{j != i} ((x_i+x_j)/(x_i-x_j))(old_{+i} - old_{+j})
@@ -73,38 +90,35 @@ def _recursion_stage(
     quotient ((x_1+x_j)/(x_1-x_j))(x_1^u x_j^v - x_1^v x_j^u) is
     sign(u - v) sum_k w_k x_1^k x_j^{u+v-k} over min(u,v) <= k <= max(u,v),
     with w_k = 1 at both ends and 2 inside (Stanley 1989, Thm 3.1, as in
-    jack.raising_weights): no division is carried out.
+    jack.raising_weights): no division is carried out.  Each term is filed
+    under its S_{n-1} representative (e_1; e_2 >= ... >= e_n); the stage
+    commutes with S_{n-1}, so the regrouped image holds the next orbit sums.
+    The j with equal e_j give equal representatives, so each distinct e_j is
+    taken once, times its multiplicity.
     """
-    n = p.n
-    half_kappa = p.kappa / 2
-    # on e itself: e_1 from x_1 d_1, kappa/2 per j != 1, and a - 1 if flipped
-    shift = (n - 1) * half_kappa + (p.a - 1 if flipped else 0)
-    new: dict[tuple[int, ...], Fraction] = {}
+    D, half_kappa, shift_even, shift_odd = weights
+    shift = shift_odd if flipped else shift_even
+    new: dict[tuple[int, ...], int] = {}
     for e, c in g.items():
-        e1 = e[0]
-        accumulate(new, e, (e1 + shift) * c)
+        e1, rest = e[0], e[1:]
+        new[e] = new.get(e, 0) + (D * e1 + shift) * c
         if flipped:
-            accumulate(new, (e1 - 1,) + e[1:], 2 * c)
-        hc = half_kappa * c
-        for j in range(1, n):
-            ej = e[j]
-            accumulate(new, _with_pair(e, j, ej, e1), hc if flipped else -hc)
+            key = (e1 - 1, *rest)
+            new[key] = new.get(key, 0) + 2 * D * c
+        for ej in set(rest):
+            hc = half_kappa * c * rest.count(ej)
+            i = rest.index(ej)
+            others = rest[:i] + rest[i + 1 :]
+            key = (ej, *sorted(others + (e1,), reverse=True))
+            new[key] = new.get(key, 0) + (hc if flipped else -hc)
             if e1 == ej:
                 continue
             lo, hi = min(e1, ej), max(e1, ej)
             step = hc if e1 > ej else -hc
-            accumulate(new, _with_pair(e, j, lo, hi), step)
-            accumulate(new, _with_pair(e, j, hi, lo), step)
-            for k in range(lo + 1, hi):
-                accumulate(new, _with_pair(e, j, k, e1 + ej - k), 2 * step)
-    return new
-
-
-def _with_pair(e: tuple[int, ...], j: int, first: int, at_j: int) -> tuple[int, ...]:
-    """The S_{n-1} representative (e_1; e_2 >= ... >= e_n) of e with entry 0
-    set to first and entry j to at_j.  The stage commutes with S_{n-1}, so
-    its image regrouped by representative holds the next orbit sums."""
-    return (first, *sorted(e[1:j] + (at_j,) + e[j + 1 :], reverse=True))
+            for k in range(lo, hi + 1):
+                key = (k, *sorted(others + (e1 + ej - k,), reverse=True))
+                new[key] = new.get(key, 0) + (step if k == lo or k == hi else 2 * step)
+    return {e: c for e, c in new.items() if c}
 
 
 def apply_higher(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
@@ -112,27 +126,35 @@ def apply_higher(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
 
     D^B_d is linear, so the image is the sum of c_mu times the image of
     m_mu over the terms of f; each monomial image comes from the full
-    recursion (_higher_recursion) once per (d, mu, p) and is then cached.
+    recursion (_higher_recursion) once per (d, mu, p) and is then cached as
+    integers over one denominator den_mu.  The images are summed as integers
+    over Q = lcm(den(c_mu) den_mu), one Fraction per output.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
     if f.n != p.n:
         raise ValueError("variable count mismatch")
-    out: dict[Partition, Fraction] = {}
-    for mu, c in f.coeffs.items():
-        for nu, v in _higher_on_monomial(d, mu, p):
-            accumulate(out, nu, c * v)
-    result = SymPoly(p.n)
-    result.coeffs = out
-    return result
+    images = [(c, _higher_on_monomial(d, mu, p)) for mu, c in f.coeffs.items()]
+    q = math.lcm(*(c.denominator * den for c, (den, _) in images))
+    sums: dict[Partition, int] = {}
+    for c, (den, image) in images:
+        w = c.numerator * (q // (c.denominator * den))
+        for nu, v in image:
+            sums[nu] = sums.get(nu, 0) + w * v
+    out = SymPoly(p.n)
+    out.coeffs = {nu: Fraction(s, q) for nu, s in sums.items() if s}
+    return out
 
 
 @functools.lru_cache(maxsize=4096)
 def _higher_on_monomial(
     d: int, mu: Partition, p: BesselParams
-) -> tuple[tuple[Partition, Fraction], ...]:
-    """D^B_d m_mu as immutable (partition, coefficient) pairs."""
-    return tuple(_higher_recursion(d, SymPoly(p.n, {mu: ONE}), p).coeffs.items())
+) -> tuple[int, tuple[tuple[Partition, int], ...]]:
+    """D^B_d m_mu as an immutable (den, ((nu, integer), ...)): the image is
+    the sum of integer/den m_nu."""
+    image = _higher_recursion(d, SymPoly(p.n, {mu: ONE}), p).coeffs
+    den = math.lcm(*(c.denominator for c in image.values()))
+    return den, tuple((nu, c.numerator * (den // c.denominator)) for nu, c in image.items())
 
 
 def _higher_recursion(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
@@ -140,26 +162,39 @@ def _higher_recursion(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
 
     Runs the recursion for 2d stages on the S_{n-1} orbit sums of f: m_lambda
     holds one orbit (v; lambda minus one v), of size orbit_size(lambda minus
-    v, n - 1), per distinct part v of lambda padded to n parts.  After an
-    even number of stages the -i intermediates equal the +i ones, so the
-    image is sum_i s_{1i} g, whose S_n orbit sums are n times g's:
-    [m_lambda] = n/|S_n lambda| sum_{r sorting to lambda} g[r].  It must be
-    a polynomial (no negative exponent left).
+    v, n - 1), per distinct part v of lambda padded to n parts.  The sums are
+    integers: the seed is scaled by den(f), the lcm of f's denominators, and
+    each stage scales by one more D (see _recursion_stage).  After an even
+    number of stages the -i intermediates equal the +i ones, so the image is
+    sum_i s_{1i} g, whose S_n orbit sums are n times g's:
+    [m_lambda] = n/(den(f) D^{2d} |S_n lambda|) sum_{r sorting to lambda} g[r],
+    one division per partition.  It must be a polynomial (no negative
+    exponent left).
     """
-    g: dict[tuple[int, ...], Fraction] = {}
+    den = math.lcm(*(c.denominator for c in f.coeffs.values()))
+    g: dict[tuple[int, ...], int] = {}
     for lam, c in f.coeffs.items():
         e = lam.parts + (0,) * (p.n - lam.length())
+        c = c.numerator * (den // c.denominator)
         for i in map(e.index, set(e)):
             g[(e[i], *e[:i], *e[i + 1 :])] = c * orbit_size(Partition(e[:i] + e[i + 1 :]), p.n - 1)
+    weights = _stage_weights(p)
     for stage in range(2 * d):
-        g = _recursion_stage(g, stage % 2 == 1, p)
-    sums: dict[tuple[int, ...], Fraction] = {}
+        g = _recursion_stage(g, stage % 2 == 1, weights)
+    sums: dict[tuple[int, ...], int] = {}
     for e, c in g.items():
-        accumulate(sums, tuple(sorted(e, reverse=True)), c)
-    if any(e[-1] < 0 for e in sums):
-        raise NotDivisible(f"D_{d} image keeps a negative exponent")
-    out = {Partition(e): c for e, c in sums.items()}
-    return SymPoly(p.n, {lam: p.n * c / orbit_size(lam, p.n) for lam, c in out.items()})
+        key = tuple(sorted(e, reverse=True))
+        sums[key] = sums.get(key, 0) + c
+    scale = den * weights[0] ** (2 * d)
+    out = SymPoly(p.n)
+    for e, c in sums.items():
+        if not c:
+            continue
+        if e[-1] < 0:
+            raise NotDivisible(f"D_{d} image keeps a negative exponent")
+        lam = Partition(e)
+        out.coeffs[lam] = Fraction(p.n * c, scale * orbit_size(lam, p.n))
+    return out
 
 
 def eigenvalue_of(d: int, lam: Partition, p: BesselParams) -> Fraction:
@@ -182,7 +217,7 @@ def commutator_check(d: int, e: int, m: int, p: BesselParams) -> bool:
         f = SymPoly(p.n, {lam: ONE})
         de = apply_higher(d, apply_higher(e, f, p), p)
         ed = apply_higher(e, apply_higher(d, f, p), p)
-        if not (de - ed).is_zero():
+        if de != ed:
             return False
     return True
 

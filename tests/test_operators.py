@@ -91,6 +91,22 @@ def test_apply_higher_returns_a_fresh_polynomial():
     first.coeffs.clear()
     first.coeffs[Partition(())] = Fraction(99)
     assert apply_higher(2, f, P2G) == want
+    # one term: the image is built from the cached one, so editing it must not reach the cache
+    single = SymPoly(2, {Partition((2, 1)): Fraction(1)})
+    again = apply_higher(2, single, P2G)
+    for nu in again.coeffs:
+        again.coeffs[nu] = -again.coeffs[nu]
+    assert apply_higher(2, single, P2G) == _higher_recursion(2, single, P2G)
+    # the cache holds immutable (den, ((nu, integer), ...)) values only
+    for d in (1, 2, 3):
+        for mu in partitions_up_to(3, 2):
+            den, image = _higher_on_monomial(d, mu, P2G)
+            assert type(den) is int and den > 0 and type(image) is tuple
+            for pair in image:
+                assert type(pair) is tuple and len(pair) == 2
+                assert type(pair[0]) is Partition and type(pair[1]) is int
+            want = _higher_recursion(d, SymPoly(2, {mu: Fraction(1)}), P2G)
+            assert {nu: Fraction(v, den) for nu, v in image} == want.coeffs
     assert _higher_on_monomial.cache_info().maxsize is not None
 
 

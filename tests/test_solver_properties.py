@@ -143,11 +143,27 @@ def multi_term_sym_polys(draw):
     return SymPoly(n, {mu: draw(rationals) or 1 for mu in support})
 
 
-@settings(derandomize=True, deadline=None, max_examples=50)
-@given(st.integers(1, 2), multi_term_sym_polys(), rationals, kappas)
-def test_apply_higher_is_the_recursion_applied_by_linearity(d, f, a, kappa):
-    p = BesselParams(a, kappa, f.n)
-    assert apply_higher(d, f, p) == _higher_recursion(d, f, p)
+# (a, kappa) for the tower, whose stages carry integers scaled by D =
+# lcm(den(kappa/2), den(a)) each: a over 7 or 11 with kappa over 13 makes D,
+# and so D^{2d}, large; a = 1 zeroes the a - 1 shift and kappa = 0 (drawn
+# in kappas) the pair weight D kappa/2.
+tower_points = st.one_of(
+    st.tuples(
+        st.builds(Fraction, st.integers(-150, 150), st.sampled_from([7, 11])),
+        st.builds(Fraction, st.integers(-50, 50), st.just(13)),
+    ),
+    st.tuples(st.just(Fraction(1)), kappas),
+    st.tuples(rationals, kappas),
+)
+
+
+# d is swept inside each draw, so that no draw order can leave a degree out
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(multi_term_sym_polys(), tower_points)
+def test_apply_higher_is_the_recursion_applied_by_linearity(f, point):
+    p = BesselParams(*point, f.n)
+    for d in (1, 2, 3):
+        assert apply_higher(d, f, p) == _higher_recursion(d, f, p), d
 
 
 def _two_branch_stage(plus, minus, p):
@@ -209,11 +225,12 @@ def _two_branch_recursion(d, f, p):
     return collect_symmetric((total * Fraction(1, 2)).to_poly())
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(st.integers(1, 3), multi_term_sym_polys(), rationals, kappas)
-def test_plus_branch_recursion_matches_the_two_branch_oracle(d, f, a, kappa):
-    p = BesselParams(a, kappa, f.n)
-    assert _higher_recursion(d, f, p) == _two_branch_recursion(d, f, p)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(multi_term_sym_polys(), tower_points)
+def test_plus_branch_recursion_matches_the_two_branch_oracle(f, point):
+    p = BesselParams(*point, f.n)
+    for d in (1, 2, 3):
+        assert _higher_recursion(d, f, p) == _two_branch_recursion(d, f, p), d
 
 
 def _pairwise_quotients(f, weights):

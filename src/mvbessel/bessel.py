@@ -19,7 +19,7 @@ from operator import attrgetter
 
 from .errors import DegenerateEigenvalue, PoleError
 from .partitions import Partition, skew_standard_chains
-from .polyalg import ONE, ZERO, SymPoly, rat_str
+from .polyalg import ONE, ZERO, SymPoly, rat_str, rational
 from . import jack
 from .jack import JackExpansion
 
@@ -27,16 +27,23 @@ from .jack import JackExpansion
 class FrozenRecord:
     """An immutable record whose fields are its __slots__, in order.
 
-    Two records are equal, and hash alike, when they have the same type and
-    field values; the repr is Name(field=value, ...).
+    __init__ takes the field values in order, and _values gives them as a
+    tuple.  Two records are equal, and hash alike, when they have the same
+    type and _values, and copy and pickle rebuild a record from them.  A
+    record with a mapping field defines its own _values, with the mapping
+    as a frozenset of its items.  The repr is Name(field=value, ...).
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        # the field values as a tuple; attrgetter binds no self, so callers
-        # pass the record in: self._values(self)
-        cls._values = attrgetter(*cls.__slots__)
+        # attrgetter binds no self, so callers pass the record in: self._values(self)
+        if "_values" not in vars(cls):
+            cls._values = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -66,9 +73,7 @@ class BesselParams(FrozenRecord):
     __slots__ = ("a", "kappa", "n")
 
     def __init__(self, a: Fraction, kappa: Fraction, n: int):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "kappa", Fraction(kappa))
-        object.__setattr__(self, "n", n)
+        super().__init__(rational(a), rational(kappa), n)
         if n < 1:
             raise ValueError("n must be a positive integer")
 
@@ -96,28 +101,20 @@ def square_integrability_bound(m: int, p: BesselParams) -> Fraction:
     return -2 * (m + p.kappa * (p.n - 1)) + 1
 
 
-class BesselPolynomial:
+class BesselPolynomial(FrozenRecord):
     """Y_lambda together with its parameters and Jack-basis coefficients."""
 
     __slots__ = ("lam", "params", "jack_coeffs")
-
-    def __init__(self, lam: Partition, params: BesselParams, jack_coeffs: JackExpansion):
-        self.lam = lam
-        self.params = params
-        self.jack_coeffs = jack_coeffs
 
     def eigenvalue(self) -> Fraction:
         return bessel_eigenvalue(self.lam, self.params)
 
     def to_sym(self) -> SymPoly:
-        """The m-basis expansion, a fresh SymPoly on every call."""
+        """The m-basis expansion."""
         return self.jack_coeffs.to_sym()
 
     def coeff(self, mu: Partition) -> Fraction:
         return self.jack_coeffs.coeff(mu)
-
-    def __repr__(self) -> str:
-        return f"BesselPolynomial({list(self.lam.parts)}, {self.params}, {self.jack_coeffs!r})"
 
     def to_json(self) -> dict:
         return {

@@ -21,7 +21,9 @@ from itertools import combinations
 
 from .errors import DegenerateEigenvalue, PoleError
 from .partitions import Partition, co_covers, dominance_leq, partitions_of, partitions_up_to
-from .polyalg import ONE, ZERO, Affine, PartitionVector, SymPoly, accumulate, join, limit_at_zero
+from .polyalg import (
+    ONE, ZERO, Affine, PartitionVector, SymPoly, accumulate, join, limit_at_zero, rational,
+)
 
 def eigenvalue_d(lam: Partition, kappa: Fraction, n: int) -> Fraction:
     """sum_i lam_i (lam_i - 1 + 2 kappa (n - i)): two integer sums, one Fraction step."""
@@ -110,28 +112,18 @@ def peel(f, basis: Callable) -> dict[Partition, Fraction]:
     return out
 
 
+@functools.lru_cache(maxsize=4096)
 def jack_in_monomials(lam: Partition, kappa: Fraction, n: int) -> SymPoly:
     """The monic Jack polynomial P_lambda in the m basis, for n variables.
 
     Triangular solve: P = m_lam + sum u_mu m_mu over mu strictly below lam
     in dominance, determined by the eigen-equation for the k=2 Sutherland
     operator, whose action on the m basis is read off raising_weights.
-    Raises DegenerateEigenvalue on an eigenvalue collision.  Returns a
-    fresh SymPoly each call, so callers may modify it.
+    Raises DegenerateEigenvalue on an eigenvalue collision.
     """
     kappa = Fraction(kappa)
     if lam.length() > n:
         raise ValueError(f"{lam!r} needs more than {n} variables")
-    res = SymPoly(n)
-    res.coeffs = dict(_jack_coeffs(lam, kappa, n))
-    return res
-
-
-@functools.lru_cache(maxsize=4096)
-def _jack_coeffs(
-    lam: Partition, kappa: Fraction, n: int
-) -> tuple[tuple[Partition, Fraction], ...]:
-    """The m-basis coefficients of P_lambda as immutable pairs."""
     below = [mu for mu in partitions_of(lam.weight(), n) if mu != lam and dominance_leq(mu, lam)]
 
     def feed(mu: Partition, u: dict[Partition, Fraction]) -> Fraction:
@@ -139,9 +131,8 @@ def _jack_coeffs(
             (w * u[nu] for nu, w in raising_weights(mu).items() if nu in u), ZERO
         )
 
-    return tuple(
-        triangular_solve(lam, ONE, below, lambda mu: eigenvalue_d(mu, kappa, n), feed).items()
-    )
+    solved = triangular_solve(lam, ONE, below, lambda mu: eigenvalue_d(mu, kappa, n), feed)
+    return SymPoly(n, solved)
 
 
 def hook_products(lam: Partition, kappa: Fraction) -> tuple[Fraction, Fraction]:
@@ -312,7 +303,7 @@ class JackExpansion(PartitionVector):
     _prefix = "P"
 
     def __init__(self, n: int, kappa: Fraction, coeffs: Mapping[Partition, Fraction] | None = None):
-        self.kappa = Fraction(kappa)
+        object.__setattr__(self, "kappa", rational(kappa))
         super().__init__(n, coeffs)
 
     def _context(self) -> tuple:

@@ -21,6 +21,7 @@ from .bessel import BesselParams, FrozenRecord, bessel_eigenvalue, rho_vector
 from .jack import JackExpansion, rising_factorial
 from .partitions import Partition
 from .pieri_norms import delta_ratio
+from .polyalg import rational
 
 
 class JacobiParams(FrozenRecord):
@@ -29,10 +30,7 @@ class JacobiParams(FrozenRecord):
     __slots__ = ("k1", "k2", "k3", "n")
 
     def __init__(self, k1: Fraction, k2: Fraction, k3: Fraction, n: int):
-        object.__setattr__(self, "k1", Fraction(k1))
-        object.__setattr__(self, "k2", Fraction(k2))
-        object.__setattr__(self, "k3", Fraction(k3))
-        object.__setattr__(self, "n", n)
+        super().__init__(rational(k1), rational(k2), rational(k3), n)
         if n < 1:
             raise ValueError("n must be a positive integer")
 

@@ -141,9 +141,7 @@ def apply_higher(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
         w = c.numerator * (q // (c.denominator * den))
         for nu, v in image:
             sums[nu] = sums.get(nu, 0) + w * v
-    out = SymPoly(p.n)
-    out.coeffs = {nu: Fraction(s, q) for nu, s in sums.items() if s}
-    return out
+    return f._new({nu: Fraction(s, q) for nu, s in sums.items() if s})
 
 
 @functools.lru_cache(maxsize=4096)
@@ -186,15 +184,15 @@ def _higher_recursion(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
         key = tuple(sorted(e, reverse=True))
         sums[key] = sums.get(key, 0) + c
     scale = den * weights[0] ** (2 * d)
-    out = SymPoly(p.n)
+    out = {}
     for e, c in sums.items():
         if not c:
             continue
         if e[-1] < 0:
             raise NotDivisible(f"D_{d} image keeps a negative exponent")
         lam = Partition(e)
-        out.coeffs[lam] = Fraction(p.n * c, scale * orbit_size(lam, p.n))
-    return out
+        out[lam] = Fraction(p.n * c, scale * orbit_size(lam, p.n))
+    return SymPoly(p.n, out)
 
 
 def eigenvalue_of(d: int, lam: Partition, p: BesselParams) -> Fraction:

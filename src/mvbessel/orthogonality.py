@@ -32,9 +32,11 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
-from .bessel import BesselParams, bessel_expand, square_integrability_bound
+from .bessel import BesselParams, FrozenRecord, bessel_expand, square_integrability_bound
 from .errors import ConvergenceError, DegenerateRecurrence
 from .operators import apply_higher
 from .partitions import Partition, partitions_up_to
@@ -226,34 +228,22 @@ def symmetry_check(d: int, f: SymPoly, g: SymPoly, p: BesselParams) -> bool:
     return lhs == rhs
 
 
-class MomentTable2:
+class MomentTable2(FrozenRecord):
     """Moments I[n, m] of e1^n e2^m under the two-variable functional, I[0,0]=1.
 
-    A mutable record: equal by its four fields, and so unhashable.
+    I is a read-only mapping, compared and hashed as its set of items.
     """
 
-    __hash__ = None
+    __slots__ = ("a", "kappa", "maxdeg", "I")
 
     def __init__(
-        self, a: Fraction, kappa: Fraction, maxdeg: int, I: dict[tuple[int, int], Fraction]
+        self, a: Fraction, kappa: Fraction, maxdeg: int, I: Mapping[tuple[int, int], Fraction]
     ):
-        self.a = a
-        self.kappa = kappa
-        self.maxdeg = maxdeg
-        self.I = I
+        super().__init__(a, kappa, maxdeg, MappingProxyType(dict(I)))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.kappa, self.maxdeg, self.I) == (
-            other.a, other.kappa, other.maxdeg, other.I
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"MomentTable2(a={self.a!r}, kappa={self.kappa!r}, "
-            f"maxdeg={self.maxdeg!r}, I={self.I!r})"
-        )
+    @staticmethod
+    def _values(t: "MomentTable2") -> tuple:
+        return t.a, t.kappa, t.maxdeg, frozenset(t.I.items())
 
     def value(self, n: int, m: int) -> Fraction:
         key = (n, m)
@@ -334,8 +324,8 @@ def functional_matrix(fs: list[SymPoly], table: MomentTable2) -> list[list[Fract
 
     F is linear, so F(f g) = sum_{nu, rho} f_nu g_rho F(m_nu m_rho); each
     pairing F(m_nu m_rho) = functional_apply(m_nu m_rho, table) is computed
-    once per unordered pair in this call (the table is mutable, so nothing
-    is kept across calls) and bilinear_matrix contracts the rest.
+    once per unordered pair in this call and bilinear_matrix contracts the
+    rest.
     """
     if any(f.n != 2 for f in fs):
         raise ValueError("the moment functional is defined for n = 2 only")

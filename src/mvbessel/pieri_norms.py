@@ -123,16 +123,9 @@ def renormalize(Y: BesselPolynomial) -> BesselPolynomial:
 
 
 @functools.lru_cache(maxsize=4096)
-def _renormalized_coeffs(
-    lam: Partition, p: BesselParams
-) -> tuple[tuple[Partition, Fraction], ...]:
-    """The Jack coefficients of Ytilde_lambda as immutable (Partition, Fraction) pairs."""
-    return tuple(renormalize(bessel_expand(lam, p)).jack_coeffs.sorted_coeffs())
-
-
 def renormalized_jack(lam: Partition, p: BesselParams) -> JackExpansion:
-    """Ytilde_lambda on the Jack basis: a fresh vector, which callers may modify."""
-    return JackExpansion(p.n, p.kappa)._new(dict(_renormalized_coeffs(lam, p)))
+    """Ytilde_lambda on the Jack basis."""
+    return renormalize(bessel_expand(lam, p)).jack_coeffs
 
 
 def E_hat_r(r: int, n: int) -> SymPoly:

@@ -15,6 +15,12 @@ limit_at_zero is the one exact-limit mechanism: every closed product that
 can meet 0/0 is a list of Affine factors c + s*t, taken at t = 0 along a
 line or, with slope 0, at a point.
 
+Every value type is immutable: a SparseVector's coeffs is a read-only
+mapping and its attributes cannot be assigned, like Partition and the
+records of bessel and orthogonality.  So a vector hashes by its content, and
+the one cache policy is that a cache returns its value as it is: no caller
+can change it.  All scalars enter through rational, which refuses a float.
+
 The last section, with SymPoly.expand, is test-oracle arithmetic: MultiPoly
 keyed by exponent tuples, divide_exact, collect_symmetric and
 FactoredFraction (the tower's two-branch recursion).  Nothing in the
@@ -30,12 +36,24 @@ import itertools
 import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import NotDivisible, NotSymmetric, PoleError
 from .partitions import Partition
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def rational(x) -> Fraction:
+    """x as a Fraction (x itself when it is one).  A float is refused with
+    TypeError: its binary value, 3602879701896397/36028797018963968 for 0.1,
+    is not the rational that was meant."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"{x!r} is a float; pass an int, a Fraction or a 'p/q' string")
+    return Fraction(x)
 
 
 def rat_str(x: Fraction) -> str:
@@ -55,38 +73,48 @@ def accumulate(out: dict, key, c: Fraction) -> None:
 class SparseVector:
     """Shared arithmetic of the sparse coefficient vectors.
 
-    coeffs maps a key to a nonzero Fraction.  MultiPoly keys it by exponent
-    tuples; PartitionVector, the base of SymPoly and jack.JackExpansion, by
-    partitions.  A subclass supplies the hooks: _key checks and normalises
-    one key, _weight is its degree, _label names it in repr, _context is
-    what two vectors must share before they are combined or compared, and
-    _mismatch is the message raised when they do not.  The order
-    (weight, key) is graded-lex for both key kinds.  A vector never
-    compares equal to one of another type.  It is mutable (callers fill
-    coeffs in place), so a content hash can go stale and the base is
-    unhashable; SymPoly alone keeps one (see there).
+    coeffs is a read-only mapping from a key to a nonzero Fraction.
+    MultiPoly keys it by exponent tuples; PartitionVector, the base of
+    SymPoly and jack.JackExpansion, by partitions.  A subclass supplies the
+    hooks: _key checks and normalises one key, _weight is its degree, _label
+    names it in repr, _context is what two vectors must share before they
+    are combined or compared, and _mismatch is the message raised when they
+    do not.  The order (weight, key) is graded-lex for both key kinds.  A
+    vector never compares equal to one of another type.  It is immutable, so
+    it has one content hash, and copy and pickle rebuild it through __init__.
     """
 
     __slots__ = ("n", "coeffs")
     _mismatch = "variable count mismatch"
 
     def __init__(self, n: int, coeffs: Mapping | None = None):
-        self.n = n
-        self.coeffs: dict = {}
+        object.__setattr__(self, "n", n)
+        checked: dict = {}
         if coeffs:
             for key, c in coeffs.items():
                 key = self._key(key)
-                c = Fraction(c)
+                c = rational(c)
                 if c != 0:
-                    self.coeffs[key] = c
+                    checked[key] = c
+        object.__setattr__(self, "coeffs", MappingProxyType(checked))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (*self._context(), dict(self.coeffs))
 
     def _context(self) -> tuple:
         return (self.n,)
 
     def _new(self, coeffs: dict):
-        """A vector in this one's context holding coeffs as given."""
+        """A vector in this one's context holding coeffs, checked keys to
+        nonzero Fractions, as given."""
         r = type(self)(*self._context())
-        r.coeffs = coeffs
+        object.__setattr__(r, "coeffs", MappingProxyType(coeffs))
         return r
 
     def _check(self, other: "SparseVector") -> None:
@@ -110,7 +138,7 @@ class SparseVector:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = rational(c)
         return self._new({key: c * v for key, v in self.coeffs.items()} if c else {})
 
     def coeff(self, key) -> Fraction:
@@ -129,7 +157,8 @@ class SparseVector:
             and self.coeffs == other.coeffs
         )
 
-    __hash__ = None
+    def __hash__(self):
+        return hash((self._context(), frozenset(self.coeffs.items())))
 
     def sorted_coeffs(self) -> list:
         return sorted(self.coeffs.items(), key=lambda t: self._order(t[0]))
@@ -213,15 +242,9 @@ class SymPoly(PartitionVector):
 
     def expand(self) -> MultiPoly:
         # test oracle only; distinct partitions have disjoint orbits, so no collision
-        total = MultiPoly(self.n)
-        total.coeffs = {e: c for lam, c in self.coeffs.items() for e in orbit(lam, self.n)}
-        return total
-
-    # perfbench/tracer.py counts repeated apply_higher arguments in a set, so
-    # SymPoly keeps its content hash until that count no longer hashes it;
-    # it goes stale if coeffs is edited while the value sits in a set.
-    def __hash__(self):
-        return hash((self.n, frozenset(self.coeffs.items())))
+        return MultiPoly(self.n)._new(
+            {e: c for lam, c in self.coeffs.items() for e in orbit(lam, self.n)}
+        )
 
 
 # -- the one kernel of S_n-equivariant maps on the m basis --------------------
@@ -278,13 +301,13 @@ def apply_equivariant(f: SymPoly, groups: list[tuple[Fraction, list[tuple]]]) ->
     scales = [Fraction(s) for s, _ in groups]
     q = math.lcm(*(s.denominator for s in scales))
     nums = [s.numerator * (q // s.denominator) for s in scales]
-    out = SymPoly(n)
+    out = {}
     for key in {key for acc in accs for key in acc}:
         total = sum(m * acc.get(key, 0) for m, acc in zip(nums, accs))
         if total:
             lam = Partition(key)
-            out.coeffs[lam] = Fraction(total, 2 * q * den * orbit_size(lam, n))
-    return out
+            out[lam] = Fraction(total, 2 * q * den * orbit_size(lam, n))
+    return f._new(out)
 
 
 def elementary(r: int, n: int) -> SymPoly:
@@ -555,9 +578,7 @@ def collect_symmetric(f: MultiPoly) -> SymPoly:
             if f.coeffs.get(o, ZERO) != c:
                 raise NotSymmetric(f"orbit of {rep} has inconsistent coefficients")
         out[lam] = c
-    r = SymPoly(f.n)
-    r.coeffs = out
-    return r
+    return SymPoly(f.n, out)
 
 
 class FactoredFraction:
@@ -570,7 +591,7 @@ class FactoredFraction:
     """
 
     __slots__ = ("numer", "var_pows", "pair_pows")
-    # numer is a mutable MultiPoly, so a content hash could go stale
+    # fields can be reassigned and pair_pows is a dict, so no content hash
     __hash__ = None
 
     def __init__(

@@ -72,10 +72,39 @@ def test_eigenvalue_and_nondegeneracy():
 
 
 def test_to_sym_is_a_fresh_polynomial():
+    # to_sym builds its polynomial from the cached Jack expansions, which no
+    # caller can edit through it
     Y = bessel_expand(Partition((2, 1)), SAMPLE[0])
     before = Y.to_json()
-    Y.to_sym().coeffs.clear()
+    with pytest.raises(TypeError):
+        del Y.to_sym().coeffs[Partition((2, 1))]
     assert Y.to_json() == before and before["monomial_coeffs"]
+
+
+def test_bessel_polynomial_is_a_frozen_record():
+    Y = bessel_expand(Partition((2, 1)), SAMPLE[0])
+    again = bessel_expand(Partition((2, 1)), SAMPLE[0])
+    assert Y == again and hash(Y) == hash(again) and Y in {again}
+    assert Y != bessel_expand(Partition((2, 1)), SAMPLE[2])
+    for clone in (copy.copy(Y), copy.deepcopy(Y), pickle.loads(pickle.dumps(Y))):
+        assert type(clone) is type(Y) and clone == Y and hash(clone) == hash(Y)
+        assert clone.to_json() == Y.to_json()
+    for field in ("lam", "params", "jack_coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(Y, field, None)
+    with pytest.raises(TypeError):
+        Y.jack_coeffs.coeffs[Partition(())] = Fraction(1)
+    assert repr(Y).startswith("BesselPolynomial(lam=Partition([2, 1]), params=BesselParams(")
+
+
+def test_params_refuse_floats():
+    with pytest.raises(TypeError, match="float"):
+        BesselParams(0.5, 1, 2)
+    with pytest.raises(TypeError, match="float"):
+        BesselParams(-20, 1.0, 2)
+    with pytest.raises(TypeError, match="float"):
+        JacobiParams(1, 0.5, 1, 2)
+    assert BesselParams("-41/2", "5/3", 2) == BesselParams(Fraction(-41, 2), Fraction(5, 3), 2)
 
 
 def test_one_variable_expansion():

@@ -40,10 +40,16 @@ def test_zonal_coefficient():
     assert P.coeff(Partition((1, 1))) == Fraction(2, 3)
 
 
-def test_jack_cache_returns_copies():
+def test_jack_cache_returns_its_immutable_value():
     lam, kappa, target = Partition((2,)), Fraction(1, 2), Partition((1, 1))
-    jack_in_monomials(lam, kappa, 2).coeffs[target] = Fraction(99)
+    P = jack_in_monomials(lam, kappa, 2)
+    assert jack_in_monomials(lam, kappa, 2) is P
+    with pytest.raises(TypeError):
+        P.coeffs[target] = Fraction(99)
+    with pytest.raises(AttributeError):
+        P.coeffs = {}
     assert jack_in_monomials(lam, kappa, 2).coeff(target) == Fraction(2, 3)
+    assert jack_in_monomials.cache_info().maxsize == 4096
 
 
 def test_lower_weight_cache_hits_and_keeps_its_values():

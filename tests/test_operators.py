@@ -87,15 +87,18 @@ def test_apply_higher_returns_a_fresh_polynomial():
     f = SymPoly(2, {Partition((2, 1)): Fraction(3), Partition((1,)): Fraction(-2, 7)})
     first = apply_higher(2, f, P2G)
     want = _higher_recursion(2, f, P2G)
-    assert first == want
-    first.coeffs.clear()
-    first.coeffs[Partition(())] = Fraction(99)
+    assert first == want and hash(first) == hash(want)
+    with pytest.raises(TypeError):
+        del first.coeffs[next(iter(first.coeffs))]
+    with pytest.raises(TypeError):
+        first.coeffs[Partition(())] = Fraction(99)
     assert apply_higher(2, f, P2G) == want
-    # one term: the image is built from the cached one, so editing it must not reach the cache
+    # one term: the image is built from the cached one, which no caller can edit
     single = SymPoly(2, {Partition((2, 1)): Fraction(1)})
     again = apply_higher(2, single, P2G)
     for nu in again.coeffs:
-        again.coeffs[nu] = -again.coeffs[nu]
+        with pytest.raises(TypeError):
+            again.coeffs[nu] = -again.coeffs[nu]
     assert apply_higher(2, single, P2G) == _higher_recursion(2, single, P2G)
     # the cache holds immutable (den, ((nu, integer), ...)) values only
     for d in (1, 2, 3):

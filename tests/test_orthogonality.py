@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -34,18 +36,26 @@ from mvbessel.pieri_norms import norm_full_reduced
 from mvbessel.polyalg import MultiPoly, SymPoly
 
 
-def test_moment_table_is_a_mutable_record():
+def test_moment_table_is_a_frozen_record():
     t = moments2_table(2, Fraction(-20), Fraction(1))
-    u = MomentTable2(Fraction(-20), Fraction(1), 2, dict(t.I))
-    assert t == u and t != (t.a, t.kappa, t.maxdeg, t.I)
+    source = dict(t.I)
+    u = MomentTable2(Fraction(-20), Fraction(1), 2, source)
+    assert t == u and hash(t) == hash(u) and u in {t}
+    assert t != (t.a, t.kappa, t.maxdeg, t.I)
     assert t != MomentTable2(Fraction(-20), Fraction(1), 3, dict(t.I))
+    with pytest.raises(AttributeError):
+        u.maxdeg = 3
     with pytest.raises(TypeError):
-        hash(t)
-    u.maxdeg = 3
-    assert t != u
+        u.I[(0, 0)] = Fraction(2)
+    # the table holds its own copy, so editing the source dict does not reach it
+    source[(0, 0)] = Fraction(2)
+    assert t == u and u.value(0, 0) == 1
+    for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert type(clone) is MomentTable2 and clone == t and hash(clone) == hash(t)
+        assert clone.value(2, 0) == t.value(2, 0)
     assert repr(MomentTable2(Fraction(-20), Fraction(1), 0, {(0, 0): Fraction(1)})) == (
         "MomentTable2(a=Fraction(-20, 1), kappa=Fraction(1, 1), maxdeg=0, "
-        "I={(0, 0): Fraction(1, 1)})"
+        "I=mappingproxy({(0, 0): Fraction(1, 1)}))"
     )
 
 
@@ -148,14 +158,17 @@ def test_inner_product_reuses_immutable_cached_pairings():
 
 
 def test_mutating_an_input_does_not_reach_the_pairing_caches():
+    # an input cannot be edited in place; a changed input is a new value,
+    # which is paired afresh
     p = BesselParams(Fraction(-31), Fraction(2), 3)
     f = bessel_expand(Partition((1,)), p).to_sym()
     g = bessel_expand(Partition((1,)), p).to_sym()
     first = inner_product(f, g, p)
-    g.coeffs[Partition((1,))] += 1
-    changed = inner_product(f, g, p)
-    assert changed == _monomial_sum_oracle(f, g, p) != first
-    g.coeffs[Partition((1,))] -= 1
+    with pytest.raises(TypeError):
+        g.coeffs[Partition((1,))] += 1
+    changed_g = g + SymPoly(3, {Partition((1,)): 1})
+    changed = inner_product(f, changed_g, p)
+    assert changed == _monomial_sum_oracle(f, changed_g, p) != first
     assert inner_product(f, g, p) == first
 
 

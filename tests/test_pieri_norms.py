@@ -148,7 +148,7 @@ def test_pieri_verify_builds_each_basis_element_once(monkeypatch):
         return bessel_expand(lam, p)
 
     monkeypatch.setattr(pieri_norms, "bessel_expand", counting_bessel_expand)
-    pieri_norms._renormalized_coeffs.cache_clear()
+    pieri_norms.renormalized_jack.cache_clear()
     p = BesselParams(Fraction(-27, 2), Fraction(1), 3)
     for r in (1, 2, 3):
         for lam in partitions_up_to(2, 3):
@@ -173,14 +173,19 @@ def test_factor_groups_are_built_once_for_every_r(monkeypatch):
     assert built and len(built) == len(set(built))
 
 
-def test_renormalized_jack_is_a_fresh_vector():
+def test_renormalized_jack_cache_returns_its_immutable_value():
     p = BesselParams(Fraction(-27, 2), Fraction(1), 2)
     lam = Partition((1,))
-    before = renormalized_jack(lam, p).sorted_coeffs()
-    assert before == renormalize(bessel_expand(lam, p)).jack_coeffs.sorted_coeffs()
-    renormalized_jack(lam, p).coeffs.clear()
-    renormalized_jack(lam, p).coeffs[Partition((2,))] = Fraction(5)
+    cached = renormalized_jack(lam, p)
+    before = cached.sorted_coeffs()
+    assert renormalized_jack(lam, p) is cached
+    assert cached == renormalize(bessel_expand(lam, p)).jack_coeffs
+    with pytest.raises(TypeError):
+        del cached.coeffs[lam]
+    with pytest.raises(TypeError):
+        cached.coeffs[Partition((2,))] = Fraction(5)
     assert renormalized_jack(lam, p).sorted_coeffs() == before
+    assert renormalized_jack.cache_info().maxsize == 4096
     assert pieri_verify(1, lam, p) and pieri_verify(2, Partition(()), p)
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from mvbessel.polyalg import (
     orbit_size,
     power_sum,
     rat_str,
+    rational,
 )
 
 
@@ -87,10 +90,61 @@ def test_divide_exact_round_trip(q, g):
     assert divide_exact(q * g, g) == q
 
 
-def test_monomial_symmetric_cache_returns_copies():
-    lam = Partition((2, 1))
-    SymPoly(2, {lam: 1}).expand().coeffs[(2, 1)] = Fraction(99)
-    assert SymPoly(2, {lam: 1}).expand().coeff((2, 1)) == 1
+def _vectors():
+    lam, mu = Partition((2,)), Partition((1, 1))
+    return [
+        SymPoly(2, {lam: Fraction(3), mu: Fraction(-1, 2)}),
+        JackExpansion(2, Fraction(5, 3), {lam: Fraction(3), mu: Fraction(-1, 2)}),
+        MultiPoly(2, {(2, 0): Fraction(3), (1, 1): Fraction(-1, 2)}),
+        SymPoly(3),
+    ]
+
+
+def test_vectors_are_immutable():
+    for v in _vectors() + [SymPoly(2, {Partition((2, 1)): 1}).expand()]:
+        before = dict(v.coeffs)
+        with pytest.raises(TypeError):
+            v.coeffs[next(iter(before), Partition((1,)))] = Fraction(99)
+        with pytest.raises(AttributeError, match="is immutable"):
+            v.coeffs = {}
+        with pytest.raises(AttributeError, match="is immutable"):
+            v.n = 5
+        with pytest.raises(AttributeError, match="is immutable"):
+            del v.n
+        assert dict(v.coeffs) == before
+    with pytest.raises(AttributeError, match="JackExpansion is immutable"):
+        _vectors()[1].kappa = Fraction(1)
+    # the orbit table behind expand is unchanged by the refused edits
+    assert SymPoly(2, {Partition((2, 1)): 1}).expand().coeff((2, 1)) == 1
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copy_and_pickle_keep_an_immutable_vector(clone):
+    for v in _vectors():
+        c = clone(v)
+        assert type(c) is type(v) and c == v and hash(c) == hash(v)
+        with pytest.raises(TypeError):
+            c.coeffs[Partition(())] = Fraction(1)
+        assert dict(c.coeffs) == dict(v.coeffs)
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError, match="float"):
+        SymPoly(1, {Partition((1,)): 0.1})
+    with pytest.raises(TypeError, match="float"):
+        MultiPoly(1, {(1,): 0.5})
+    with pytest.raises(TypeError, match="float"):
+        SymPoly(1, {Partition((1,)): 1}).scale(0.5)
+    with pytest.raises(TypeError, match="float"):
+        JackExpansion(1, 0.5)
+    with pytest.raises(TypeError, match="float"):
+        rational(0.25)
+    assert rational("1/10") == Fraction(1, 10) and rational(3) == 3
+    assert SymPoly(1, {Partition((1,)): "1/10"}).coeff(Partition((1,))) == Fraction(1, 10)
 
 
 def test_monomial_symmetric_and_collect():
@@ -194,14 +248,22 @@ def test_factored_fraction_roundtrip():
     assert h.to_poly() == y
 
 
-def test_mutable_value_types_are_unhashable():
-    # a content hash would go stale once coeffs is edited in place
-    mp = MultiPoly.variable(2, 1)
-    jx = JackExpansion(2, Fraction(1), {Partition((1,)): Fraction(1)})
-    ff = FactoredFraction.from_poly(mp)
-    for value in (mp, jx, ff):
-        with pytest.raises(TypeError):
-            hash(value)
+def test_equal_vectors_hash_alike():
+    for v in _vectors():
+        same = type(v)(*v._context(), dict(v.coeffs))
+        assert same == v and hash(same) == hash(v) and same in {v} and v in {same: 1}
+    # the edit that once left f unfindable in a set holding it is refused
+    lam = Partition((1,))
+    f = SymPoly(2, {lam: Fraction(1)})
+    s = {f}
+    with pytest.raises(TypeError):
+        f.coeffs[Partition((2,))] = Fraction(1)
+    assert f in s and (f + f).scale(Fraction(1, 2)) in s and f + f not in s
+    # the context is part of the hash key, as it is of equality
+    assert len({JackExpansion(2, Fraction(1), {lam: 1}), JackExpansion(2, Fraction(2), {lam: 1})}) == 2
+    # FactoredFraction is test-oracle code with reassignable fields: unhashable
+    with pytest.raises(TypeError):
+        hash(FactoredFraction.from_poly(MultiPoly.variable(2, 1)))
 
 
 def test_partition_vectors_share_arithmetic_but_not_equality():
@@ -225,8 +287,7 @@ def test_partition_vectors_share_arithmetic_but_not_equality():
     assert repr(mp) == "5*1 + -1/2*x1^1*x2^1 + 3*x1^2 + 1*x2^3"
     assert list(mp.to_json().items()) == [("[0,0]", "5"), ("[1,1]", "-1/2"), ("[2,0]", "3"), ("[0,3]", "1")]
     assert mp.degree() == 3 and mp.leading() == ((0, 3), 1) and repr(MultiPoly(2)) == "0"
-    same_map = SymPoly(2)
-    same_map.coeffs = dict(mp.coeffs)
+    same_map = SymPoly(2)._new(dict(mp.coeffs))
     assert mp != same_map and same_map != mp
     with pytest.raises(ValueError, match="variable count mismatch"):
         mp + MultiPoly(3)

@@ -15,56 +15,12 @@ a terminating hypergeometric form.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
 
 from .errors import DegenerateEigenvalue, PoleError
-from .partitions import Partition, skew_standard_chains
+from .partitions import FrozenRecord, Partition, skew_standard_chains
 from .polyalg import ONE, ZERO, SymPoly, rat_str, rational
 from . import jack
 from .jack import JackExpansion
-
-
-class FrozenRecord:
-    """An immutable record whose fields are its __slots__, in order.
-
-    __init__ takes the field values in order, and _values gives them as a
-    tuple.  Two records are equal, and hash alike, when they have the same
-    type and _values, and copy and pickle rebuild a record from them.  A
-    record with a mapping field defines its own _values, with the mapping
-    as a frozenset of its items.  The repr is Name(field=value, ...).
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        # attrgetter binds no self, so callers pass the record in: self._values(self)
-        if "_values" not in vars(cls):
-            cls._values = attrgetter(*cls.__slots__)
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values(self) == other._values(other)
-
-    def __hash__(self):
-        return hash(self._values(self))
-
-    def __reduce__(self):
-        return type(self), self._values(self)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
 
 
 class BesselParams(FrozenRecord):

@@ -26,7 +26,7 @@ from .errors import (
     PoleError,
 )
 from .partitions import Partition, partitions_up_to
-from .polyalg import SymPoly, rat_str
+from .polyalg import SymPoly, rat_str, rational
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -39,7 +39,7 @@ def parse_rational(s: str) -> Fraction:
     if any(ch in s for ch in ".eE"):
         raise ValueError(f"not an exact rational: {s!r} (use p/q or an integer)")
     try:
-        return Fraction(s)
+        return rational(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not an exact rational: {s!r}") from exc
 

@@ -28,7 +28,7 @@ from .polyalg import (
 def eigenvalue_d(lam: Partition, kappa: Fraction, n: int) -> Fraction:
     """sum_i lam_i (lam_i - 1 + 2 kappa (n - i)): two integer sums, one Fraction step."""
     parts = lam.parts
-    return sum(li * (li - 1) for li in parts) + 2 * Fraction(kappa) * sum(
+    return sum(li * (li - 1) for li in parts) + 2 * rational(kappa) * sum(
         li * (n - i) for i, li in enumerate(parts, start=1)
     )
 
@@ -79,7 +79,7 @@ def triangular_solve(
     eigen(mu) = eigen(top).
     """
     e_top = eigen(top)
-    u = {top: Fraction(top_coeff)}
+    u = {top: rational(top_coeff)}
     for mu in sorted(below, reverse=True):
         e_mu = eigen(mu)
         if e_mu == e_top:
@@ -121,7 +121,7 @@ def jack_in_monomials(lam: Partition, kappa: Fraction, n: int) -> SymPoly:
     operator, whose action on the m basis is read off raising_weights.
     Raises DegenerateEigenvalue on an eigenvalue collision.
     """
-    kappa = Fraction(kappa)
+    kappa = rational(kappa)
     if lam.length() > n:
         raise ValueError(f"{lam!r} needs more than {n} variables")
     below = [mu for mu in partitions_of(lam.weight(), n) if mu != lam and dominance_leq(mu, lam)]
@@ -141,7 +141,7 @@ def hook_products(lam: Partition, kappa: Fraction) -> tuple[Fraction, Fraction]:
     h_lam   = prod over cells (lam_i - j + kappa (lam'_j - i) + 1)
     h^lam   = prod over cells (lam_i - j + kappa (lam'_j - i + 1))
     """
-    kappa = Fraction(kappa)
+    kappa = rational(kappa)
     conj = lam.conjugate()
     lower = upper = ONE
     for i in range(1, lam.length() + 1):
@@ -160,7 +160,7 @@ def principal_spec(lam: Partition, kappa: Fraction, n: int) -> Fraction:
     kappa + t, so kappa = 0 gives m_lambda(1^n) = n!/((n-l)! prod_i m_i!)."""
     if lam.length() > n:
         return ZERO
-    line = Affine(Fraction(kappa), ONE)
+    line = Affine(rational(kappa), ONE)
     conj = lam.conjugate()
     cells = [(i, j) for i in range(1, lam.length() + 1) for j in range(1, lam.part(i) + 1)]
     num = [line * (n - i + 1) + j - 1 for i, j in cells]
@@ -170,7 +170,7 @@ def principal_spec(lam: Partition, kappa: Fraction, n: int) -> Fraction:
 
 def psi_prime(lam: Partition, i: int, kappa: Fraction) -> Fraction:
     """Coefficient of P_{lam + e_i} in p_1 * P_lam (the one-box Pieri weight)."""
-    kappa = Fraction(kappa)
+    kappa = rational(kappa)
     if lam.add_box(i) is None:
         raise ValueError(f"adding a box in row {i} of {lam!r} is not a partition")
     val = ONE
@@ -193,7 +193,7 @@ def binomial_cocover(lam: Partition, i: int, kappa: Fraction) -> Fraction:
     the p_1-multiplication and constant-differentiation actions on the
     Jack basis.
     """
-    kappa = Fraction(kappa)
+    kappa = rational(kappa)
     up = lam.add_box(i)
     if up is None:
         raise ValueError(f"adding a box in row {i} of {lam!r} is not a partition")
@@ -227,7 +227,7 @@ def binomial_cocover_product(
     lam: Partition, i: int, kappa: Fraction, corrected: bool = True
 ) -> Fraction:
     """_binomial_factors evaluated at kappa."""
-    factors = _binomial_factors(lam, i, Affine(Fraction(kappa)), corrected)
+    factors = _binomial_factors(lam, i, Affine(rational(kappa)), corrected)
     return limit_at_zero([factors], "binomial product denominator vanished")
 
 
@@ -254,7 +254,7 @@ def lower_weight(mu: Partition, i: int, kappa: Fraction, n: int) -> Fraction:
     so every expansion in a suite asks for the same weights again; cached
     as an immutable Fraction.
     """
-    line = Affine(Fraction(kappa), ONE)
+    line = Affine(rational(kappa), ONE)
     factors = join(_spec_ratio_factors(mu, i, line, n, True), _binomial_factors(mu, i, line, True))
     return limit_at_zero([factors], f"lowering weight at {mu!r}, row {i} has a pole")
 
@@ -288,7 +288,7 @@ def spec_ratio_product(
     lam: Partition, i: int, kappa: Fraction, n: int, corrected: bool = True
 ) -> Fraction:
     """_spec_ratio_factors evaluated at kappa."""
-    factors = _spec_ratio_factors(lam, i, Affine(Fraction(kappa)), n, corrected)
+    factors = _spec_ratio_factors(lam, i, Affine(rational(kappa)), n, corrected)
     return limit_at_zero([factors], "specialization-ratio denominator vanished")
 
 
@@ -326,7 +326,7 @@ def sym_to_jack(f: SymPoly, kappa: Fraction) -> JackExpansion:
     Peels leading monomial coefficients; each P_lam is monic with leading
     term m_lam in graded-lex order, which refines dominance.
     """
-    kappa = Fraction(kappa)
+    kappa = rational(kappa)
     return JackExpansion(f.n, kappa, peel(f, lambda lam: jack_in_monomials(lam, kappa, f.n)))
 
 
@@ -392,7 +392,7 @@ def lowering_solve(
 
 def rising_factorial(alpha: Fraction, m: int) -> Fraction:
     val = ONE
-    alpha = Fraction(alpha)
+    alpha = rational(alpha)
     for t in range(m):
         val *= alpha + t
     return val
@@ -400,7 +400,7 @@ def rising_factorial(alpha: Fraction, m: int) -> Fraction:
 
 def gen_pochhammer(alpha: Fraction, lam: Partition, kappa: Fraction) -> Fraction:
     """prod_i [alpha - kappa (i-1)]_{lam_i} (rising factorials)."""
-    alpha, kappa = Fraction(alpha), Fraction(kappa)
+    alpha, kappa = rational(alpha), rational(kappa)
     val = ONE
     for i in range(1, lam.length() + 1):
         val *= rising_factorial(alpha - kappa * (i - 1), lam.part(i))
@@ -424,10 +424,10 @@ def hyperg_trunc(
     parameter Pochhammer or the hook product h_lam vanishes for a partition
     up to maxdeg.
     """
-    kappa = Fraction(kappa)
-    scale = Fraction(scale)
-    upper = [Fraction(u) for u in upper]
-    lower = [Fraction(b) for b in lower]
+    kappa = rational(kappa)
+    scale = rational(scale)
+    upper = [rational(u) for u in upper]
+    lower = [rational(b) for b in lower]
     out: dict[Partition, Fraction] = {}
     for lam in partitions_up_to(maxdeg, n):
         num = [Affine(gen_pochhammer(u, lam, kappa)) for u in upper]

@@ -17,9 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import jack
-from .bessel import BesselParams, FrozenRecord, bessel_eigenvalue, rho_vector
+from .bessel import BesselParams, bessel_eigenvalue, rho_vector
 from .jack import JackExpansion, rising_factorial
-from .partitions import Partition
+from .partitions import FrozenRecord, Partition
 from .pieri_norms import delta_ratio
 from .polyalg import rational
 
@@ -92,7 +92,7 @@ def limit_params(a: Fraction, kappa: Fraction, E: Fraction, n: int) -> JacobiPar
     k1 = (a - 1 + 2E)/2, k2 = (a - 1 - 2E)/4, k3 = kappa; the combination
     k1 + 2 k2 = a - 1 holds identically, so both families share rho.
     """
-    a, kappa, E = Fraction(a), Fraction(kappa), Fraction(E)
+    a, kappa, E = rational(a), rational(kappa), rational(E)
     if E <= 0:
         raise ValueError("E must be positive")
     return JacobiParams((a - 1 + 2 * E) / 2, (a - 1 - 2 * E) / 4, kappa, n)

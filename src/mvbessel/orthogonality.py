@@ -36,11 +36,11 @@ from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
-from .bessel import BesselParams, FrozenRecord, bessel_expand, square_integrability_bound
+from .bessel import BesselParams, bessel_expand, square_integrability_bound
 from .errors import ConvergenceError, DegenerateRecurrence
 from .operators import apply_higher
-from .partitions import Partition, partitions_up_to
-from .polyalg import SymPoly, orbit, orbit_size
+from .partitions import FrozenRecord, Partition, partitions_up_to
+from .polyalg import SymPoly, orbit, orbit_size, rational
 
 
 def check_L2_condition(m: int, p: BesselParams) -> bool:
@@ -66,7 +66,7 @@ def _moments(top: int, a: Fraction) -> tuple[Fraction, ...]:
     powers of two capped at the number of convergent moments, so each a
     keeps a handful of tables however many exponents are asked for.
     """
-    a = Fraction(a)
+    a = rational(a)
     if top < 0:
         raise ValueError("exponent must be non-negative")
     if top >= 1 - a:
@@ -241,9 +241,8 @@ class MomentTable2(FrozenRecord):
     ):
         super().__init__(a, kappa, maxdeg, MappingProxyType(dict(I)))
 
-    @staticmethod
-    def _values(t: "MomentTable2") -> tuple:
-        return t.a, t.kappa, t.maxdeg, frozenset(t.I.items())
+    def _values(self) -> tuple:
+        return self.a, self.kappa, self.maxdeg, frozenset(self.I.items())
 
     def value(self, n: int, m: int) -> Fraction:
         key = (n, m)
@@ -264,7 +263,7 @@ def moments2_table(maxdeg: int, a: Fraction, kappa: Fraction) -> MomentTable2:
     I[D-2, 1]).  A vanishing leading coefficient raises DegenerateRecurrence.
     Every instance of the first recurrence inside the table is re-validated.
     """
-    a, kappa = Fraction(a), Fraction(kappa)
+    a, kappa = rational(a), rational(kappa)
     I: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
     for D in range(1, maxdeg + 1):
         for m in range(1, D // 2 + 1):

@@ -1,6 +1,10 @@
 """Partition combinatorics: conjugation, orderings, co-covers, skew chains.
 
-Partitions are immutable value objects; trailing zeros are stripped at
+FrozenRecord is the one immutable value base of the package: Partition,
+the sparse vectors of polyalg, polyalg.Affine and the parameter and result
+records of bessel, jacobi_bc and orthogonality derive from it, so none of
+them can be assigned or deleted, and each copies and pickles through its
+field values.  Partitions are such values; trailing zeros are stripped at
 construction so that (2,1) and (2,1,0,0) are the same object.
 """
 
@@ -10,7 +14,56 @@ from collections.abc import Iterable, Iterator
 from math import factorial
 
 
-class Partition:
+class FrozenRecord:
+    """An immutable value whose fields are its __slots__, in order.
+
+    __init__ takes the field values in order, and _values() gives them as a
+    tuple, a 1-tuple for a one-field record.  Two records are equal, and
+    hash alike, when they have the same type and _values(); the hash is
+    computed on first use and stored.  copy and pickle rebuild a record as
+    type(record)(*record._values()), so a subclass whose __init__ takes
+    other arguments, or whose field is a mapping, defines its own _values.
+    Assigning or deleting an attribute raises AttributeError.  The repr is
+    Name(field=value, ...).
+    """
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._values())
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Partition(FrozenRecord):
     """A weakly decreasing sequence of non-negative integers."""
 
     __slots__ = ("parts",)
@@ -26,13 +79,6 @@ class Partition:
         while ps and ps[-1] == 0:
             ps.pop()
         object.__setattr__(self, "parts", tuple(ps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, not the refusing __setattr__
-        return Partition, (self.parts,)
 
     # -- basic queries ------------------------------------------------------
 
@@ -92,9 +138,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def __getitem__(self, i):
-        return self.parts[i]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Partition) and self.parts == other.parts
 
@@ -105,14 +148,8 @@ class Partition:
         # graded lexicographic order; a linear extension of dominance
         return (self.weight(), self.parts) < (other.weight(), other.parts)
 
-    def __le__(self, other: "Partition") -> bool:
-        return self == other or self < other
-
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)})"
-
-    def to_json(self) -> list[int]:
-        return list(self.parts)
 
 
 def dominance_leq(mu: Partition, lam: Partition) -> bool:

@@ -15,11 +15,14 @@ limit_at_zero is the one exact-limit mechanism: every closed product that
 can meet 0/0 is a list of Affine factors c + s*t, taken at t = 0 along a
 line or, with slope 0, at a point.
 
-Every value type is immutable: a SparseVector's coeffs is a read-only
-mapping and its attributes cannot be assigned, like Partition and the
-records of bessel and orthogonality.  So a vector hashes by its content, and
-the one cache policy is that a cache returns its value as it is: no caller
-can change it.  All scalars enter through rational, which refuses a float.
+Every value type is immutable: SparseVector and Affine derive, like
+Partition and the records of bessel, jacobi_bc and orthogonality, from the
+one value base partitions.FrozenRecord, which refuses assignment and
+deletion, and a SparseVector's coeffs is a read-only mapping.  So a vector
+hashes by its content, and the one cache policy is that a cache returns its
+value as it is: no caller can change it, down to the Affine factors of a
+cached Pieri table.  All scalars enter through rational, which refuses a
+float.
 
 The last section, with SymPoly.expand, is test-oracle arithmetic: MultiPoly
 keyed by exponent tuples, divide_exact, collect_symmetric and
@@ -39,7 +42,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import NotDivisible, NotSymmetric, PoleError
-from .partitions import Partition
+from .partitions import FrozenRecord, Partition
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -70,7 +73,7 @@ def accumulate(out: dict, key, c: Fraction) -> None:
         out.pop(key, None)
 
 
-class SparseVector:
+class SparseVector(FrozenRecord):
     """Shared arithmetic of the sparse coefficient vectors.
 
     coeffs is a read-only mapping from a key to a nonzero Fraction.
@@ -80,8 +83,9 @@ class SparseVector:
     names it in repr, _context is what two vectors must share before they
     are combined or compared, and _mismatch is the message raised when they
     do not.  The order (weight, key) is graded-lex for both key kinds.  A
-    vector never compares equal to one of another type.  It is immutable, so
-    it has one content hash, and copy and pickle rebuild it through __init__.
+    vector never compares equal to one of another type.  It is a
+    FrozenRecord with a content hash, and its _values, the context and the
+    coefficients, rebuild it through __init__.
     """
 
     __slots__ = ("n", "coeffs")
@@ -98,14 +102,8 @@ class SparseVector:
                     checked[key] = c
         object.__setattr__(self, "coeffs", MappingProxyType(checked))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __reduce__(self):
-        return type(self), (*self._context(), dict(self.coeffs))
+    def _values(self) -> tuple:
+        return (*self._context(), dict(self.coeffs))
 
     def _context(self) -> tuple:
         return (self.n,)
@@ -227,7 +225,7 @@ class SymPoly(PartitionVector):
 
     @classmethod
     def constant(cls, n: int, c) -> "SymPoly":
-        return cls(n, {Partition(): Fraction(c)})
+        return cls(n, {Partition(): c})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -298,7 +296,7 @@ def apply_equivariant(f: SymPoly, groups: list[tuple[Fraction, list[tuple]]]) ->
                         key = tuple(sorted(x, reverse=True))
                         acc[key] = acc.get(key, 0) + v
                 x[i], x[j] = ai, aj
-    scales = [Fraction(s) for s, _ in groups]
+    scales = [rational(s) for s, _ in groups]
     q = math.lcm(*(s.denominator for s in scales))
     nums = [s.numerator * (q // s.denominator) for s in scales]
     out = {}
@@ -327,18 +325,19 @@ def power_sum(r: int, n: int) -> SymPoly:
 # -- exact limits of affine factor products -----------------------------------
 
 
-class Affine:
+class Affine(FrozenRecord):
     """c + s*t, one factor of a closed product along a line through t = 0.
 
     Closed under the sums and scalar multiples that the factors are built
-    from; Affine(x, 0) is the plain value x at a point.
+    from; Affine(x, 0) is the plain value x at a point.  A FrozenRecord, so
+    the factor tables that cache it cannot be edited.
     """
 
     __slots__ = ("c", "s")
 
     def __init__(self, c, s=ZERO):
-        self.c = c
-        self.s = s
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "s", s)
 
     def __add__(self, other):
         if isinstance(other, Affine):
@@ -357,9 +356,6 @@ class Affine:
         return Affine(self.c * k, self.s * k)
 
     __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        return f"Affine({self.c}, {self.s})"
 
 
 def join(*groups):
@@ -453,7 +449,7 @@ class MultiPoly(SparseVector):
 
     @classmethod
     def constant(cls, n: int, c) -> "MultiPoly":
-        return cls(n, {(0,) * n: Fraction(c)})
+        return cls(n, {(0,) * n: c})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "MultiPoly":
@@ -464,7 +460,7 @@ class MultiPoly(SparseVector):
 
     @classmethod
     def monomial(cls, n: int, exps: Iterable[int], c=1) -> "MultiPoly":
-        return cls(n, {tuple(exps): Fraction(c)})
+        return cls(n, {tuple(exps): c})
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -500,7 +496,7 @@ class MultiPoly(SparseVector):
         return self.coeffs.get(tuple(exps), ZERO)
 
     def evaluate(self, point: Iterable) -> Fraction:
-        pt = [Fraction(v) for v in point]
+        pt = [rational(v) for v in point]
         if len(pt) != self.n:
             raise ValueError(f"point has {len(pt)} coordinates, expected {self.n}")
         total = ZERO

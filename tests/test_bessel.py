@@ -97,6 +97,22 @@ def test_bessel_polynomial_is_a_frozen_record():
     assert repr(Y).startswith("BesselPolynomial(lam=Partition([2, 1]), params=BesselParams(")
 
 
+def test_a_record_hashes_its_values_once(monkeypatch):
+    calls = []
+    values = BesselParams._values
+
+    def counting_values(record):
+        calls.append(record)
+        return values(record)
+
+    monkeypatch.setattr(BesselParams, "_values", counting_values)
+    p = BesselParams(Fraction(-41, 2), Fraction(5, 3), 3)
+    first = hash(p)
+    assert len(calls) == 1
+    assert hash(p) == first and len(calls) == 1
+    assert first == hash((Fraction(-41, 2), Fraction(5, 3), 3))
+
+
 def test_params_refuse_floats():
     with pytest.raises(TypeError, match="float"):
         BesselParams(0.5, 1, 2)

@@ -15,6 +15,11 @@ polyalg.orbit, so no other function enumerates permutations.
 Every CLI call is a fresh interpreter, so the CLI's import path stays light:
 importing mvbessel.cli loads neither dataclasses nor typing, nor the
 inspect, ast, dis and tokenize modules that dataclasses drags in.
+Immutability has one implementation: partitions.FrozenRecord alone
+defines __setattr__, __delattr__ and __reduce__, and every value type
+derives from it.  Every scalar a function coerces goes through
+polyalg.rational, which refuses a float, so no Fraction(x) of one bare
+name is left anywhere else.
 The span tracer of perfbench/tracer.py wraps each function it names
 where the module or class defines it, in that owner's own __dict__, so
 every name it traces stays defined there and not on a base class.
@@ -90,6 +95,75 @@ def test_only_polyalg_orbit_enumerates_permutations():
         }
     )
     assert users == [("polyalg.py", "orbit")], users
+
+
+def _trees() -> list:
+    return [(path.name, ast.parse(path.read_text(), filename=str(path))) for path in SOURCES]
+
+
+def test_only_the_one_value_base_refuses_edits_and_pickles():
+    hooks = ("__delattr__", "__reduce__", "__setattr__")
+    in_classes = sorted(
+        (name, cls.name, node.name)
+        for name, tree in _trees()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name in hooks
+    )
+    anywhere = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in hooks
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in hooks
+    ]
+    assert in_classes == [("partitions.py", "FrozenRecord", hook) for hook in hooks], in_classes
+    assert len(anywhere) == len(hooks), anywhere
+
+
+def test_every_value_type_derives_from_the_one_base():
+    base = importlib.import_module("mvbessel.partitions").FrozenRecord
+    values = {
+        "partitions": ["Partition"],
+        "polyalg": ["SparseVector", "SymPoly", "MultiPoly", "Affine"],
+        "jack": ["JackExpansion"],
+        "bessel": ["BesselParams", "BesselPolynomial"],
+        "jacobi_bc": ["JacobiParams"],
+        "orthogonality": ["MomentTable2"],
+    }
+    loose = [
+        f"{module}.{name}"
+        for module, names in values.items()
+        for name in names
+        if not issubclass(getattr(importlib.import_module(f"mvbessel.{module}"), name), base)
+    ]
+    assert not loose, loose
+
+
+def test_scalars_are_coerced_only_through_rational():
+    trees = _trees()
+    rational = next(
+        node
+        for node in dict(trees)["polyalg.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "rational"
+    )
+    bare = [
+        (name, node.lineno)
+        for name, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "Fraction"
+        and len(node.args) == 1
+        and not node.keywords
+        and isinstance(node.args[0], ast.Name)
+    ]
+    outside = [
+        f"{name}:{line}"
+        for name, line in bare
+        if name != "polyalg.py" or not rational.lineno <= line <= rational.end_lineno
+    ]
+    assert len(bare) == 1 and not outside, outside
 
 
 def _finite_maxsize(call: ast.Call) -> bool:

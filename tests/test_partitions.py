@@ -45,6 +45,9 @@ def test_copy_and_pickle_keep_an_immutable_partition(parts):
         assert type(clone) is Partition and clone == lam and hash(clone) == hash(lam)
         with pytest.raises(AttributeError, match="Partition is immutable"):
             clone.parts = (9,)
+        with pytest.raises(AttributeError, match="Partition is immutable"):
+            del clone.parts
+        assert clone.parts == lam.parts
 
 
 @given(parts_strategy)

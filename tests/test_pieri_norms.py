@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -171,6 +173,38 @@ def test_factor_groups_are_built_once_for_every_r(monkeypatch):
     for r in range(1, p.n + 1):
         pieri_expand(r, Partition((2, 1)), p)
     assert built and len(built) == len(set(built))
+
+
+def test_affine_is_a_frozen_value():
+    f = Affine(Fraction(3, 2), Fraction(-1))
+    for clone in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert type(clone) is Affine and clone == f and hash(clone) == hash(f)
+        assert (clone.c, clone.s) == (f.c, f.s)
+    assert f != Affine(Fraction(3, 2)) and Affine(1) == Affine(1, 0)
+    with pytest.raises(AttributeError, match="Affine is immutable"):
+        Affine(1).c = 2
+    with pytest.raises(AttributeError, match="Affine is immutable"):
+        f.s += 1
+    with pytest.raises(AttributeError, match="Affine is immutable"):
+        del f.c
+    assert (f.c, f.s) == (Fraction(3, 2), -1)
+
+
+def test_cached_pieri_factors_cannot_be_edited():
+    p = BesselParams(Fraction(-27, 2), Fraction(1), 3)
+    lam = Partition((1,))
+    before = pieri_expand(1, lam, p)
+
+    def factors(group):
+        # a group nests tuples of Affine factors to two or three levels
+        return [group] if isinstance(group, Affine) else [f for g in group for f in factors(g)]
+
+    cached = factors(pieri_norms._factor_table(lam, p).values())
+    assert cached
+    for f in cached:
+        with pytest.raises(AttributeError, match="Affine is immutable"):
+            f.c += 7
+    assert pieri_expand(1, lam, p) == before
 
 
 def test_renormalized_jack_cache_returns_its_immutable_value():

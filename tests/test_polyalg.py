@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mvbessel import diffops, jack, jacobi_bc, orthogonality
 from mvbessel.errors import NotDivisible, NotSymmetric
 from mvbessel.jack import JackExpansion, principal_spec
 from mvbessel.partitions import Partition, partitions_up_to
@@ -145,6 +146,49 @@ def test_floats_are_refused():
         rational(0.25)
     assert rational("1/10") == Fraction(1, 10) and rational(3) == 3
     assert SymPoly(1, {Partition((1,)): "1/10"}).coeff(Partition((1,))) == Fraction(1, 10)
+
+
+_ONE = Partition((1,))
+_F = SymPoly(2, {_ONE: 1})
+_FLOAT_CALLS = [
+    (jack.eigenvalue_d, (_ONE, 0.5, 2)),
+    (jack.triangular_solve, (_ONE, 0.5, [], lambda mu: 0, lambda mu, u: 0)),
+    (jack.jack_in_monomials, (Partition((1, 1)), 0.1, 2)),
+    (jack.hook_products, (_ONE, 0.5)),
+    (jack.principal_spec, (_ONE, 0.5, 2)),
+    (jack.psi_prime, (_ONE, 2, 0.5)),
+    (jack.binomial_cocover, (_ONE, 2, 0.5)),
+    (jack.binomial_cocover_product, (_ONE, 1, 0.5)),
+    (jack.spec_ratio_product, (_ONE, 1, 0.5, 2)),
+    (jack.lower_weight, (_ONE, 1, 0.5, 2)),
+    (jack.sym_to_jack, (_F, 0.5)),
+    (jack.rising_factorial, (0.5, 2)),
+    (jack.gen_pochhammer, (0.5, _ONE, 1)),
+    (jack.hyperg_trunc, ([1], [], 0.5, 1, 2, 1)),
+    (jack.hyperg_trunc, ([0.5], [], 1, 1, 2, 1)),
+    (diffops.apply_sutherland_sym, (_F, 2, 0.5)),
+    (diffops.apply_bessel_sym, (_F, 0.5, 1)),
+    (diffops.apply_bessel_sym, (_F, -20, 0.5)),
+    (diffops.apply_jacobi_bc_sym, (_F, 1, 1, 0.5)),
+    (diffops.apply_jacobi_bc_sym, (_F, 0.5, 1, 1)),
+    (orthogonality.moment_1d, (1, -20.5)),
+    (orthogonality.moments2_table, (1, -20.5, 1)),
+    (orthogonality.moments2_table, (1, -20, 0.1)),
+    (jacobi_bc.limit_params, (0.5, 1, 1, 2)),
+    (jacobi_bc.limit_params, (1, 1, 0.5, 2)),
+    (SymPoly.constant, (2, 0.5)),
+    (MultiPoly.constant, (2, 0.5)),
+    (MultiPoly.monomial, (2, (1, 0), 0.5)),
+    (MultiPoly.variable(2, 1).evaluate, ([0.5, 1],)),
+]
+
+
+@pytest.mark.parametrize("function, args", _FLOAT_CALLS, ids=[f.__qualname__ for f, _ in _FLOAT_CALLS])
+def test_functions_refuse_a_float(function, args):
+    # a function that coerces its scalar takes it through rational, as the
+    # constructors do, so a float never slips in as its binary value
+    with pytest.raises(TypeError, match="float"):
+        function(*args)
 
 
 def test_monomial_symmetric_and_collect():

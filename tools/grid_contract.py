@@ -1,12 +1,15 @@
-"""The argv-grid contract of the mvbessel CLI: exit codes and output over two grids.
+"""The argv-grid contract of the mvbessel CLI: exit codes and output over three grids.
 
-Runs mvbessel.cli.main in process over two grids of argv, with R = {0, ±1,
+Runs mvbessel.cli.main in process over three grids of argv, with R = {0, ±1,
 ±2, ±1/2, ±3/2, ±1/3, -2/3, -3, -5/2, -4/3}:
 
 - bessel: `bessel` for 9 shapes of degree <= 4, plus `verify eigen
   --max-degree=3`, over n <= 3, kappa in R and a in R and -20 (7,200 argv);
 - jacobi: `verify jacobi --max-degree=3` over n <= 3 and k1, k2, k3 in R
-  (10,125 argv).
+  (10,125 argv);
+- pieri: `verify pieri --max-degree=2` over n <= 3, kappa in R and a in R
+  and -20 (720 argv), which reaches the Affine factor limits and their
+  pole exits.
 
 Each grid is reduced to one sha256 over (argv, exit code, stdout sha256,
 stderr text before the first ':') and the count of each exit code, and both
@@ -51,7 +54,12 @@ def jacobi_grid():
         yield ["verify", "jacobi", "--max-degree=3", f"--n={n}", f"--k1={k1}", f"--k2={k2}", f"--k3={k3}"]
 
 
-GRIDS = {"bessel": bessel_grid, "jacobi": jacobi_grid}
+def pieri_grid():
+    for n, kappa, a in itertools.product((1, 2, 3), R, R + ["-20"]):
+        yield ["verify", "pieri", "--max-degree=2", f"--n={n}", f"--kappa={kappa}", f"--a={a}"]
+
+
+GRIDS = {"bessel": bessel_grid, "jacobi": jacobi_grid, "pieri": pieri_grid}
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:

@@ -18,6 +18,7 @@ import functools
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from itertools import combinations
+from types import MappingProxyType
 
 from .errors import DegenerateEigenvalue, PoleError
 from .partitions import Partition, co_covers, dominance_leq, partitions_of, partitions_up_to
@@ -33,7 +34,8 @@ def eigenvalue_d(lam: Partition, kappa: Fraction, n: int) -> Fraction:
     )
 
 
-def raising_weights(mu: Partition) -> dict[Partition, int]:
+@functools.lru_cache(maxsize=4096)
+def raising_weights(mu: Partition) -> Mapping[Partition, int]:
     """Off-diagonal row mu of the Sutherland operator's matrix on the m basis.
 
     The coefficient of m_mu in D_2 m_nu, for nu != mu, is 2 kappa times
@@ -46,7 +48,9 @@ def raising_weights(mu: Partition) -> dict[Partition, int]:
     mu_i >= mu_j apart to p > mu_i and mu_i + mu_j - p, with weight
     2p - mu_i - mu_j (Stanley, Adv. Math. 77 (1989), Thm 3.1).  Pairs with
     a zero part give nothing, so the number of variables does not enter;
-    the endpoint terms c in {p, q} are the diagonal, eigenvalue_d.
+    the endpoint terms c in {p, q} are the diagonal, eigenvalue_d.  The row
+    depends on mu alone, so it is cached, as a read-only mapping, for the
+    solves of every lambda above mu.
     """
     parts = mu.parts
     out: dict[Partition, int] = {}
@@ -57,7 +61,7 @@ def raising_weights(mu: Partition) -> dict[Partition, int]:
             raised[i], raised[j] = p, bi + bj - p
             nu = Partition(sorted(raised, reverse=True))
             out[nu] = out.get(nu, 0) + 2 * p - bi - bj
-    return out
+    return MappingProxyType(out)
 
 
 def triangular_solve(

@@ -9,8 +9,8 @@ x_1 and x_j swapped, so a single Laurent polynomial g = old_{+1} is carried
 (the two-branch form is the test oracle), as one coefficient sum per orbit
 of S_{n-1}, under which g is invariant.  Each (x_1 - x_j) quotient is
 written down term by term, so no division is ever carried out.  The sums
-are integers: with D = lcm(den(kappa/2), den(a)) every stage weight times D
-is an integer, so after s stages the sums hold g / (den(f) D^s), and the
+are integers: polyalg.common_denominator puts f over den(f) and the stage
+weights over D, so after s stages the sums hold g / (den(f) D^s), and the
 image is read off with one division per output partition.  Being linear,
 D^B_d is applied to a polynomial as a sum of cached images of the monomial
 symmetric functions m_mu, each cached as integers over one denominator and
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from fractions import Fraction
 
 from . import diffops, jack
@@ -33,6 +32,7 @@ from .polyalg import (
     ONE,
     ZERO,
     SymPoly,
+    common_denominator,
     orbit_size,
 )
 
@@ -61,14 +61,14 @@ def apply_DB_jack(v: JackExpansion, p: BesselParams) -> JackExpansion:
 
 
 def _stage_weights(p: BesselParams) -> tuple[int, int, int, int]:
-    """(D, D kappa/2, D shift_even, D shift_odd) for D = lcm(den(kappa/2),
-    den(a)), which makes every stage weight an integer; shift is the weight
-    on e itself besides e_1: kappa/2 per j != 1, and a - 1 after an odd
-    number of stages."""
+    """(D, D kappa/2, D shift_even, D shift_odd), the stage weights over
+    their common denominator D, which is lcm(den(kappa/2), den(a)); shift is
+    the weight on e itself besides e_1: kappa/2 per j != 1, and a - 1 after
+    an odd number of stages."""
     half_kappa = p.kappa / 2
-    D = math.lcm(half_kappa.denominator, p.a.denominator)
     shift = (p.n - 1) * half_kappa
-    return D, int(D * half_kappa), int(D * shift), int(D * (shift + p.a - 1))
+    D, weights = common_denominator([half_kappa, shift, shift + p.a - 1])
+    return D, *weights
 
 
 def _recursion_stage(
@@ -127,18 +127,18 @@ def apply_higher(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
     D^B_d is linear, so the image is the sum of c_mu times the image of
     m_mu over the terms of f; each monomial image comes from the full
     recursion (_higher_recursion) once per (d, mu, p) and is then cached as
-    integers over one denominator den_mu.  The images are summed as integers
-    over Q = lcm(den(c_mu) den_mu), one Fraction per output.
+    integers over one denominator den_mu.  The weights c_mu / den_mu are put
+    over their common denominator Q, so the images are summed as integers,
+    one Fraction per output.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
     if f.n != p.n:
         raise ValueError("variable count mismatch")
-    images = [(c, _higher_on_monomial(d, mu, p)) for mu, c in f.coeffs.items()]
-    q = math.lcm(*(c.denominator * den for c, (den, _) in images))
+    images = [_higher_on_monomial(d, mu, p) for mu in f.coeffs]
+    q, weights = common_denominator(c / den for c, (den, _) in zip(f.coeffs.values(), images))
     sums: dict[Partition, int] = {}
-    for c, (den, image) in images:
-        w = c.numerator * (q // (c.denominator * den))
+    for w, (_, image) in zip(weights, images):
         for nu, v in image:
             sums[nu] = sums.get(nu, 0) + w * v
     return f._new({nu: Fraction(s, q) for nu, s in sums.items() if s})
@@ -151,8 +151,8 @@ def _higher_on_monomial(
     """D^B_d m_mu as an immutable (den, ((nu, integer), ...)): the image is
     the sum of integer/den m_nu."""
     image = _higher_recursion(d, SymPoly(p.n, {mu: ONE}), p).coeffs
-    den = math.lcm(*(c.denominator for c in image.values()))
-    return den, tuple((nu, c.numerator * (den // c.denominator)) for nu, c in image.items())
+    den, nums = common_denominator(image.values())
+    return den, tuple(zip(image, nums))
 
 
 def _higher_recursion(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
@@ -169,11 +169,10 @@ def _higher_recursion(d: int, f: SymPoly, p: BesselParams) -> SymPoly:
     one division per partition.  It must be a polynomial (no negative
     exponent left).
     """
-    den = math.lcm(*(c.denominator for c in f.coeffs.values()))
+    den, nums = common_denominator(f.coeffs.values())
     g: dict[tuple[int, ...], int] = {}
-    for lam, c in f.coeffs.items():
+    for lam, c in zip(f.coeffs, nums):
         e = lam.parts + (0,) * (p.n - lam.length())
-        c = c.numerator * (den // c.denominator)
         for i in map(e.index, set(e)):
             g[(e[i], *e[:i], *e[i + 1 :])] = c * orbit_size(Partition(e[:i] + e[i + 1 :]), p.n - 1)
     weights = _stage_weights(p)

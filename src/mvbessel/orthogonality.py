@@ -12,7 +12,8 @@ The one-variable moments are read from one cached prefix table per a.  The
 moment functional L(x^alpha) = prod_i mom(alpha_i) and Delta^{2 kappa} are
 both symmetric, so T(delta) = L(x^delta Delta^{2 kappa}) depends only on
 the sorted delta, and the monomial pairing <m_nu, m_mu> is a short sum of
-T values.  Each T sums integers over the moments' common denominator.
+T values.  Each T sums integers: the moments are put over their common
+denominator by polyalg.common_denominator, and T divides once.
 Delta^{2 kappa}, T and the pairing are cached under immutable keys, so
 Delta^{2 kappa} is built once per (n, 2 kappa).
 
@@ -40,7 +41,7 @@ from .bessel import BesselParams, bessel_expand, square_integrability_bound
 from .errors import ConvergenceError, DegenerateRecurrence
 from .operators import apply_higher
 from .partitions import FrozenRecord, Partition, partitions_up_to
-from .polyalg import SymPoly, orbit, orbit_size, rational
+from .polyalg import SymPoly, common_denominator, orbit, orbit_size, rational
 
 
 def check_L2_condition(m: int, p: BesselParams) -> bool:
@@ -164,14 +165,12 @@ def _weighted_moment(delta: tuple[int, ...], a: Fraction, two_kappa: int) -> Fra
     prod_i mom(delta_i + gamma_i), with Delta = prod_{i<j} (x_i - x_j).
 
     Delta^{two_kappa} is symmetric, so T depends only on the sorted delta.
-    The moments are put over their common denominator, so the sum runs over
-    integers.  Every exponent must have a moment.
+    The moments are put over their common denominator (common_denominator),
+    so the sum runs over integers.  Every exponent must have a moment.
     """
     n = len(delta)
     top = max(delta) + two_kappa * (n - 1)
-    moms = _moments(top, a)[: top + 1]
-    common = math.lcm(*(m.denominator for m in moms))
-    nums = [m.numerator * (common // m.denominator) for m in moms]
+    common, nums = common_denominator(_moments(top, a)[: top + 1])
     rows = [nums[d:] for d in delta]
     total = 0
     for exps, h in _vandermonde_power(n, two_kappa):

@@ -18,7 +18,8 @@ The Delta ratios, both norm routes and the Pieri coefficients are lists of
 polyalg.Affine factors along the line (a + t, kappa + t), taken at t = 0 by
 polyalg.limit_at_zero.  Except in norm_ratio_product, the independent
 second route, that line is scaled to integers (_rho_line), and the Pieri
-factor groups of one (lambda, p) are built once, in one cached table.
+factor groups of one (lambda, p) are built once, in one cached read-only
+table.
 
 Absolute Gamma values never materialize; the lone transcendental scale
 2^{(a-1)n} Gamma(1-a)^n of the norm formulas is carried implicitly.
@@ -28,8 +29,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Mapping
 from fractions import Fraction
 from math import factorial, lcm
+from types import MappingProxyType
 
 from .errors import ConvergenceError, PoleError
 from .partitions import Partition
@@ -178,11 +181,15 @@ class _FactorTable(dict):
         return group
 
 
-# one table per (lambda, p), shared by the Pieri calls of every r
-_factor_table = functools.lru_cache(maxsize=4096)(_FactorTable)
+@functools.lru_cache(maxsize=4096)
+def _factor_table(lam: Partition, p: BesselParams) -> Mapping:
+    """One table per (lambda, p), shared by the Pieri calls of every r.  The
+    cache holds a read-only view, which still fills the table on first use
+    of a key (a mapping proxy reaches its __missing__)."""
+    return MappingProxyType(_FactorTable(lam, p))
 
 
-def _move_factors(eps, I, J, table: _FactorTable, reflected: bool):
+def _move_factors(eps, I, J, table: Mapping, reflected: bool):
     """Numerator and denominator factors of
 
         prod_{i in I} w(eps_i z_i) prod_{i < i' in I} v(u) v(u')
@@ -200,7 +207,7 @@ def _move_factors(eps, I, J, table: _FactorTable, reflected: bool):
     return join(*groups)
 
 
-def _coefficient_terms(eps, I, Ic, p: int, table: _FactorTable) -> list:
+def _coefficient_terms(eps, I, Ic, p: int, table: Mapping) -> list:
     """The terms of (-1)^p U_{I^c, p} V_{eps I, I^c}: V is the unreflected
     move factor of (eps, I), and U sums the reflected move factors of
     every signed p-subset of I^c."""

@@ -11,6 +11,11 @@ apply_equivariant is the one kernel of S_n-equivariant linear maps on the m
 basis: the diffops operators and the SymPoly product act on one exponent
 per partition, so no production path expands a SymPoly into monomials.
 
+common_denominator is the one step shared by the exact integer kernels
+(apply_equivariant, the operators tower, the orthogonality moments): it
+puts a list of rationals over the lcm d of their denominators, so a kernel
+sums integers and divides once per output.
+
 limit_at_zero is the one exact-limit mechanism: every closed product that
 can meet 0/0 is a list of Affine factors c + s*t, taken at t = 0 along a
 line or, with slope 0, at a point.
@@ -20,9 +25,10 @@ Partition and the records of bessel, jacobi_bc and orthogonality, from the
 one value base partitions.FrozenRecord, which refuses assignment and
 deletion, and a SparseVector's coeffs is a read-only mapping.  So a vector
 hashes by its content, and the one cache policy is that a cache returns its
-value as it is: no caller can change it, down to the Affine factors of a
-cached Pieri table.  All scalars enter through rational, which refuses a
-float.
+value as it is: no caller can change it.  A cache that holds a mapping
+holds a read-only one (a Jack raising row, a Pieri factor table), down to
+the Affine factors of the table.  All scalars enter through rational, which
+refuses a float.
 
 The last section, with SymPoly.expand, is test-oracle arithmetic: MultiPoly
 keyed by exponent tuples, divide_exact, collect_symmetric and
@@ -57,6 +63,14 @@ def rational(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError(f"{x!r} is a float; pass an int, a Fraction or a 'p/q' string")
     return Fraction(x)
+
+
+def common_denominator(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """(d, [v d for v in values]), d the lcm of the denominators (1 for no
+    values): the values as integers over one common denominator."""
+    values = list(values)
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 def rat_str(x: Fraction) -> str:
@@ -259,19 +273,20 @@ def apply_equivariant(f: SymPoly, groups: list[tuple[Fraction, list[tuple]]]) ->
     exponent mu per partition; m_alpha x^mu = sum_{beta in O(alpha)}
     x^(mu + beta), and each ordered pair i != j takes the pair term's half
     1/2 mu_i Q(mu_i + k - 1, mu_j) x^rest, with the geometric sum Q(p, q) =
-    (x_i^p x_j^q - x_i^q x_j^p)/(x_i - x_j).  The counts are integers over a
-    common denominator, one map per group, and each output one Fraction.
+    (x_i^p x_j^q - x_i^q x_j^p)/(x_i - x_j).  The coefficients of f and the
+    group scales are put over their common denominators (common_denominator),
+    so the counts are integers, one map per group, and each output one Fraction.
     """
     n = f.n
-    den = math.lcm(*(c.denominator for c in f.coeffs.values()))
+    den, scaled = common_denominator(f.coeffs.values())
     accs: list[dict] = [{} for _ in groups]
     flat = [(kind, k, w, acc) for (_, terms), acc in zip(groups, accs) for kind, k, w in terms]
     # every count is doubled, so that the pair term's half stays an integer
     singles = [(kind == "d2", k, 2 * w, acc) for kind, k, w, acc in flat if kind in ("d2", "d1")]
     pairs = [(k - 1, w, acc) for kind, k, w, acc in flat if kind == "pair"]
     muls = [(orbit(alpha, n), 2 * w, acc) for kind, alpha, w, acc in flat if kind == "mul"]
-    for mu, c in f.coeffs.items():
-        c = c.numerator * (den // c.denominator) * orbit_size(mu, n)
+    for mu, c in zip(f.coeffs, scaled):
+        c *= orbit_size(mu, n)
         e = mu.parts + (0,) * (n - mu.length())
         for betas, w, acc in muls:
             for beta in betas:
@@ -296,9 +311,7 @@ def apply_equivariant(f: SymPoly, groups: list[tuple[Fraction, list[tuple]]]) ->
                         key = tuple(sorted(x, reverse=True))
                         acc[key] = acc.get(key, 0) + v
                 x[i], x[j] = ai, aj
-    scales = [rational(s) for s, _ in groups]
-    q = math.lcm(*(s.denominator for s in scales))
-    nums = [s.numerator * (q // s.denominator) for s in scales]
+    q, nums = common_denominator(rational(s) for s, _ in groups)
     out = {}
     for key in {key for acc in accs for key in acc}:
         total = sum(m * acc.get(key, 0) for m, acc in zip(nums, accs))

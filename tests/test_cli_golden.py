@@ -18,7 +18,9 @@ n = 6, degree 8 (S_6 orbits of up to 720 monomials), and the moments2 runs
 at degrees 0 and 8 also pin their check counts.  The gram,
 pieri, eigen and jacobi runs at kappa = 0, where every closed product meets
 0/0 and Y_lambda is taken as its limit, pin digests and check counts, and
-the jack run there reports m_(2,1)(1,1,1) = 6.
+the jack run there reports m_(2,1)(1,1,1) = 6.  The Bessel run at n = 8,
+lambda = (5,4,3,2,1) pins the Jack solves below a weight-15 shape, which
+share the cached raising rows of every partition under it.
 """
 
 import hashlib
@@ -68,6 +70,11 @@ GOLDEN = [
         "bessel --n=5 --lambda=2,2,1 --renormalize --a=-20 --kappa=3/2",
         0,
         "1b5131499eb29cec5b6424fbef7e22a52119b27b956e98ece63756dc3e950866",
+    ),
+    (
+        "bessel --n=8 --a=-60 --kappa=5/3 --lambda=5,4,3,2,1",
+        0,
+        "cd6111502434d099cba839ba8c7bc241d22f68bba409667c689ea9366587025f",
     ),
     (
         "verify jacobi --n=3 --k1=1/3 --k2=5/7 --k3=3/2 --max-degree=3",

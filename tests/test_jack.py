@@ -98,6 +98,17 @@ def test_raising_weights_match_direct_differentiation():
             assert img == SymPoly(n, want), (nu, n)
 
 
+def test_raising_weights_row_is_cached_read_only():
+    mu = Partition((2, 1, 1))
+    row = raising_weights(mu)
+    assert raising_weights(Partition((2, 1, 1))) is row
+    # (2,1,1) -> (3,1) by two pairs (2,1) at weight 3 each, -> (2,2) by (1,1) at weight 2
+    assert dict(row) == {Partition((3, 1)): 6, Partition((2, 2)): 2}
+    with pytest.raises(TypeError):
+        row[Partition((4,))] = 1
+    assert raising_weights.cache_info().maxsize == 4096
+
+
 def test_d2_eigenfunction_direct():
     for n in (1, 2, 3):
         for kappa in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 3)):

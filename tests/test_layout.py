@@ -20,6 +20,9 @@ defines __setattr__, __delattr__ and __reduce__, and every value type
 derives from it.  Every scalar a function coerces goes through
 polyalg.rational, which refuses a float, so no Fraction(x) of one bare
 name is left anywhere else.
+Putting rationals over their common denominator has one implementation,
+polyalg.common_denominator: no other function takes the lcm of a starred
+list of denominators or scales a numerator by d // denominator.
 The span tracer of perfbench/tracer.py wraps each function it names
 where the module or class defines it, in that owner's own __dict__, so
 every name it traces stays defined there and not on a base class.
@@ -164,6 +167,41 @@ def test_scalars_are_coerced_only_through_rational():
         if name != "polyalg.py" or not rational.lineno <= line <= rational.end_lineno
     ]
     assert len(bare) == 1 and not outside, outside
+
+
+def test_only_the_primitive_takes_a_common_denominator():
+    trees = _trees()
+    primitive = next(
+        node
+        for node in dict(trees)["polyalg.py"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "common_denominator"
+    )
+    lcms = [
+        (name, node.lineno)
+        for name, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "lcm" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and any(isinstance(arg, ast.Starred) for arg in node.args)
+    ]
+    # x.numerator * (d // x.denominator)
+    scalings = [
+        (name, node.lineno)
+        for name, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mult)
+        and getattr(node.left, "attr", None) == "numerator"
+        and isinstance(node.right, ast.BinOp)
+        and isinstance(node.right.op, ast.FloorDiv)
+        and getattr(node.right.right, "attr", None) == "denominator"
+    ]
+    outside = [
+        f"{name}:{line}"
+        for name, line in lcms + scalings
+        if name != "polyalg.py" or not primitive.lineno <= line <= primitive.end_lineno
+    ]
+    assert len(lcms) == len(scalings) == 1 and not outside, outside
 
 
 def _finite_maxsize(call: ast.Call) -> bool:

@@ -199,12 +199,21 @@ def test_cached_pieri_factors_cannot_be_edited():
         # a group nests tuples of Affine factors to two or three levels
         return [group] if isinstance(group, Affine) else [f for g in group for f in factors(g)]
 
-    cached = factors(pieri_norms._factor_table(lam, p).values())
+    table = pieri_norms._factor_table(lam, p)
+    cached = factors(table.values())
     assert cached
     for f in cached:
         with pytest.raises(AttributeError, match="Affine is immutable"):
             f.c += 7
-    assert pieri_expand(1, lam, p) == before
+    # nor can the table's groups be replaced or dropped
+    w = sorted(key for key in table if key[0] == "w")
+    assert len(w) == 6
+    with pytest.raises(TypeError):
+        table[w[0]] = table[w[1]]
+    with pytest.raises(TypeError):
+        del table[w[0]]
+    assert pieri_norms._factor_table(lam, p) is table
+    assert pieri_expand(1, lam, p) == before and before[Partition((2,))] == Fraction(-76, 255)
 
 
 def test_renormalized_jack_cache_returns_its_immutable_value():

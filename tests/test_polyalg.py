@@ -1,9 +1,10 @@
 import copy
+import math
 import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mvbessel import diffops, jack, jacobi_bc, orthogonality
 from mvbessel.errors import NotDivisible, NotSymmetric
@@ -16,6 +17,7 @@ from mvbessel.polyalg import (
     SparseVector,
     SymPoly,
     collect_symmetric,
+    common_denominator,
     divide_exact,
     elementary,
     orbit,
@@ -29,6 +31,17 @@ from mvbessel.polyalg import (
 def test_rat_parsing():
     assert rat_str(Fraction(-7, 2)) == "-7/2"
     assert rat_str(Fraction(3)) == "3"
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=60), max_size=8))
+@example([])
+@example([Fraction(0), Fraction(-3, 4), Fraction(5, 6)])
+def test_common_denominator_is_the_lcm_with_exact_numerators(values):
+    d, nums = common_denominator(iter(values))
+    assert d == math.lcm(*(v.denominator for v in values))
+    assert len(nums) == len(values) and all(type(m) is int for m in nums)
+    assert [Fraction(m, d) for m in nums] == values
 
 
 def test_multipoly_arithmetic():

@@ -1,6 +1,6 @@
-"""The argv-grid contract of the mvbessel CLI: exit codes and output over three grids.
+"""The argv-grid contract of the mvbessel CLI: exit codes and output over four grids.
 
-Runs mvbessel.cli.main in process over three grids of argv, with R = {0, ±1,
+Runs mvbessel.cli.main in process over four grids of argv, with R = {0, ±1,
 ±2, ±1/2, ±3/2, ±1/3, -2/3, -3, -5/2, -4/3}:
 
 - bessel: `bessel` for 9 shapes of degree <= 4, plus `verify eigen
@@ -9,7 +9,11 @@ Runs mvbessel.cli.main in process over three grids of argv, with R = {0, ±1,
   (10,125 argv);
 - pieri: `verify pieri --max-degree=2` over n <= 3, kappa in R and a in R
   and -20 (720 argv), which reaches the Affine factor limits and their
-  pole exits.
+  pole exits;
+- moments: `verify gram` for --max-degree 1 and 2 over n <= 3, kappa in
+  {0, 1, 2} and a in R and ten more negative points A (450 argv), plus
+  `verify moments2 --max-degree=3` over kappa in R and a in R and -20 (240
+  argv), which reach the weighted moments and the two-variable functional.
 
 Each grid is reduced to one sha256 over (argv, exit code, stdout sha256,
 stderr text before the first ':') and the count of each exit code, and both
@@ -39,6 +43,7 @@ from mvbessel import cli  # noqa: E402
 
 RECORD = ROOT / "tools" / "grid_contract.json"
 R = ["0", "1", "-1", "2", "-2", "1/2", "-1/2", "3/2", "-3/2", "1/3", "-1/3", "-2/3", "-3", "-5/2", "-4/3"]
+A = ["-20", "-31/2", "-41/3", "-52/3", "-27/2", "-33/2", "-40", "-81/2", "-7", "-15/2"]
 SHAPES = ["", "1", "2", "1,1", "3", "2,1", "1,1,1", "2,2", "4"]
 
 
@@ -59,7 +64,14 @@ def pieri_grid():
         yield ["verify", "pieri", "--max-degree=2", f"--n={n}", f"--kappa={kappa}", f"--a={a}"]
 
 
-GRIDS = {"bessel": bessel_grid, "jacobi": jacobi_grid, "pieri": pieri_grid}
+def moments_grid():
+    for degree, n, kappa, a in itertools.product((1, 2), (1, 2, 3), ("0", "1", "2"), R + A):
+        yield ["verify", "gram", f"--max-degree={degree}", f"--n={n}", f"--kappa={kappa}", f"--a={a}"]
+    for kappa, a in itertools.product(R, R + ["-20"]):
+        yield ["verify", "moments2", "--max-degree=3", f"--kappa={kappa}", f"--a={a}"]
+
+
+GRIDS = {"bessel": bessel_grid, "jacobi": jacobi_grid, "pieri": pieri_grid, "moments": moments_grid}
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:

@@ -12,21 +12,31 @@ The one-variable moments are read from one cached prefix table per a.  The
 moment functional L(x^alpha) = prod_i mom(alpha_i) and Delta^{2 kappa} are
 both symmetric, so T(delta) = L(x^delta Delta^{2 kappa}) depends only on
 the sorted delta, and the monomial pairing <m_nu, m_mu> is a short sum of
-T values.  Each T sums integers: the moments are put over their common
-denominator by polyalg.common_denominator, and T divides once.
-Delta^{2 kappa}, T and the pairing are cached under immutable keys, so
-Delta^{2 kappa} is built once per (n, 2 kappa).
+T values.  Every pairing is an integer computation: the moments are put
+over their common denominator by polyalg.common_denominator, and each value
+divides once.  Three routes expand no product that a classical identity
+makes unnecessary:
+
+- at kappa = 2, T sums the 2n x 2n confluent Vandermonde determinant, whose
+  value is Delta^4 (de Bruijn), by a dynamic program over its used columns;
+- at kappa = 1, where P_lambda = s_lambda, gram_matrix pairs the Jack
+  coefficients by Andreief's (Heine's) identity L(s_nu s_rho Delta^2) =
+  n! det[mom(nu_i + n - i + rho_j + n - j)], a Bareiss determinant;
+- for n = 2, f is rewritten in the basis e1^p e2^q, where products only add
+  exponents, so the two-variable functional pairs e-coefficients by I[p, q].
+
+At every other kappa T expands Delta^{2 kappa}, built once per
+(n, 2 kappa); inner_product, which pairs m-coefficients, reaches it at
+kappa = 1, and the tests keep it as the oracle of the first two routes.
+T and the pairings are cached under immutable keys.
 
 Every pairing of polynomials goes through one bilinear helper,
-bilinear_matrix: given coefficient maps and a cached pairing of basis
-elements, it contracts each column once, so each entry is one dot product.
-inner_product is that helper on a single pair and gram_matrix on the whole
-basis, both over the monomial pairing; functional_matrix is the same helper
-over the two-variable functional's pairing F(m_nu m_rho).
-
-For n = 2 the same structure is packaged as a linear functional on the
-polynomial ring in the elementary symmetric polynomials e1, e2, with its
-moments generated by two recurrences.
+bilinear_matrix: given coefficient maps and a pairing of basis elements, it
+contracts each column once in integers, so each entry is one integer dot
+product and one division.  inner_product is that helper on a single pair
+over the monomial pairing, gram_matrix on the whole basis, and
+functional_matrix on the e-coefficients.  The n = 2 moments I[p, q] of
+e1^p e2^q come from two recurrences.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from .bessel import BesselParams, bessel_expand, square_integrability_bound
 from .errors import ConvergenceError, DegenerateRecurrence
 from .operators import apply_higher
 from .partitions import FrozenRecord, Partition, partitions_up_to
-from .polyalg import SymPoly, common_denominator, orbit, orbit_size, rational
+from .polyalg import PartitionVector, SymPoly, common_denominator, orbit, orbit_size, rational
 
 
 def check_L2_condition(m: int, p: BesselParams) -> bool:
@@ -84,21 +94,33 @@ def _moment_table(a: Fraction, size: int) -> tuple[Fraction, ...]:
     return tuple(moms)
 
 
-def bilinear_matrix(fs: list[dict], gs: list[dict], pair) -> list[list[Fraction]]:
+def bilinear_matrix(fs: list[Mapping], gs: list[Mapping], pair) -> list[list[Fraction]]:
     """[B(f, g) for g in gs] for f in fs, with B(f, g) = sum_{nu, rho} f_nu
     g_rho pair(nu, rho) over coefficient maps f and g.
 
-    Each column w_g[nu] = sum_rho g_rho pair(nu, rho) is contracted once over
-    the union of the row supports, so every entry is one dot product
-    sum_nu f_nu w_g[nu].  pair is asked only for nu in a row support and rho
-    in a column support, once per entry of a column, so callers cache it.
+    pair is asked once for each nu in a row support and rho in a column
+    support, so callers that pair across calls cache it.  The pairings, each
+    row and each column are put over their own common denominators
+    (common_denominator); each column w_g[nu] = sum_rho g_rho pair(nu, rho)
+    is contracted once in integers, and each entry is one integer dot
+    product sum_nu f_nu w_g[nu] and one division.
     """
-    support = set().union(*fs)
-    cols = [{nu: sum(c * pair(nu, rho) for rho, c in g.items()) for nu in support} for g in gs]
-    return [[sum(c * w[nu] for nu, c in f.items()) for w in cols] for f in fs]
+    support, rhos = list(set().union(*fs)), list(set().union(*gs))
+    common, nums = common_denominator(pair(nu, rho) for nu in support for rho in rhos)
+    value = {nu: dict(zip(rhos, nums[i * len(rhos) :])) for i, nu in enumerate(support)}
+    cols = []
+    for g in gs:
+        d, cs = common_denominator(g.values())
+        w = {nu: sum(c * row[rho] for rho, c in zip(g, cs)) for nu, row in value.items()}
+        cols.append((common * d, w))
+    rows = []
+    for f in fs:
+        d, cs = common_denominator(f.values())
+        rows.append([Fraction(sum(c * w[nu] for nu, c in zip(f, cs)), d * dw) for dw, w in cols])
+    return rows
 
 
-def _oracle_two_kappa(polys: list[SymPoly], p: BesselParams) -> int:
+def _oracle_two_kappa(polys: list[PartitionVector], p: BesselParams) -> int:
     """2 kappa, once kappa is a non-negative integer and every polynomial has
     p.n variables; checked before any pairing."""
     if p.kappa.denominator != 1 or p.kappa < 0:
@@ -166,18 +188,46 @@ def _weighted_moment(delta: tuple[int, ...], a: Fraction, two_kappa: int) -> Fra
 
     Delta^{two_kappa} is symmetric, so T depends only on the sorted delta.
     The moments are put over their common denominator (common_denominator),
-    so the sum runs over integers.  Every exponent must have a moment.
+    so the sum runs over integers; at two_kappa = 4 it is _confluent_sum,
+    otherwise a sum over the terms of Delta^{two_kappa}.  Every exponent up
+    to max(delta) + two_kappa (n - 1) must have a moment.
     """
     n = len(delta)
     top = max(delta) + two_kappa * (n - 1)
     common, nums = common_denominator(_moments(top, a)[: top + 1])
     rows = [nums[d:] for d in delta]
+    if two_kappa == 4:
+        return Fraction(_confluent_sum(rows), common**n)
     total = 0
     for exps, h in _vandermonde_power(n, two_kappa):
         for row, e in zip(rows, exps):
             h *= row[e]
         total += h
     return Fraction(total, common**n)
+
+
+def _confluent_sum(rows: list) -> int:
+    """sum_gamma Delta^4_gamma prod_k rows[k][gamma_k], without expanding Delta^4.
+
+    Delta^4 is the 2n x 2n confluent Vandermonde determinant with rows x_k^j
+    and j x_k^{j-1}, j = 0 ... 2n-1 (de Bruijn).  Row pair k on columns
+    c < c' has the minor (c' - c) x_k^{c+c'-1}, so a Laplace expansion along
+    the row pairs in turn is a sum over the set of used columns; the pair's
+    sign comes from its 1-based places among the free columns.
+    """
+    width = 2 * len(rows)
+    layer = {0: 1}
+    for row in rows:
+        nxt: dict[int, int] = {}
+        for used, v in layer.items():
+            free = [c for c in range(width) if not used >> c & 1]
+            for i, c in enumerate(free):
+                for j, c2 in enumerate(free[i + 1 :], i + 1):
+                    term = v * (c2 - c) * row[c + c2 - 1]
+                    key = used | 1 << c | 1 << c2
+                    nxt[key] = nxt.get(key, 0) + (term if (i + j) % 2 else -term)
+        layer = nxt
+    return layer[(1 << width) - 1]
 
 
 @functools.lru_cache(maxsize=8)
@@ -209,15 +259,48 @@ def gram_matrix(m: int, p: BesselParams) -> list[list[Fraction]]:
     Basis ordered by graded lexicographic partition order.  Diagonal, with
     diagonal entries given by the closed norm formula; this function computes
     the entries from moments and leaves the comparison to callers.  The
-    entries are those of inner_product, taken together by bilinear_matrix
-    over the monomial pairing, so each basis element is contracted once.
+    entries are those of inner_product, taken together by bilinear_matrix,
+    so each basis element is contracted once: at kappa = 1, where P_mu is
+    the Schur polynomial s_mu, over the Jack coefficients and the Schur
+    pairing, and otherwise over the m-coefficients and the monomial pairing.
     """
     if not check_L2_condition(m, p):
         raise ConvergenceError(
             f"square-integrability fails: need a < {square_integrability_bound(m, p)}"
         )
-    basis = [bessel_expand(lam, p).to_sym() for lam in partitions_up_to(m, p.n)]
+    lams = partitions_up_to(m, p.n)
+    if p.kappa == 1:
+        basis = [bessel_expand(lam, p).jack_coeffs for lam in lams]
+        _oracle_two_kappa(basis, p)
+        coeffs = [f.coeffs for f in basis]
+        return bilinear_matrix(
+            coeffs, coeffs, lambda nu, rho: _schur_pairing(*sorted((nu, rho)), p.n, p.a)
+        )
+    basis = [bessel_expand(lam, p).to_sym() for lam in lams]
     return _monomial_form(basis, basis, p, _oracle_two_kappa(basis, p))
+
+
+@functools.lru_cache(maxsize=4096)
+def _schur_pairing(nu: Partition, rho: Partition, n: int, a: Fraction) -> Fraction:
+    """L(s_nu s_rho Delta^2) = n! det[mom(nu_i + n - i + rho_j + n - j)].
+
+    s_nu Delta is the alternant det[x_j^{nu_i + n - i}], so this is
+    Andreief's (Heine's) identity.  The determinant is Bareiss's
+    fraction-free elimination over the moments' common denominator, with no
+    pivoting: each leading k x k minor is such a pairing in k variables, the
+    integral of a positive integrand, so no pivot vanishes.
+    """
+    top = nu.part(1) + rho.part(1) + 2 * (n - 1)
+    common, nums = common_denominator(_moments(top, a)[: top + 1])
+    shifts = [[lam.part(i) + n - i for i in range(1, n + 1)] for lam in (nu, rho)]
+    rows = [[nums[s + t] for t in shifts[1]] for s in shifts[0]]
+    prev = 1
+    for k in range(n - 1):
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
+        prev = rows[k][k]
+    return Fraction(math.factorial(n) * rows[-1][-1], common**n)
 
 
 def symmetry_check(d: int, f: SymPoly, g: SymPoly, p: BesselParams) -> bool:
@@ -292,9 +375,9 @@ def moments2_table(maxdeg: int, a: Fraction, kappa: Fraction) -> MomentTable2:
     return MomentTable2(a, kappa, maxdeg, I)
 
 
-def functional_apply(f: SymPoly, table: MomentTable2) -> Fraction:
-    """Apply the two-variable moment functional to a symmetric polynomial in
-    two variables: rewrite f exactly in the basis e1^p e2^q and contract.
+def _e_coefficients(f: SymPoly) -> dict[tuple[int, int], Fraction]:
+    """A symmetric polynomial in two variables rewritten exactly in the basis
+    e1^p e2^q, as {(p, q): coefficient}.
 
     The leading m_(p+q, q) is peeled by e1^p e2^q, whose coefficient on
     m_(r1, r2) with r1 + r2 = p + 2q is C(p, r1 - q); each row only reaches
@@ -303,38 +386,37 @@ def functional_apply(f: SymPoly, table: MomentTable2) -> Fraction:
     if f.n != 2:
         raise ValueError("the moment functional is defined for n = 2 only")
     rest = {(lam.part(1), lam.part(2)): c for lam, c in f.coeffs.items()}
-    total = Fraction(0)
+    out = {}
     for w in range(f.degree(), -1, -1):
         for r1 in range(w, (w - 1) // 2, -1):
             c = rest.get((r1, w - r1))
             if not c:
                 continue
             q = w - r1
-            total += c * table.value(r1 - q, q)
+            out[r1 - q, q] = c
             for s1 in range(r1 - 1, (w - 1) // 2, -1):
                 key = (s1, w - s1)
                 rest[key] = rest.get(key, 0) - c * math.comb(r1 - q, s1 - q)
-    return total
+    return out
+
+
+def functional_apply(f: SymPoly, table: MomentTable2) -> Fraction:
+    """Apply the two-variable moment functional to a symmetric polynomial in
+    two variables: rewrite f in the basis e1^p e2^q and contract with I[p, q]."""
+    return sum(
+        (c * table.value(p, q) for (p, q), c in _e_coefficients(f).items()), Fraction(0)
+    )
 
 
 def functional_matrix(fs: list[SymPoly], table: MomentTable2) -> list[list[Fraction]]:
     """[F(f g) for g in fs] for f in fs under the two-variable functional F.
 
-    F is linear, so F(f g) = sum_{nu, rho} f_nu g_rho F(m_nu m_rho); each
-    pairing F(m_nu m_rho) = functional_apply(m_nu m_rho, table) is computed
-    once per unordered pair in this call and bilinear_matrix contracts the
-    rest.
+    Each f is rewritten once in the basis e1^p e2^q, where products only add
+    exponents, so F(f g) is bilinear_matrix over the pairing
+    F(e1^p e2^q e1^p' e2^q') = I[p + p', q + q'] and no product is
+    multiplied out.
     """
-    if any(f.n != 2 for f in fs):
-        raise ValueError("the moment functional is defined for n = 2 only")
-    memo: dict[tuple[Partition, Partition], Fraction] = {}
-
-    def pair(nu: Partition, rho: Partition) -> Fraction:
-        value = memo.get((nu, rho))
-        if value is None:
-            product = SymPoly(2, {nu: 1}) * SymPoly(2, {rho: 1})
-            value = memo[nu, rho] = memo[rho, nu] = functional_apply(product, table)
-        return value
-
-    coeffs = [f.coeffs for f in fs]
-    return bilinear_matrix(coeffs, coeffs, pair)
+    coeffs = [_e_coefficients(f) for f in fs]
+    return bilinear_matrix(
+        coeffs, coeffs, lambda e, e2: table.value(e[0] + e2[0], e[1] + e2[1])
+    )

@@ -10,6 +10,7 @@ construction so that (2,1) and (2,1,0,0) are the same object.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Iterator
 from math import factorial
 
@@ -18,9 +19,10 @@ class FrozenRecord:
     """An immutable value whose fields are its __slots__, in order.
 
     __init__ takes the field values in order, and _values() gives them as a
-    tuple, a 1-tuple for a one-field record.  Two records are equal, and
-    hash alike, when they have the same type and _values(); the hash is
-    computed on first use and stored.  copy and pickle rebuild a record as
+    tuple, a 1-tuple for a one-field record, read by the one
+    operator.attrgetter that each subclass builds for its own __slots__.
+    Two records are equal, and hash alike, when they have the same type and
+    _values(); the hash is computed on first use and stored.  copy and pickle rebuild a record as
     type(record)(*record._values()), so a subclass whose __init__ takes
     other arguments, or whose field is a mapping, defines its own _values.
     Assigning or deleting an attribute raises AttributeError.  The repr is
@@ -33,8 +35,17 @@ class FrozenRecord:
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        if len(names) == 1:
+            get = operator.attrgetter(*names)
+            cls._fields = staticmethod(lambda record: (get(record),))
+        else:
+            cls._fields = staticmethod(operator.attrgetter(*names) if names else lambda record: ())
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return self._fields(self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -229,6 +229,16 @@ def test_pieri_r_outside_one_to_n_is_rejected(r, capsys):
     assert code == 1 and out == "" and err.startswith("error: need 1 <= r <= n")
 
 
+def test_pieri_vanishing_normalization_ratio_exit_code(capsys):
+    # at kappa = -1/2, a = 2 the renormalization ratio of Y_(2) is 0, which
+    # pieri_norms.renormalize refuses before it divides by it
+    code, out, err = run(
+        ["verify", "pieri", "--max-degree=2", "--n=2", "--kappa=-1/2", "--a=2"], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("degenerate: normalization ratio vanished")
+
+
 def test_moments2_rejects_n_other_than_two(capsys):
     code, out, err = run(["verify", "moments2", "--n=3", "--max-degree=1"], capsys)
     assert code == 1 and out == "" and err.startswith("error:") and "n=2" in err

@@ -18,6 +18,7 @@ from mvbessel.orthogonality import (
     _moment_table,
     _moments,
     _monomial_pairing,
+    _schur_pairing,
     _vandermonde_power,
     _weighted_moment,
     MomentTable2,
@@ -34,6 +35,7 @@ from mvbessel.orthogonality import (
 from mvbessel.partitions import Partition, partitions_up_to
 from mvbessel.pieri_norms import norm_full_reduced
 from mvbessel.polyalg import MultiPoly, SymPoly
+from oracles import schur
 
 
 def test_moment_table_is_a_frozen_record():
@@ -129,6 +131,22 @@ def test_inner_product_rejects_fractional_kappa():
     p = BesselParams(Fraction(-20), Fraction(1, 2), 1)
     with pytest.raises(ValueError):
         inner_product(SymPoly.constant(1, 1), SymPoly.constant(1, 1), p)
+
+
+def test_inner_product_refuses_negative_kappa():
+    # a negative kappa would otherwise pair with Delta^0 instead of refusing
+    p = BesselParams(Fraction(-20), Fraction(-1), 2)
+    one = SymPoly.constant(2, 1)
+    with pytest.raises(ValueError, match="moment oracle needs kappa a non-negative integer"):
+        inner_product(one, one, p)
+
+
+def test_inner_product_names_the_first_exponent_without_a_moment():
+    # m_(3) m_(3) Delta^2 reaches x^8, but x^4 is the first power without a moment
+    p = BesselParams(Fraction(-3), Fraction(1), 2)
+    f = SymPoly(2, {Partition((3,)): Fraction(1)})
+    with pytest.raises(ConvergenceError, match=r"^moment of x\^4 diverges at a = -3$"):
+        inner_product(f, f, p)
 
 
 def test_inner_product_reuses_immutable_cached_pairings():
@@ -273,6 +291,49 @@ def test_symmetry_check_matches_the_monomial_sum_oracle(d, case):
     assert _value_or_divergent(symmetry_check, d, f, g, p) == _value_or_divergent(oracle)
 
 
+@st.composite
+def schur_cases(draw):
+    """n <= 4, partitions nu, rho of weight <= 3 in at most n parts, and a
+    rational a inside the convergence bound of s_nu s_rho Delta^2."""
+    n = draw(st.integers(1, 4))
+    shapes = partitions_up_to(3, n)
+    nu, rho = draw(st.sampled_from(shapes)), draw(st.sampled_from(shapes))
+    bound = 1 - nu.part(1) - rho.part(1) - 2 * (n - 1)
+    a = bound - draw(st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4))
+    return nu, rho, BesselParams(a, Fraction(1), n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(schur_cases())
+def test_andreief_pairing_is_the_delta_squared_monomial_pairing(case):
+    nu, rho, p = case
+    want = inner_product(schur(nu, p.n), schur(rho, p.n), p)
+    assert _schur_pairing.__wrapped__(nu, rho, p.n, p.a) == want
+    assert _schur_pairing.__wrapped__(rho, nu, p.n, p.a) == want
+
+
+@st.composite
+def confluent_cases(draw):
+    """A sorted delta of n <= 4 exponents up to 4, and a rational a inside
+    the convergence bound of x^delta Delta^4."""
+    n = draw(st.integers(1, 4))
+    delta = sorted(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)), reverse=True)
+    bound = 1 - delta[0] - 4 * (n - 1)
+    a = bound - draw(st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4))
+    return tuple(delta), a
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(confluent_cases())
+def test_confluent_vandermonde_sum_is_the_delta_fourth_expansion(case):
+    delta, a = case
+    want = sum(
+        h * math.prod(moment_1d(d + e, a) for d, e in zip(delta, exps))
+        for exps, h in _vandermonde_power(len(delta), 4)
+    )
+    assert _weighted_moment.__wrapped__(delta, a, 4) == want
+
+
 def test_gram_diagonal_and_norms():
     for a in (Fraction(-20), Fraction(-31)):
         for kappa in (Fraction(1), Fraction(2)):
@@ -386,6 +447,37 @@ def test_functional_matrix_matches_the_functional_of_the_product(case):
     assert rows[0][1] == rows[1][0] == functional_apply(f * g, table)
     assert rows[0][0] == functional_apply(f * f, table)
     assert rows[1][1] == functional_apply(g * g, table)
+
+
+@st.composite
+def functional_measure_cases(draw):
+    """Two-variable symmetric f, g of degree at most 3, integer kappa <= 2 and
+    a rational a inside the square-integrability bound of degree 3."""
+    shapes = partitions_up_to(3, 2)
+
+    def poly():
+        support = draw(st.lists(st.sampled_from(shapes), max_size=4))
+        return SymPoly(2, {mu: draw(coefficients) or 1 for mu in support})
+
+    kappa = Fraction(draw(st.sampled_from([0, 1, 2])))
+    a = 1 - 2 * (3 + kappa) - draw(
+        st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=4)
+    )
+    try:
+        table = moments2_table(6, a, kappa)
+    except DegenerateRecurrence:
+        reject()
+    return poly(), poly(), BesselParams(a, kappa, 2), table
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(functional_measure_cases())
+def test_functional_matrix_is_the_normalized_inner_product(case):
+    # the e-basis functional against the monomial pairing over Delta^{2 kappa}
+    f, g, p, table = case
+    one = SymPoly.constant(2, 1)
+    rows = functional_matrix([f, g], table)
+    assert rows[0][1] == inner_product(f, g, p) / inner_product(one, one, p)
 
 
 @st.composite

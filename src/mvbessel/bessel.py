@@ -17,14 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateEigenvalue, PoleError
-from .partitions import FrozenRecord, Partition, skew_standard_chains
+from .partitions import FrozenRecord, HashedRecord, Partition, skew_standard_chains
 from .polyalg import ONE, ZERO, SymPoly, rat_str, rational
 from . import jack
 from .jack import JackExpansion
 
 
-class BesselParams(FrozenRecord):
-    """Parameter triple (a, kappa, n) for the Bessel operator."""
+class BesselParams(HashedRecord):
+    """Parameter triple (a, kappa, n) for the Bessel operator, a cache key."""
 
     __slots__ = ("a", "kappa", "n")
 

@@ -343,7 +343,7 @@ def moments2_table(maxdeg: int, a: Fraction, kappa: Fraction) -> MomentTable2:
     Degree-D entries with m >= 1 come from the second recurrence (from degree
     D-1), then I[D, 0] from the first (which consumes the just-filled
     I[D-2, 1]).  A vanishing leading coefficient raises DegenerateRecurrence.
-    Every instance of the first recurrence inside the table is re-validated.
+    check_first_recurrence re-validates the first recurrence in the table.
     """
     a, kappa = rational(a), rational(kappa)
     I: dict[tuple[int, int], Fraction] = {(0, 0): Fraction(1)}
@@ -363,16 +363,19 @@ def moments2_table(maxdeg: int, a: Fraction, kappa: Fraction) -> MomentTable2:
         if D >= 2:
             rhs += 2 * (D - 1) * I[(D - 2, 1)]
         I[(D, 0)] = rhs / lead
-    # Cross-validate the first recurrence everywhere it closes inside the table.
+    check_first_recurrence(I, a, kappa)
+    return MomentTable2(a, kappa, maxdeg, I)
+
+
+def check_first_recurrence(I: Mapping, a: Fraction, kappa: Fraction) -> None:
+    """Raise DegenerateRecurrence unless moments2_table's first recurrence
+    holds everywhere it closes inside the table I."""
     for (n, m), v in I.items():
         if (n + 1, m) in I and (n == 0 or (n - 1, m + 1) in I):
             lhs = (n + m + 2 * kappa + a) * I[(n + 1, m)]
             rhs = -4 * v + (2 * n * I[(n - 1, m + 1)] if n else 0)
             if lhs != rhs:
-                raise DegenerateRecurrence(
-                    f"moment recurrences inconsistent at I[{n},{m}]"
-                )
-    return MomentTable2(a, kappa, maxdeg, I)
+                raise DegenerateRecurrence(f"moment recurrences inconsistent at I[{n},{m}]")
 
 
 def _e_coefficients(f: SymPoly) -> dict[tuple[int, int], Fraction]:

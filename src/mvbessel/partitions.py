@@ -4,8 +4,10 @@ FrozenRecord is the one immutable value base of the package: Partition,
 the sparse vectors of polyalg, polyalg.Affine and the parameter and result
 records of bessel, jacobi_bc and orthogonality derive from it, so none of
 them can be assigned or deleted, and each copies and pickles through its
-field values.  Partitions are such values; trailing zeros are stripped at
-construction so that (2,1) and (2,1,0,0) are the same object.
+field values.  HashedRecord adds a slot that stores the hash, for
+bessel.BesselParams, the key of every cache that takes the parameters.
+Partitions are such values; trailing zeros are stripped at construction so
+that (2,1) and (2,1,0,0) are the same object.
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ class FrozenRecord:
     tuple, a 1-tuple for a one-field record, read by the one
     operator.attrgetter that each subclass builds for its own __slots__.
     Two records are equal, and hash alike, when they have the same type and
-    _values(); the hash is computed on first use and stored.  copy and pickle rebuild a record as
+    _values(), hashed on each call.  copy and pickle rebuild a record as
     type(record)(*record._values()), so a subclass whose __init__ takes
     other arguments, or whose field is a mapping, defines its own _values.
     Assigning or deleting an attribute raises AttributeError.  The repr is
     Name(field=value, ...).
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values, strict=True):
@@ -59,12 +61,7 @@ class FrozenRecord:
         return self._values() == other._values()
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self._values())
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash(self._values())
 
     def __reduce__(self):
         return type(self), self._values()
@@ -72,6 +69,20 @@ class FrozenRecord:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+
+class HashedRecord(FrozenRecord):
+    """A FrozenRecord that stores its hash on first use, for a cache key."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._values())
+            object.__setattr__(self, "_hash", h)
+            return h
 
 
 class Partition(FrozenRecord):

@@ -17,9 +17,10 @@ Delta_+(rho+lambda)/Delta_+(rho)) are the basis of the Pieri expansions.
 The Delta ratios, both norm routes and the Pieri coefficients are lists of
 polyalg.Affine factors along the line (a + t, kappa + t), taken at t = 0 by
 polyalg.limit_at_zero.  Except in norm_ratio_product, the independent
-second route, that line is scaled to integers (_rho_line), and the Pieri
-factor groups of one (lambda, p) are built once, in one cached read-only
-table.
+second route, that line is scaled to integers (_rho_line).  Every Pieri
+factor group of one (lambda, p) is built at once into one cached read-only
+mapping (_factor_groups), shared by the calls of every r; each U sum is
+built once per move set of a call, from those groups.
 
 Absolute Gamma values never materialize; the lone transcendental scale
 2^{(a-1)n} Gamma(1-a)^n of the norm formulas is carried implicitly.
@@ -138,9 +139,11 @@ def E_hat_r(r: int, n: int) -> SymPoly:
     return elementary(r, n).scale(Fraction((-1) ** (r + 1), 2**r))
 
 
-class _FactorTable(dict):
-    """The factor groups of the Pieri calls at z = rho + lambda, each built
-    from v_factors/w_factors on first use and shared by every term and r.
+@functools.lru_cache(maxsize=4096)
+def _factor_groups(lam: Partition, p: BesselParams) -> Mapping:
+    """Every factor group of the Pieri calls at z = rho + lambda, built at
+    once from v_factors/w_factors and shared by every term and r; the cache
+    holds a read-only view of a plain dict, so an absent key is a KeyError.
 
     Keys name 1-based rows and signs e = +-1 (pairs i < i2, crosses j != i):
 
@@ -148,71 +151,48 @@ class _FactorTable(dict):
         ("pair", i, e, i2, e2, reflected)  v(u) v(u'),  u = e z_i + e2 z_i2,
                                            u' = -u-1 if reflected else u+1
         ("cross", i, e, j)                 v(e z_i + z_j) v(e z_i - z_j)
-        ("U", Ic, q)                       the terms of U_{Ic, q}, for any signs of I
     """
-
-    def __init__(self, lam: Partition, p: BesselParams):
-        super().__init__()
-        z, self.kappa, self.h, self.D = _rho_line(p)
-        rows = enumerate(z, start=1)
-        self.ez = {(i, e): e * (zi + lam.part(i) * self.D) for i, zi in rows for e in (1, -1)}
-
-    def __missing__(self, key):
-        kind, *rest = key
-        if kind == "U":
-            Ic, q = rest
-            group = tuple(
-                _move_factors(dict(zip(K, signs)), K, [j for j in Ic if j not in K], self, True)
-                for K in itertools.combinations(Ic, q)
-                for signs in itertools.product((1, -1), repeat=q)
-            )
-        elif kind == "w":
-            group = w_factors(self.ez[tuple(rest)], self.h, self.D)
-        elif kind == "pair":
-            i, e, i2, e2, reflected = rest
-            u = self.ez[i, e] + self.ez[i2, e2]
-            step = -u - self.D if reflected else u + self.D
-            group = join(v_factors(u, self.kappa), v_factors(step, self.kappa))
-        else:
-            i, e, j = rest
-            x, zj = self.ez[i, e], self.ez[j, 1]
-            group = join(v_factors(x + zj, self.kappa), v_factors(x - zj, self.kappa))
-        self[key] = group
-        return group
+    z, kappa, h, D = _rho_line(p)
+    v = lambda u: v_factors(u, kappa)
+    ez = {(i, e): e * (zi + lam.part(i) * D) for i, zi in enumerate(z, start=1) for e in (1, -1)}
+    groups = {("w", *key): w_factors(x, h, D) for key, x in ez.items()}
+    for (i, e), x in ez.items():
+        for (j, e2), y in ez.items():
+            if i < j:
+                u = x + y
+                groups["pair", i, e, j, e2, False] = join(v(u), v(u + D))
+                groups["pair", i, e, j, e2, True] = join(v(u), v(-u - D))
+            if i != j and e2 == 1:
+                groups["cross", i, e, j] = join(v(x + y), v(x - y))
+    return MappingProxyType(groups)
 
 
-@functools.lru_cache(maxsize=4096)
-def _factor_table(lam: Partition, p: BesselParams) -> Mapping:
-    """One table per (lambda, p), shared by the Pieri calls of every r.  The
-    cache holds a read-only view, which still fills the table on first use
-    of a key (a mapping proxy reaches its __missing__)."""
-    return MappingProxyType(_FactorTable(lam, p))
-
-
-def _move_factors(eps, I, J, table: Mapping, reflected: bool):
+def _move_factors(eps, I, J, groups: Mapping, reflected: bool):
     """Numerator and denominator factors of
 
         prod_{i in I} w(eps_i z_i) prod_{i < i' in I} v(u) v(u')
         prod_{i in I, j in J} v(eps_i z_i + z_j) v(eps_i z_i - z_j),
 
     with u = eps_i z_i + eps_i' z_i' and u' = -u-1 if reflected else u+1:
-    a concatenation of the table's shared factor groups.
+    a concatenation of the shared factor groups.
     """
-    groups = [table["w", i, eps[i]] for i in I]
-    groups += [
-        table["pair", i, eps[i], i2, eps[i2], reflected]
+    parts = [groups["w", i, eps[i]] for i in I]
+    parts += [
+        groups["pair", i, eps[i], i2, eps[i2], reflected]
         for i, i2 in itertools.combinations(I, 2)
     ]
-    groups += [table["cross", i, eps[i], j] for i in I for j in J]
-    return join(*groups)
+    parts += [groups["cross", i, eps[i], j] for i in I for j in J]
+    return join(*parts)
 
 
-def _coefficient_terms(eps, I, Ic, p: int, table: Mapping) -> list:
-    """The terms of (-1)^p U_{I^c, p} V_{eps I, I^c}: V is the unreflected
-    move factor of (eps, I), and U sums the reflected move factors of
-    every signed p-subset of I^c."""
-    v_num, v_den = _move_factors(eps, I, Ic, table, reflected=False)
-    return [(num + v_num, den + v_den) for num, den in table["U", Ic, p]]
+def _u_terms(Ic, q: int, groups: Mapping) -> list:
+    """The terms of U_{Ic, q}: the reflected move factors of every signed
+    q-subset K of Ic, crossed with the rest of Ic."""
+    return [
+        _move_factors(dict(zip(K, signs)), K, [j for j in Ic if j not in K], groups, True)
+        for K in itertools.combinations(Ic, q)
+        for signs in itertools.product((1, -1), repeat=q)
+    ]
 
 
 def _shift_target(lam: Partition, n: int, I, eps) -> Partition | None:
@@ -245,19 +225,24 @@ def pieri_expand(r: int, lam: Partition, p: BesselParams) -> dict[Partition, Fra
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if lam.length() > n:
         raise ValueError(f"{lam!r} has more than {n} parts")
-    table = _factor_table(lam, p)
+    groups = _factor_groups(lam, p)
     out: dict[Partition, Fraction] = {}
     for size in range(r + 1):
+        q = r - size
         for I in itertools.combinations(range(1, n + 1), size):
             Ic = tuple(j for j in range(1, n + 1) if j not in I)
+            u_terms = None
             for signs in itertools.product((1, -1), repeat=size):
                 eps = dict(zip(I, signs))
                 target = _shift_target(lam, n, I, eps)
                 if target is None:
                     continue
-                q = r - size
+                if u_terms is None:
+                    u_terms = _u_terms(Ic, q, groups)
+                # (-1)^q U_{I^c, q} V_{eps I, I^c}, V the unreflected move factor
+                v_num, v_den = _move_factors(eps, I, Ic, groups, reflected=False)
                 value = limit_at_zero(
-                    _coefficient_terms(eps, I, Ic, q, table),
+                    [(num + v_num, den + v_den) for num, den in u_terms],
                     f"Pieri coefficient has a genuine pole at move {(signs, I)}",
                 )
                 # The U*V data expands (1/2^r) e_r * Ytilde; with E_hat_r

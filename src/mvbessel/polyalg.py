@@ -26,9 +26,9 @@ one value base partitions.FrozenRecord, which refuses assignment and
 deletion, and a SparseVector's coeffs is a read-only mapping.  So a vector
 hashes by its content, and the one cache policy is that a cache returns its
 value as it is: no caller can change it.  A cache that holds a mapping
-holds a read-only one (a Jack raising row, a Pieri factor table), down to
-the Affine factors of the table.  All scalars enter through rational, which
-refuses a float.
+holds a read-only one built whole, which no read fills (a Jack raising
+row, the Pieri factor groups), down to their Affine factors.  All scalars
+enter through rational, which refuses a float.
 
 The last section, with SymPoly.expand, is test-oracle arithmetic: MultiPoly
 keyed by exponent tuples, divide_exact, collect_symmetric and
@@ -343,7 +343,7 @@ class Affine(FrozenRecord):
 
     Closed under the sums and scalar multiples that the factors are built
     from; Affine(x, 0) is the plain value x at a point.  A FrozenRecord, so
-    the factor tables that cache it cannot be edited.
+    the cached factor groups that hold it cannot be edited.
     """
 
     __slots__ = ("c", "s")

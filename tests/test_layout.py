@@ -23,6 +23,9 @@ name is left anywhere else.
 Putting rationals over their common denominator has one implementation,
 polyalg.common_denominator: no other function takes the lcm of a starred
 list of denominators or scales a numerator by d // denominator.
+No cached value can fill itself on read: no class in src/ subclasses
+dict or defines __missing__, so a read of a cached mapping returns what
+was built or raises KeyError.
 The span tracer of perfbench/tracer.py wraps each function it names
 where the module or class defines it, in that owner's own __dict__, so
 every name it traces stays defined there and not on a base class.
@@ -202,6 +205,24 @@ def test_only_the_primitive_takes_a_common_denominator():
         if name != "polyalg.py" or not primitive.lineno <= line <= primitive.end_lineno
     ]
     assert len(lcms) == len(scalings) == 1 and not outside, outside
+
+
+def test_no_mapping_fills_itself_on_read():
+    self_filling = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any("dict" in (getattr(base, "id", None), getattr(base, "attr", None)) for base in node.bases)
+    ]
+    self_filling += [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "__missing__"
+        or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == "__missing__"
+    ]
+    assert not self_filling, self_filling
 
 
 def _finite_maxsize(call: ast.Call) -> bool:

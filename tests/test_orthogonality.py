@@ -13,6 +13,7 @@ from mvbessel.errors import (
     DegenerateRecurrence,
     PoleError,
 )
+from mvbessel import orthogonality
 from mvbessel.operators import apply_higher
 from mvbessel.orthogonality import (
     _moment_table,
@@ -24,6 +25,7 @@ from mvbessel.orthogonality import (
     MomentTable2,
     bilinear_matrix,
     check_L2_condition,
+    check_first_recurrence,
     functional_apply,
     functional_matrix,
     gram_matrix,
@@ -384,6 +386,25 @@ def test_moments2_anchors_and_consistency():
 def test_moments2_degenerate():
     with pytest.raises(DegenerateRecurrence):
         moments2_table(2, Fraction(-2), Fraction(1))
+
+
+def test_first_recurrence_check_refuses_any_one_changed_moment():
+    a, kappa = Fraction(-41, 2), Fraction(5, 3)
+    I = dict(moments2_table(6, a, kappa).I)
+    check_first_recurrence(I, a, kappa)
+    for key in I:
+        changed = {**I, key: I[key] + 1}
+        with pytest.raises(DegenerateRecurrence, match=r"moment recurrences inconsistent at I\["):
+            check_first_recurrence(changed, a, kappa)
+
+
+def test_moments2_table_raises_when_its_recurrence_check_does(monkeypatch):
+    def failing_check(I, a, kappa):
+        raise DegenerateRecurrence("moment recurrences inconsistent at I[0,0]")
+
+    monkeypatch.setattr(orthogonality, "check_first_recurrence", failing_check)
+    with pytest.raises(DegenerateRecurrence, match=r"inconsistent at I\[0,0\]"):
+        moments2_table(2, Fraction(-20), Fraction(1))
 
 
 def test_functional_matches_measure():

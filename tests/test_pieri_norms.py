@@ -159,20 +159,26 @@ def test_pieri_verify_builds_each_basis_element_once(monkeypatch):
 
 
 def test_factor_groups_are_built_once_for_every_r(monkeypatch):
-    # every r at one (lambda, p) reads one factor table, so no group is built twice
+    # every r at one (lambda, p) reads one cached set of factor groups, and
+    # each call builds the U sum of a move set once, whatever its signs
     built = []
-    missing = pieri_norms._FactorTable.__missing__
+    u_terms = pieri_norms._u_terms
 
-    def counting_missing(table, key):
-        built.append(key)
-        return missing(table, key)
+    def counting_u_terms(Ic, q, groups):
+        built.append((Ic, q))
+        return u_terms(Ic, q, groups)
 
-    monkeypatch.setattr(pieri_norms._FactorTable, "__missing__", counting_missing)
-    pieri_norms._factor_table.cache_clear()
-    p = BesselParams(Fraction(-27, 2), Fraction(1), 4)
+    monkeypatch.setattr(pieri_norms, "_u_terms", counting_u_terms)
+    pieri_norms._factor_groups.cache_clear()
+    lam, p = Partition((2, 1)), BesselParams(Fraction(-27, 2), Fraction(1), 4)
     for r in range(1, p.n + 1):
-        pieri_expand(r, Partition((2, 1)), p)
-    assert built and len(built) == len(set(built))
+        built.clear()
+        pieri_expand(r, lam, p)
+        # each (I^c, q) names one move set I of this r
+        assert built and len(built) == len(set(built))
+        assert all(q == r - (p.n - len(Ic)) for Ic, q in built)
+    info = pieri_norms._factor_groups.cache_info()
+    assert (info.misses, info.hits) == (1, p.n - 1)
 
 
 def test_affine_is_a_frozen_value():
@@ -199,20 +205,30 @@ def test_cached_pieri_factors_cannot_be_edited():
         # a group nests tuples of Affine factors to two or three levels
         return [group] if isinstance(group, Affine) else [f for g in group for f in factors(g)]
 
-    table = pieri_norms._factor_table(lam, p)
-    cached = factors(table.values())
+    groups = pieri_norms._factor_groups(lam, p)
+    cached = factors(groups.values())
     assert cached
     for f in cached:
         with pytest.raises(AttributeError, match="Affine is immutable"):
             f.c += 7
-    # nor can the table's groups be replaced or dropped
-    w = sorted(key for key in table if key[0] == "w")
+    # nor can the groups be replaced or dropped
+    w = sorted(key for key in groups if key[0] == "w")
     assert len(w) == 6
     with pytest.raises(TypeError):
-        table[w[0]] = table[w[1]]
+        groups[w[0]] = groups[w[1]]
     with pytest.raises(TypeError):
-        del table[w[0]]
-    assert pieri_norms._factor_table(lam, p) is table
+        del groups[w[0]]
+    # and no read fills them: all 2n w, 8 C(n, 2) pair and 2n(n-1) cross
+    # groups are there from the start, and no call or absent key adds one
+    keys = set(groups)
+    assert len(keys) == 6 + 24 + 12
+    for r in range(1, p.n + 1):
+        pieri_expand(r, lam, p)
+        assert set(groups) == keys
+    with pytest.raises(KeyError):
+        groups["cross", 1, 1, 1]
+    assert set(groups) == keys
+    assert pieri_norms._factor_groups(lam, p) is groups
     assert pieri_expand(1, lam, p) == before and before[Partition((2,))] == Fraction(-76, 255)
 
 

@@ -18,12 +18,14 @@ import functools
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from types import MappingProxyType
 
 from .errors import DegenerateEigenvalue, PoleError
 from .partitions import Partition, co_covers, dominance_leq, partitions_of, partitions_up_to
 from .polyalg import (
-    ONE, ZERO, Affine, PartitionVector, SymPoly, accumulate, join, limit_at_zero, rational,
+    ONE, ZERO, Affine, PartitionVector, SymPoly, accumulate, common_denominator, join,
+    limit_at_zero, rational,
 )
 
 def eigenvalue_d(lam: Partition, kappa: Fraction, n: int) -> Fraction:
@@ -101,18 +103,31 @@ def peel(f, basis: Callable) -> dict[Partition, Fraction]:
 
     basis(mu) has its graded-lex leading term at mu.  The leading term of
     the remainder is peeled off until nothing is left, so each subtraction
-    only introduces strictly smaller partitions, in place on one copy of f.
+    only introduces strictly smaller partitions.  The remainder and each
+    basis vector are integers over their own common_denominator; a step
+    scales the remainder by |lead|/gcd(rest[mu], lead), so it subtracts an
+    integer multiple of the basis vector.
     """
     out: dict[Partition, Fraction] = {}
-    rest = dict(f.coeffs)
+    d, nums = common_denominator(f.coeffs.values())
+    rest = dict(zip(f.coeffs, nums))
     while rest:
         mu = max(rest)
         b = basis(mu)
         f._check(b)
-        c = rest[mu] / b.coeff(mu)
-        out[mu] = c
-        for nu, v in b.coeffs.items():
-            accumulate(rest, nu, -c * v)
+        db, nums = common_denominator(b.coeffs.values())
+        terms = dict(zip(b.coeffs, nums))
+        lead = terms[mu]
+        k = abs(lead // gcd(rest[mu], lead))
+        if k != 1:
+            d *= k
+            rest = {nu: x * k for nu, x in rest.items()}
+        c = rest[mu] // lead
+        out[mu] = Fraction(c * db, d)
+        for nu, x in terms.items():
+            rest[nu] = rest.get(nu, 0) - c * x
+            if not rest[nu]:
+                del rest[nu]
     return out
 
 

@@ -33,8 +33,9 @@ T and the pairings are cached under immutable keys.
 Every pairing of polynomials goes through one bilinear helper,
 bilinear_matrix: given coefficient maps and a pairing of basis elements, it
 contracts each column once in integers, so each entry is one integer dot
-product and one division.  inner_product is that helper on a single pair
-over the monomial pairing, gram_matrix on the whole basis, and
+product and one division; given one list as rows and columns, it mirrors
+the entries below the diagonal.  inner_product is that helper on a single
+pair over the monomial pairing, gram_matrix on the whole basis, and
 functional_matrix on the e-coefficients.  The n = 2 moments I[p, q] of
 e1^p e2^q come from two recurrences.
 """
@@ -103,7 +104,8 @@ def bilinear_matrix(fs: list[Mapping], gs: list[Mapping], pair) -> list[list[Fra
     row and each column are put over their own common denominators
     (common_denominator); each column w_g[nu] = sum_rho g_rho pair(nu, rho)
     is contracted once in integers, and each entry is one integer dot
-    product sum_nu f_nu w_g[nu] and one division.
+    product sum_nu f_nu w_g[nu] and one division.  When fs is gs the pairing
+    must be symmetric, and each entry below the diagonal is its mirror.
     """
     support, rhos = list(set().union(*fs)), list(set().union(*gs))
     common, nums = common_denominator(pair(nu, rho) for nu in support for rho in rhos)
@@ -114,9 +116,12 @@ def bilinear_matrix(fs: list[Mapping], gs: list[Mapping], pair) -> list[list[Fra
         w = {nu: sum(c * row[rho] for rho, c in zip(g, cs)) for nu, row in value.items()}
         cols.append((common * d, w))
     rows = []
-    for f in fs:
+    for i, f in enumerate(fs):
         d, cs = common_denominator(f.values())
-        rows.append([Fraction(sum(c * w[nu] for nu, c in zip(f, cs)), d * dw) for dw, w in cols])
+        row = [above[i] for above in rows] if fs is gs else []
+        for dw, w in cols[len(row) :]:
+            row.append(Fraction(sum(c * w[nu] for nu, c in zip(f, cs)), d * dw))
+        rows.append(row)
     return rows
 
 
@@ -156,9 +161,10 @@ def _monomial_form(
     fs: list[SymPoly], gs: list[SymPoly], p: BesselParams, two_kappa: int
 ) -> list[list[Fraction]]:
     """bilinear_matrix over the m-coefficients and the monomial pairing."""
+    rows = [f.coeffs for f in fs]
     return bilinear_matrix(
-        [f.coeffs for f in fs],
-        [g.coeffs for g in gs],
+        rows,
+        rows if gs is fs else [g.coeffs for g in gs],
         # the pairing is symmetric, so both orders share one cache entry
         lambda nu, rho: _monomial_pairing(*sorted((nu, rho)), p.n, p.a, two_kappa),
     )

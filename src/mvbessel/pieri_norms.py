@@ -18,9 +18,11 @@ The Delta ratios, both norm routes and the Pieri coefficients are lists of
 polyalg.Affine factors along the line (a + t, kappa + t), taken at t = 0 by
 polyalg.limit_at_zero.  Except in norm_ratio_product, the independent
 second route, that line is scaled to integers (_rho_line).  Every Pieri
-factor group of one (lambda, p) is built at once into one cached read-only
-mapping (_factor_groups), shared by the calls of every r; each U sum is
-built once per move set of a call, from those groups.
+factor group of one (lambda, p) is built at once, beside its leading term,
+into one cached read-only mapping (_factor_groups); each term is a tuple of
+group keys, so a coefficient with no term of negative order is its order-0
+integer leads summed, and only the rest go through limit_at_zero.  The
+oracle peels onto Ytilde in integers (jack.peel).
 
 Absolute Gamma values never materialize; the lone transcendental scale
 2^{(a-1)n} Gamma(1-a)^n of the norm formulas is carried implicitly.
@@ -37,7 +39,7 @@ from types import MappingProxyType
 
 from .errors import ConvergenceError, PoleError
 from .partitions import Partition
-from .polyalg import ONE, Affine, SymPoly, elementary, join, limit_at_zero
+from .polyalg import ONE, Affine, SymPoly, elementary, join, leading_term, limit_at_zero
 from .bessel import (
     BesselParams,
     BesselPolynomial,
@@ -142,8 +144,8 @@ def E_hat_r(r: int, n: int) -> SymPoly:
 @functools.lru_cache(maxsize=4096)
 def _factor_groups(lam: Partition, p: BesselParams) -> Mapping:
     """Every factor group of the Pieri calls at z = rho + lambda, built at
-    once from v_factors/w_factors and shared by every term and r; the cache
-    holds a read-only view of a plain dict, so an absent key is a KeyError.
+    once from v_factors/w_factors, each beside its polyalg.leading_term; the
+    cache holds a read-only view of a plain dict, so an absent key is a KeyError.
 
     Keys name 1-based rows and signs e = +-1 (pairs i < i2, crosses j != i):
 
@@ -164,35 +166,42 @@ def _factor_groups(lam: Partition, p: BesselParams) -> Mapping:
                 groups["pair", i, e, j, e2, True] = join(v(u), v(-u - D))
             if i != j and e2 == 1:
                 groups["cross", i, e, j] = join(v(x + y), v(x - y))
-    return MappingProxyType(groups)
+    return MappingProxyType({key: (g, leading_term(*g)) for key, g in groups.items()})
 
 
-def _move_factors(eps, I, J, groups: Mapping, reflected: bool):
-    """Numerator and denominator factors of
+def _move_keys(eps, I, J, reflected: bool) -> tuple:
+    """The factor groups of
 
         prod_{i in I} w(eps_i z_i) prod_{i < i' in I} v(u) v(u')
         prod_{i in I, j in J} v(eps_i z_i + z_j) v(eps_i z_i - z_j),
 
-    with u = eps_i z_i + eps_i' z_i' and u' = -u-1 if reflected else u+1:
-    a concatenation of the shared factor groups.
+    with u = eps_i z_i + eps_i' z_i' and u' = -u-1 if reflected else u+1,
+    as a tuple of _factor_groups keys.
     """
-    parts = [groups["w", i, eps[i]] for i in I]
-    parts += [
-        groups["pair", i, eps[i], i2, eps[i2], reflected]
-        for i, i2 in itertools.combinations(I, 2)
-    ]
-    parts += [groups["cross", i, eps[i], j] for i in I for j in J]
-    return join(*parts)
+    return (
+        *(("w", i, eps[i]) for i in I),
+        *(("pair", i, eps[i], i2, eps[i2], reflected) for i, i2 in itertools.combinations(I, 2)),
+        *(("cross", i, eps[i], j) for i in I for j in J),
+    )
 
 
-def _u_terms(Ic, q: int, groups: Mapping) -> list:
-    """The terms of U_{Ic, q}: the reflected move factors of every signed
+def _u_keys(Ic, q: int) -> list:
+    """The terms of U_{Ic, q}: the reflected move groups of every signed
     q-subset K of Ic, crossed with the rest of Ic."""
     return [
-        _move_factors(dict(zip(K, signs)), K, [j for j in Ic if j not in K], groups, True)
+        _move_keys(dict(zip(K, signs)), K, [j for j in Ic if j not in K], True)
         for K in itertools.combinations(Ic, q)
         for signs in itertools.product((1, -1), repeat=q)
     ]
+
+
+def _lead(keys, groups: Mapping) -> tuple[int, int, int]:
+    """The leading term of a product of groups: orders add, leads multiply."""
+    order, top, bottom = 0, 1, 1
+    for key in keys:
+        o, t, b = groups[key][1]
+        order, top, bottom = order + o, top * t, bottom * b
+    return order, top, bottom
 
 
 def _shift_target(lam: Partition, n: int, I, eps) -> Partition | None:
@@ -217,8 +226,9 @@ def pieri_expand(r: int, lam: Partition, p: BesselParams) -> dict[Partition, Fra
     The coefficients are rational functions of (a, kappa) that can hit
     removable 0/0 cancellations at special rational parameters (for
     instance kappa = 1); they are therefore built from Affine factors along
-    the perturbed line (a + t, kappa + t) and their value taken at t = 0 by
-    limit_at_zero.  A genuine pole raises PoleError.
+    the perturbed line (a + t, kappa + t), and their value at t = 0 is the
+    sum of the order-0 terms' leads, or limit_at_zero's where a term has
+    negative order.  A genuine pole raises PoleError.
     """
     n = p.n
     if not 1 <= r <= n:
@@ -231,20 +241,29 @@ def pieri_expand(r: int, lam: Partition, p: BesselParams) -> dict[Partition, Fra
         q = r - size
         for I in itertools.combinations(range(1, n + 1), size):
             Ic = tuple(j for j in range(1, n + 1) if j not in I)
-            u_terms = None
+            u_keys = None
             for signs in itertools.product((1, -1), repeat=size):
                 eps = dict(zip(I, signs))
                 target = _shift_target(lam, n, I, eps)
                 if target is None:
                     continue
-                if u_terms is None:
-                    u_terms = _u_terms(Ic, q, groups)
+                if u_keys is None:
+                    u_keys = _u_keys(Ic, q)
+                    u_sums: dict = {}  # the U leads by order, summed as integer pairs
+                    for o, t, b in (_lead(keys, groups) for keys in u_keys):
+                        top, bottom = u_sums.get(o, (0, 1))
+                        u_sums[o] = (top * b + t * bottom, bottom * b)
                 # (-1)^q U_{I^c, q} V_{eps I, I^c}, V the unreflected move factor
-                v_num, v_den = _move_factors(eps, I, Ic, groups, reflected=False)
-                value = limit_at_zero(
-                    [(num + v_num, den + v_den) for num, den in u_terms],
-                    f"Pieri coefficient has a genuine pole at move {(signs, I)}",
-                )
+                v_keys = _move_keys(eps, I, Ic, reflected=False)
+                order, top, bottom = _lead(v_keys, groups)
+                if order + min(u_sums) >= 0 and bottom and all(b for _, b in u_sums.values()):
+                    u_top, u_bottom = u_sums.get(-order, (0, 1))
+                    value = Fraction(top * u_top, bottom * u_bottom)
+                else:  # a negative order or a dead denominator: the Laurent route
+                    value = limit_at_zero(
+                        [join(*(groups[key][0] for key in keys + v_keys)) for keys in u_keys],
+                        f"Pieri coefficient has a genuine pole at move {(signs, I)}",
+                    )
                 # The U*V data expands (1/2^r) e_r * Ytilde; with E_hat_r
                 # carrying the extra (-1)^{r+1} the coefficients pick it up
                 # too (verified against the polynomial oracle, which rules

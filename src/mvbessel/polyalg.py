@@ -18,7 +18,9 @@ sums integers and divides once per output.
 
 limit_at_zero is the one exact-limit mechanism: every closed product that
 can meet 0/0 is a list of Affine factors c + s*t, taken at t = 0 along a
-line or, with slope 0, at a point.
+line or, with slope 0, at a point.  leading_term gives one product's order
+in t and leading coefficient as integers: the value of an order-0 term, and
+what the Pieri coefficients cache per factor group.
 
 Every value type is immutable: SparseVector and Affine derive, like
 Partition and the records of bessel, jacobi_bc and orthogonality, from the
@@ -376,43 +378,50 @@ def join(*groups):
     return tuple(f for g in groups for f in g[0]), tuple(f for g in groups for f in g[1])
 
 
-def _constant_ratio(num, den) -> Fraction:
-    """prod(f.c for f in num) / prod(f.c for f in den), multiplied out over
-    the integers and reduced once."""
-    top = bottom = 1
+def leading_term(num, den) -> tuple[int, int, int]:
+    """(order, top, bottom) with prod(num)/prod(den) = top/bottom t^order +
+    O(t^(order+1)) as t -> 0: order counts the zero-constant factors up
+    minus those down, and top/bottom multiplies out each factor's c, or its
+    s where c = 0, over the integers.  bottom is 0 exactly when a
+    denominator factor vanishes identically (c = s = 0)."""
+    order, top, bottom = 0, 1, 1
     for f in num:
-        top *= f.c.numerator
-        bottom *= f.c.denominator
+        x = f.c
+        if not x:
+            order += 1
+            x = f.s
+        top *= x.numerator
+        bottom *= x.denominator
     for f in den:
-        top *= f.c.denominator
-        bottom *= f.c.numerator
-    return Fraction(top, bottom)
+        x = f.c
+        if not x:
+            order -= 1
+            x = f.s
+        top *= x.denominator
+        bottom *= x.numerator
+    return order, top, bottom
 
 
 def limit_at_zero(terms, pole: str = "pole at t = 0") -> Fraction:
     """The value at t = 0 of a sum of products of Affine factors.
 
     Each term is a pair (numerator factors, denominator factors).  A term
-    with no zero-constant factor on either side is regular at t = 0 and
-    contributes the plain product of its constants.  A term with v more
-    zero-constant factors upstairs than downstairs is t^v R(t) with
-    R(0) != 0, so R is expanded only to degree -v; the Laurent
-    coefficients of t^-m ... t^0 are summed over all terms.  Raises
-    PoleError(pole) on a denominator factor that vanishes identically
+    of order 0 (leading_term) contributes its leading coefficient, the
+    plain product of its constants if no constant is zero.  A term of order
+    -m < 0 is t^-m R(t) with R(0) != 0, so R is expanded only to degree m;
+    the Laurent coefficients of t^-m ... t^0 are summed over all terms.
+    Raises PoleError(pole) on a denominator factor that vanishes identically
     (c = s = 0, so slope-0 factors give the plain value at a point, or a
     pole), and if a negative-order coefficient survives the sum.
     """
     laurent: dict[int, Fraction] = {0: ZERO}
     for num, den in terms:
-        zeros_up = sum(not f.c for f in num)
-        zeros_down = sum(not f.c for f in den)
-        if not zeros_up and not zeros_down:
-            laurent[0] += _constant_ratio(num, den)
-            continue
-        if zeros_down and any(not f.c and not f.s for f in den):
+        order, top, bottom = leading_term(num, den)
+        if not bottom:
             raise PoleError(pole)
-        order = zeros_up - zeros_down
-        if order > 0:
+        if not order:
+            laurent[0] += Fraction(top, bottom)
+        if order >= 0:
             continue
         series = [ONE] + [ZERO] * -order
         for f in num:

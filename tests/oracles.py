@@ -4,7 +4,7 @@ they check."""
 from itertools import permutations
 
 from mvbessel.partitions import Partition
-from mvbessel.polyalg import MultiPoly, SymPoly, collect_symmetric, divide_exact
+from mvbessel.polyalg import MultiPoly, SymPoly, accumulate, collect_symmetric, divide_exact
 
 
 def schur(lam: Partition, n: int) -> SymPoly:
@@ -23,3 +23,20 @@ def schur(lam: Partition, n: int) -> SymPoly:
         for j in range(i + 1, n + 1):
             vand = vand * (MultiPoly.variable(n, i) - MultiPoly.variable(n, j))
     return collect_symmetric(divide_exact(det, vand))
+
+
+def peel(f, basis) -> dict:
+    """Coefficients of f on a triangular basis, one Fraction at a time:
+    basis(mu) has its graded-lex leading term at mu, and the leading term of
+    the remainder is peeled off until nothing is left."""
+    out = {}
+    rest = dict(f.coeffs)
+    while rest:
+        mu = max(rest)
+        b = basis(mu)
+        f._check(b)
+        c = rest[mu] / b.coeff(mu)
+        out[mu] = c
+        for nu, v in b.coeffs.items():
+            accumulate(rest, nu, -c * v)
+    return out

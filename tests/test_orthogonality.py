@@ -117,6 +117,21 @@ def test_bilinear_matrix_contracts_rows_against_columns():
     assert bilinear_matrix(rows, cols, lambda nu, rho: pair[nu, rho]) == [[6, 0], [-4, 0]]
 
 
+def test_bilinear_matrix_mirrors_a_symmetric_form_onto_its_lower_triangle():
+    # given one list as rows and columns, only the entries on and above the
+    # diagonal are dot products; the rest equal those of a full contraction
+    pair = {("x", "x"): 2, ("x", "y"): 3, ("y", "x"): 3, ("y", "y"): Fraction(5, 7)}
+    fs = [{"x": 1}, {"x": Fraction(1, 2), "y": -1}, {}, {"y": 4}]
+    full = bilinear_matrix(fs, list(fs), lambda nu, rho: pair[nu, rho])
+    assert bilinear_matrix(fs, fs, lambda nu, rho: pair[nu, rho]) == full
+    assert full == [list(col) for col in zip(*full)] and full[1][3] == Fraction(22, 7)
+    # the mirror reads the row above, so a non-symmetric pairing shows it
+    skew = {**pair, ("y", "x"): 0}
+    mirrored = bilinear_matrix(fs, fs, lambda nu, rho: skew[nu, rho])
+    assert mirrored[1][0] == mirrored[0][1] == -2
+    assert bilinear_matrix(fs, list(fs), lambda nu, rho: skew[nu, rho])[1][0] == 1
+
+
 def test_inner_product_anchors():
     a = Fraction(-20)
     p1 = BesselParams(a, Fraction(1), 1)

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from mvbessel.pieri_norms import (
     Affine,
     E_hat_r,
     delta_ratio,
+    leading_term,
     limit_at_zero,
     norm_full_reduced,
     norm_n0_reduced,
@@ -25,7 +27,7 @@ from mvbessel.pieri_norms import (
     renormalize,
     renormalized_jack,
 )
-from mvbessel.polyalg import SymPoly
+from mvbessel.polyalg import SymPoly, join
 
 SAMPLE = [
     BesselParams(Fraction(-20), Fraction(1), 2),
@@ -160,15 +162,15 @@ def test_pieri_verify_builds_each_basis_element_once(monkeypatch):
 
 def test_factor_groups_are_built_once_for_every_r(monkeypatch):
     # every r at one (lambda, p) reads one cached set of factor groups, and
-    # each call builds the U sum of a move set once, whatever its signs
+    # each call builds the U key tuples of a move set once, whatever its signs
     built = []
-    u_terms = pieri_norms._u_terms
+    u_keys = pieri_norms._u_keys
 
-    def counting_u_terms(Ic, q, groups):
+    def counting_u_keys(Ic, q):
         built.append((Ic, q))
-        return u_terms(Ic, q, groups)
+        return u_keys(Ic, q)
 
-    monkeypatch.setattr(pieri_norms, "_u_terms", counting_u_terms)
+    monkeypatch.setattr(pieri_norms, "_u_keys", counting_u_keys)
     pieri_norms._factor_groups.cache_clear()
     lam, p = Partition((2, 1)), BesselParams(Fraction(-27, 2), Fraction(1), 4)
     for r in range(1, p.n + 1):
@@ -179,6 +181,131 @@ def test_factor_groups_are_built_once_for_every_r(monkeypatch):
         assert all(q == r - (p.n - len(Ic)) for Ic, q in built)
     info = pieri_norms._factor_groups.cache_info()
     assert (info.misses, info.hits) == (1, p.n - 1)
+
+
+def _pieri_by_limits(r, lam, p):
+    """pieri_expand with every coefficient taken by limit_at_zero over the
+    joined factor lists of its terms, U's groups then V's."""
+    n, groups = p.n, pieri_norms._factor_groups(lam, p)
+    out = {}
+    for size in range(r + 1):
+        for I in itertools.combinations(range(1, n + 1), size):
+            Ic = tuple(j for j in range(1, n + 1) if j not in I)
+            for signs in itertools.product((1, -1), repeat=size):
+                eps = dict(zip(I, signs))
+                target = pieri_norms._shift_target(lam, n, I, eps)
+                if target is None:
+                    continue
+                v = pieri_norms._move_keys(eps, I, Ic, reflected=False)
+                terms = [
+                    join(*(groups[key][0] for key in u + v))
+                    for u in pieri_norms._u_keys(Ic, r - size)
+                ]
+                pole = f"Pieri coefficient has a genuine pole at move {(signs, I)}"
+                c = (-1) ** (size + 1) * limit_at_zero(terms, pole)
+                if c:
+                    out[target] = c
+    return out
+
+
+def _pieri_or_pole(route, r, lam, p):
+    try:
+        return route(r, lam, p)
+    except PoleError as exc:
+        return str(exc)
+
+
+pieri_points = st.one_of(st.integers(-30, 4).map(Fraction), st.fractions(-30, 4, max_denominator=6))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 4), pieri_points, st.one_of(st.just(Fraction(1)), pieri_points))
+def test_pieri_expand_equals_the_limit_of_its_terms(n, a, kappa):
+    # the leads of the cached groups give every coefficient, value or pole
+    # message, that limit_at_zero gives on the joined factor lists; every
+    # shape of degree <= 2 and every r at each draw
+    p = BesselParams(a, kappa, n)
+    for lam in partitions_up_to(2, n):
+        for r in range(1, n + 1):
+            expected = _pieri_or_pole(_pieri_by_limits, r, lam, p)
+            assert _pieri_or_pole(pieri_expand, r, lam, p) == expected, (lam, r)
+
+
+def _counting_limits(monkeypatch):
+    calls = []
+
+    def counting(terms, pole):
+        calls.append(pole)
+        return limit_at_zero(terms, pole)
+
+    monkeypatch.setattr(pieri_norms, "limit_at_zero", counting)
+    return calls
+
+
+def test_pieri_negative_order_terms_with_a_finite_limit(monkeypatch):
+    # at (a, kappa, n) = (-3, 2, 3) some terms of E_hat_3 Ytilde_(1) have
+    # negative order in t, so those coefficients go through limit_at_zero;
+    # their poles cancel across terms and the expansion meets the oracle
+    calls = _counting_limits(monkeypatch)
+    lam, p = Partition((1,)), BesselParams(Fraction(-3), Fraction(2), 3)
+    coeffs = pieri_expand(3, lam, p)
+    assert calls and len(coeffs) == 7
+    assert coeffs == _pieri_by_limits(3, lam, p)
+    assert pieri_verify(3, lam, p)
+
+
+def test_pieri_negative_order_terms_with_a_genuine_pole(monkeypatch):
+    # at (a, kappa, n) = (-6, 2, 3) a negative-order coefficient of
+    # E_hat_3 Ytilde_(2) survives the sum: PoleError names its move
+    calls = _counting_limits(monkeypatch)
+    lam, p = Partition((2,)), BesselParams(Fraction(-6), Fraction(2), 3)
+    message = r"^Pieri coefficient has a genuine pole at move \(\(1,\), \(2,\)\)$"
+    with pytest.raises(PoleError, match=message):
+        pieri_expand(3, lam, p)
+    assert calls[-1] == "Pieri coefficient has a genuine pole at move ((1,), (2,))"
+
+
+def test_pieri_zero_of_v_cancels_a_pole_of_the_u_sum(monkeypatch):
+    # at (a, kappa, n) = (-3, 1/2, 3) the move of E_hat_3 Ytilde_(2) onto
+    # (2, 1) has V of order 1 and a U term of order -1, so no product has
+    # negative order: the coefficient is V's lead times the U leads of order
+    # -1, with no Laurent expansion
+    calls = _counting_limits(monkeypatch)
+    lam, p = Partition((2,)), BesselParams(Fraction(-3), Fraction(1, 2), 3)
+    groups = pieri_norms._factor_groups(lam, p)
+    v = pieri_norms._move_keys({2: 1}, (2,), (1, 3), reflected=False)
+    u_orders = [pieri_norms._lead(u, groups)[0] for u in pieri_norms._u_keys((1, 3), 2)]
+    assert pieri_norms._lead(v, groups)[0] == 1 and min(u_orders) == -1
+    coeffs = pieri_expand(3, lam, p)
+    assert not calls and coeffs[Partition((2, 1))] == Fraction(-1, 27)
+    assert coeffs == _pieri_by_limits(3, lam, p)
+
+
+@pytest.mark.parametrize(
+    "r, key, move",
+    [
+        # w(z_1) is first read by a U term, at the move with I empty
+        (1, ("w", 1, 1), ((), ())),
+        # an unreflected pair is read only by V, first at I = (1, 2)
+        (2, ("pair", 1, 1, 2, 1, False), ((1, 1), (1, 2))),
+    ],
+)
+def test_pieri_dead_denominator_group_is_a_pole(monkeypatch, r, key, move):
+    # no factor on the scaled line vanishes identically, so one is planted in
+    # a group, beside a zero of t upstairs that keeps its order: the first
+    # move whose terms read the group is a pole, named as today
+    lam, p = Partition((1,)), BesselParams(Fraction(-27, 2), Fraction(1), 2)
+    groups = dict(pieri_norms._factor_groups(lam, p))
+    (num, den), lead = groups[key]
+    dead = (num + (Affine(0, 1),), den + (Affine(0, 0),))
+    assert leading_term(*dead)[::2] == (lead[0], 0)
+    groups[key] = (dead, leading_term(*dead))
+    monkeypatch.setattr(pieri_norms, "_factor_groups", lambda lam, p: groups)
+    message = f"Pieri coefficient has a genuine pole at move {move}"
+    assert _pieri_or_pole(_pieri_by_limits, r, lam, p) == message
+    with pytest.raises(PoleError) as exc:
+        pieri_expand(r, lam, p)
+    assert str(exc.value) == message
 
 
 def test_affine_is_a_frozen_value():
@@ -206,7 +333,9 @@ def test_cached_pieri_factors_cannot_be_edited():
         return [group] if isinstance(group, Affine) else [f for g in group for f in factors(g)]
 
     groups = pieri_norms._factor_groups(lam, p)
-    cached = factors(groups.values())
+    # each group is cached next to its leading term, a tuple of integers
+    assert all(type(lead) is tuple and len(lead) == 3 for _, lead in groups.values())
+    cached = factors([group for group, _ in groups.values()])
     assert cached
     for f in cached:
         with pytest.raises(AttributeError, match="Affine is immutable"):

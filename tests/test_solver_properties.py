@@ -1,6 +1,7 @@
-"""Randomised cross-checks of the shared triangular solver, the peel, the
-commuting tower (against its two-branch recursion, and at n = 4 to 6
-against the direct operator and the Bessel eigenfunctions), the direct
+"""Randomised cross-checks of the shared triangular solver, the integer
+peel (against the Fraction peel of tests/oracles.py), the commuting tower
+(against its two-branch recursion, and at n = 4 to 6 against the direct
+operator and the Bessel eigenfunctions), the direct
 differential operators (against MultiPoly products and exact division, and
 up to n = 6 against the Jack-basis action), the Pieri expansion,
 the two norm routes, the binomial coefficient routes, the lowering weight
@@ -30,6 +31,7 @@ from mvbessel.jack import (
     eigenvalue_d,
     jack_in_monomials,
     lower_weight,
+    peel,
     principal_spec,
     spec_ratio_cocover,
     sym_to_jack,
@@ -52,8 +54,10 @@ from mvbessel.pieri_norms import (
     norm_ratio,
     norm_ratio_product,
     pieri_verify,
+    renormalized_jack,
 )
 from mvbessel.polyalg import FactoredFraction, MultiPoly, SymPoly, collect_symmetric, divide_exact
+import oracles
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 # kappa = 0, where Y_lambda is a symmetrised product of one-variable Bessel
@@ -117,6 +121,35 @@ def sym_polys(draw):
 @given(sym_polys(), kappas)
 def test_sym_to_jack_round_trip(f, kappa):
     assert _unless_degenerate(sym_to_jack, f, kappa).to_sym() == f
+
+
+def _peels_agree(f, basis):
+    # the integer peel against the Fraction oracle: the same coefficients,
+    # peeled in the same order, or the same degenerate point
+    expected = _unless_degenerate(oracles.peel, f, basis)
+    got = peel(f, basis)
+    assert got == expected and list(got) == list(expected)
+
+
+@settings(derandomize=True, deadline=None)
+@given(sym_polys(), kappas)
+def test_integer_peel_on_the_monic_jack_basis(f, kappa):
+    _peels_agree(f, lambda mu: jack_in_monomials(mu, kappa, f.n))
+
+
+@settings(derandomize=True, deadline=None)
+@given(sym_polys(), rationals, kappas)
+def test_integer_peel_on_the_renormalized_basis(f, a, kappa):
+    # Ytilde_mu on the Jack basis, with leading coefficients other than 1,
+    # as in the Pieri oracle
+    v = _unless_degenerate(sym_to_jack, f, kappa)
+    _peels_agree(v, lambda mu: renormalized_jack(mu, BesselParams(a, kappa, f.n)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(sym_polys(), kappas, st.fractions(min_value=-5, max_value=-1, max_denominator=4))
+def test_integer_peel_on_a_basis_with_negative_leads(f, kappa, c):
+    _peels_agree(f, lambda mu: jack_in_monomials(mu, kappa, f.n).scale(c))
 
 
 @st.composite

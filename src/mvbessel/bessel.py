@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import DegenerateEigenvalue, PoleError
 from .partitions import FrozenRecord, HashedRecord, Partition, skew_standard_chains
-from .polyalg import ONE, ZERO, SymPoly, rat_str, rational
+from .polyalg import ONE, ZERO, SymPoly, rational
 from . import jack
 from .jack import JackExpansion
 
@@ -71,17 +71,6 @@ class BesselPolynomial(FrozenRecord):
 
     def coeff(self, mu: Partition) -> Fraction:
         return self.jack_coeffs.coeff(mu)
-
-    def to_json(self) -> dict:
-        return {
-            "lambda": list(self.lam.parts),
-            "a": rat_str(self.params.a),
-            "kappa": rat_str(self.params.kappa),
-            "n": self.params.n,
-            "jack_coeffs": self.jack_coeffs.to_json(),
-            "monomial_coeffs": self.to_sym().to_json(),
-            "eigenvalue": rat_str(self.eigenvalue()),
-        }
 
 
 def bessel_expand(lam: Partition, p: BesselParams) -> BesselPolynomial:

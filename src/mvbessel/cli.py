@@ -127,11 +127,18 @@ def cmd_bessel(args) -> int:
         Y = pieri_norms.renormalize(Y)
     f = Y.to_sym()
     e = Y.eigenvalue()
-    img = operators.apply_DB_direct(f, p)
-    eigencheck = (img - f.scale(e)).is_zero()
-    doc = Y.to_json()
-    doc["renormalized"] = bool(args.renormalize)
-    doc["eigencheck"] = "pass" if eigencheck else "fail"
+    eigencheck = (operators.apply_DB_direct(f, p) - f.scale(e)).is_zero()
+    doc = {
+        "lambda": list(lam.parts),
+        "a": rat_str(p.a),
+        "kappa": rat_str(p.kappa),
+        "n": p.n,
+        "jack_coeffs": Y.jack_coeffs.to_json(),
+        "monomial_coeffs": f.to_json(),
+        "eigenvalue": rat_str(e),
+        "renormalized": bool(args.renormalize),
+        "eigencheck": "pass" if eigencheck else "fail",
+    }
     _emit(doc, args.out)
     return EXIT_OK if eigencheck else EXIT_VIOLATION
 

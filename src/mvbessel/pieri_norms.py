@@ -17,12 +17,14 @@ Delta_+(rho+lambda)/Delta_+(rho)) are the basis of the Pieri expansions.
 The Delta ratios, both norm routes and the Pieri coefficients are lists of
 polyalg.Affine factors along the line (a + t, kappa + t), taken at t = 0 by
 polyalg.limit_at_zero.  Except in norm_ratio_product, the independent
-second route, that line is scaled to integers (_rho_line).  Every Pieri
-factor group of one (lambda, p) is built at once, beside its leading term,
-into one cached read-only mapping (_factor_groups); each term is a tuple of
-group keys, so a coefficient with no term of negative order is its order-0
-integer leads summed, and only the rest go through limit_at_zero.  The
-oracle peels onto Ytilde in integers (jack.peel).
+second route, that line is scaled to integers (_rho_line).  Which Pieri
+moves E_r makes, and which factor groups each term multiplies, depend on n
+and r alone: one cached table of tuples of group keys (_moves).  What they
+are worth at (lambda, p) is one cached read-only mapping, every factor
+group built at once beside its leading term (_factor_groups).  So a
+coefficient with no term of negative order is its order-0 integer leads
+summed, and only the rest go through limit_at_zero.  The oracle peels onto
+Ytilde in integers (jack.peel).
 
 Absolute Gamma values never materialize; the lone transcendental scale
 2^{(a-1)n} Gamma(1-a)^n of the norm formulas is carried implicitly.
@@ -169,30 +171,49 @@ def _factor_groups(lam: Partition, p: BesselParams) -> Mapping:
     return MappingProxyType({key: (g, leading_term(*g)) for key, g in groups.items()})
 
 
-def _move_keys(eps, I, J, reflected: bool) -> tuple:
+def _move_keys(I, signs, rows, reflected: bool) -> tuple:
     """The factor groups of
 
         prod_{i in I} w(eps_i z_i) prod_{i < i' in I} v(u) v(u')
-        prod_{i in I, j in J} v(eps_i z_i + z_j) v(eps_i z_i - z_j),
+        prod_{i in I, j in rows - I} v(eps_i z_i + z_j) v(eps_i z_i - z_j),
 
-    with u = eps_i z_i + eps_i' z_i' and u' = -u-1 if reflected else u+1,
-    as a tuple of _factor_groups keys.
+    with eps the signs on I, u = eps_i z_i + eps_i' z_i' and u' = -u-1 if
+    reflected else u+1, as a tuple of _factor_groups keys.
     """
+    eps = dict(zip(I, signs))
     return (
         *(("w", i, eps[i]) for i in I),
         *(("pair", i, eps[i], i2, eps[i2], reflected) for i, i2 in itertools.combinations(I, 2)),
-        *(("cross", i, eps[i], j) for i in I for j in J),
+        *(("cross", i, eps[i], j) for i in I for j in rows if j not in eps),
     )
 
 
-def _u_keys(Ic, q: int) -> list:
-    """The terms of U_{Ic, q}: the reflected move groups of every signed
-    q-subset K of Ic, crossed with the rest of Ic."""
-    return [
-        _move_keys(dict(zip(K, signs)), K, [j for j in Ic if j not in K], True)
-        for K in itertools.combinations(Ic, q)
-        for signs in itertools.product((1, -1), repeat=q)
-    ]
+@functools.lru_cache(maxsize=64)
+def _moves(n: int, r: int) -> tuple:
+    """The moves of E_r at n, which depend on neither lambda nor p: per row
+    set I, |I| <= r, q = r - |I|, the sign (-1)^{r+1} (-1)^q; the key tuples
+    of the terms of U_{I^c, q}, the reflected move groups of every signed
+    q-subset K of I^c crossed with the rest of I^c; and per sign vector eps
+    on I, its row shift, the key tuple of V_{eps I, I^c} and the (signs, I)
+    label of the pole message, the same objects at every r.  Tuples only,
+    and equal keys are one object.  The U*V data expands (1/2^r) e_r Ytilde
+    and E_hat_r carries (-1)^{r+1}, hence the sign (the polynomial oracle
+    rules out the sign-free one at r = 2).
+    """
+    known = {moves[0][2][1]: moves for *_, moves in (_moves(n, r - 1) if r > 1 else ())}
+    shared = {k: k for moves in known.values() for _, v, _ in moves for k in v}
+    keys = lambda *move: tuple(shared.setdefault(k, k) for k in _move_keys(*move))
+    signs = lambda q: itertools.product((1, -1), repeat=q)
+    rows, table = range(1, n + 1), []
+    for I in itertools.chain(*(itertools.combinations(rows, size) for size in range(r + 1))):
+        Ic, q = tuple(j for j in rows if j not in I), r - len(I)
+        U = [keys(K, s, Ic, True) for K in itertools.combinations(Ic, q) for s in signs(q)]
+        moves = known.get(I) or tuple(
+            (tuple(dict(zip(I, s)).get(i, 0) for i in rows), keys(I, s, rows, False), (s, I))
+            for s in signs(len(I))
+        )
+        table.append(((-1) ** (r + 1 + q), tuple(U), moves))
+    return tuple(table)
 
 
 def _lead(keys, groups: Mapping) -> tuple[int, int, int]:
@@ -202,17 +223,6 @@ def _lead(keys, groups: Mapping) -> tuple[int, int, int]:
         o, t, b = groups[key][1]
         order, top, bottom = order + o, top * t, bottom * b
     return order, top, bottom
-
-
-def _shift_target(lam: Partition, n: int, I, eps) -> Partition | None:
-    parts = [lam.part(i) for i in range(1, n + 1)]
-    for i in I:
-        parts[i - 1] += eps[i]
-    if any(x < 0 for x in parts):
-        return None
-    if any(parts[i] < parts[i + 1] for i in range(n - 1)):
-        return None
-    return Partition(tuple(parts))
 
 
 def pieri_expand(r: int, lam: Partition, p: BesselParams) -> dict[Partition, Fraction]:
@@ -236,41 +246,31 @@ def pieri_expand(r: int, lam: Partition, p: BesselParams) -> dict[Partition, Fra
     if lam.length() > n:
         raise ValueError(f"{lam!r} has more than {n} parts")
     groups = _factor_groups(lam, p)
+    parts = lam.parts + (0,) * (n - lam.length())
     out: dict[Partition, Fraction] = {}
-    for size in range(r + 1):
-        q = r - size
-        for I in itertools.combinations(range(1, n + 1), size):
-            Ic = tuple(j for j in range(1, n + 1) if j not in I)
-            u_keys = None
-            for signs in itertools.product((1, -1), repeat=size):
-                eps = dict(zip(I, signs))
-                target = _shift_target(lam, n, I, eps)
-                if target is None:
-                    continue
-                if u_keys is None:
-                    u_keys = _u_keys(Ic, q)
-                    u_sums: dict = {}  # the U leads by order, summed as integer pairs
-                    for o, t, b in (_lead(keys, groups) for keys in u_keys):
-                        top, bottom = u_sums.get(o, (0, 1))
-                        u_sums[o] = (top * b + t * bottom, bottom * b)
-                # (-1)^q U_{I^c, q} V_{eps I, I^c}, V the unreflected move factor
-                v_keys = _move_keys(eps, I, Ic, reflected=False)
-                order, top, bottom = _lead(v_keys, groups)
-                if order + min(u_sums) >= 0 and bottom and all(b for _, b in u_sums.values()):
-                    u_top, u_bottom = u_sums.get(-order, (0, 1))
-                    value = Fraction(top * u_top, bottom * u_bottom)
-                else:  # a negative order or a dead denominator: the Laurent route
-                    value = limit_at_zero(
-                        [join(*(groups[key][0] for key in keys + v_keys)) for keys in u_keys],
-                        f"Pieri coefficient has a genuine pole at move {(signs, I)}",
-                    )
-                # The U*V data expands (1/2^r) e_r * Ytilde; with E_hat_r
-                # carrying the extra (-1)^{r+1} the coefficients pick it up
-                # too (verified against the polynomial oracle, which rules
-                # out the sign-free transcription at r = 2).
-                c = (-1) ** (r + 1) * (-1) ** q * value
-                if c:
-                    out[target] = c
+    for sign, u_keys, moves in _moves(n, r):
+        u_sums = None
+        for shift, v_keys, move in moves:
+            target = tuple(x + d for x, d in zip(parts, shift))
+            if target[-1] < 0 or any(x < y for x, y in zip(target, target[1:])):
+                continue
+            if u_sums is None:
+                u_sums = {}  # the U leads by order, summed as integer pairs
+                for o, t, b in (_lead(keys, groups) for keys in u_keys):
+                    top, bottom = u_sums.get(o, (0, 1))
+                    u_sums[o] = (top * b + t * bottom, bottom * b)
+            order, top, bottom = _lead(v_keys, groups)
+            if order + min(u_sums) >= 0 and bottom and all(b for _, b in u_sums.values()):
+                u_top, u_bottom = u_sums.get(-order, (0, 1))
+                value = Fraction(top * u_top, bottom * u_bottom)
+            else:  # a negative order or a dead denominator: the Laurent route
+                value = limit_at_zero(
+                    [join(*(groups[k][0] for k in itertools.chain(u, v_keys))) for u in u_keys],
+                    f"Pieri coefficient has a genuine pole at move {move}",
+                )
+            c = sign * value  # (-1)^{r+1} (-1)^q U_{I^c, q} V_{eps I, I^c}
+            if c:
+                out[Partition(target)] = c
     return out
 
 

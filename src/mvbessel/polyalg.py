@@ -29,8 +29,9 @@ deletion, and a SparseVector's coeffs is a read-only mapping.  So a vector
 hashes by its content, and the one cache policy is that a cache returns its
 value as it is: no caller can change it.  A cache that holds a mapping
 holds a read-only one built whole, which no read fills (a Jack raising
-row, the Pieri factor groups), down to their Affine factors.  All scalars
-enter through rational, which refuses a float.
+row, the Pieri factor groups), down to their Affine factors; a cached
+table is built whole, of tuples only (the Pieri moves of each (n, r)).
+All scalars enter through rational, which refuses a float.
 
 The last section, with SymPoly.expand, is test-oracle arithmetic: MultiPoly
 keyed by exponent tuples, divide_exact, collect_symmetric and

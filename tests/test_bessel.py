@@ -75,10 +75,10 @@ def test_to_sym_is_a_fresh_polynomial():
     # to_sym builds its polynomial from the cached Jack expansions, which no
     # caller can edit through it
     Y = bessel_expand(Partition((2, 1)), SAMPLE[0])
-    before = Y.to_json()
+    before = Y.to_sym().sorted_coeffs()
     with pytest.raises(TypeError):
         del Y.to_sym().coeffs[Partition((2, 1))]
-    assert Y.to_json() == before and before["monomial_coeffs"]
+    assert Y.to_sym().sorted_coeffs() == before and before
 
 
 def test_bessel_polynomial_is_a_frozen_record():
@@ -88,7 +88,7 @@ def test_bessel_polynomial_is_a_frozen_record():
     assert Y != bessel_expand(Partition((2, 1)), SAMPLE[2])
     for clone in (copy.copy(Y), copy.deepcopy(Y), pickle.loads(pickle.dumps(Y))):
         assert type(clone) is type(Y) and clone == Y and hash(clone) == hash(Y)
-        assert clone.to_json() == Y.to_json()
+        assert clone.to_sym() == Y.to_sym() and clone.eigenvalue() == Y.eigenvalue()
     for field in ("lam", "params", "jack_coeffs"):
         with pytest.raises(AttributeError):
             setattr(Y, field, None)

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 from fractions import Fraction
 
@@ -160,51 +161,85 @@ def test_pieri_verify_builds_each_basis_element_once(monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
-def test_factor_groups_are_built_once_for_every_r(monkeypatch):
+def test_factor_groups_are_built_once_for_every_r():
     # every r at one (lambda, p) reads one cached set of factor groups, and
-    # each call builds the U key tuples of a move set once, whatever its signs
-    built = []
-    u_keys = pieri_norms._u_keys
-
-    def counting_u_keys(Ic, q):
-        built.append((Ic, q))
-        return u_keys(Ic, q)
-
-    monkeypatch.setattr(pieri_norms, "_u_keys", counting_u_keys)
+    # each (n, r) one cached table of moves, which every further lambda or p
+    # reads again; the table of r also reads that of r - 1
     pieri_norms._factor_groups.cache_clear()
+    pieri_norms._moves.cache_clear()
     lam, p = Partition((2, 1)), BesselParams(Fraction(-27, 2), Fraction(1), 4)
     for r in range(1, p.n + 1):
-        built.clear()
         pieri_expand(r, lam, p)
-        # each (I^c, q) names one move set I of this r
-        assert built and len(built) == len(set(built))
-        assert all(q == r - (p.n - len(Ic)) for Ic, q in built)
     info = pieri_norms._factor_groups.cache_info()
     assert (info.misses, info.hits) == (1, p.n - 1)
+    info = pieri_norms._moves.cache_info()
+    assert (info.misses, info.hits) == (p.n, p.n - 1)
+    for lam2, p2 in [(Partition((1,)), p), (lam, BesselParams(Fraction(-33, 2), Fraction(4, 3), 4))]:
+        for r in range(1, p.n + 1):
+            pieri_expand(r, lam2, p2)
+    info = pieri_norms._moves.cache_info()
+    assert (info.misses, info.hits) == (p.n, 3 * p.n - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_moves_table_shape(n):
+    # per (n, r): sum_{s <= r} C(n, s) 2^s moves, C(n-s, r-s) 2^{r-s} U terms
+    # per row set of size s, tuples only, and one object per key; a row
+    # set's moves are one object at every r
+    def tuples_only(x):
+        return type(x) in (int, str, bool) or type(x) is tuple and all(map(tuples_only, x))
+
+    for r in range(1, n + 1):
+        table = pieri_norms._moves(n, r)
+        assert tuples_only(table) and pieri_norms._moves(n, r) is table
+        assert len(table) == sum(math.comb(n, s) for s in range(r + 1))
+        assert sum(len(moves) for *_, moves in table) == sum(
+            math.comb(n, s) * 2**s for s in range(r + 1)
+        )
+        shared = {}
+        for sign, U, moves in table:
+            s = len(moves[0][2][1])
+            assert sign == (-1) ** (s + 1) and len(moves) == 2**s
+            assert len(U) == math.comb(n - s, r - s) * 2 ** (r - s)
+            for shift, v, (signs, I) in moves:
+                assert shift == tuple(dict(zip(I, signs)).get(i, 0) for i in range(1, n + 1))
+                assert len(v) == s + math.comb(s, 2) + s * (n - s)
+            for keys in U + tuple(v for _, v, _ in moves):
+                assert all(shared.setdefault(key, key) is key for key in keys)
+        if r < n:
+            assert all(row[2] is up[2] for row, up in zip(table, pieri_norms._moves(n, r + 1)))
+
+
+def _signed_subsets(rows, q):
+    return [
+        (K, signs)
+        for K in itertools.combinations(rows, q)
+        for signs in itertools.product((1, -1), repeat=q)
+    ]
 
 
 def _pieri_by_limits(r, lam, p):
     """pieri_expand with every coefficient taken by limit_at_zero over the
-    joined factor lists of its terms, U's groups then V's."""
+    joined factor lists of its terms, U's groups then V's; the moves and
+    their lattice test are its own, not pieri_norms._moves."""
     n, groups = p.n, pieri_norms._factor_groups(lam, p)
+    rows = tuple(range(1, n + 1))
     out = {}
     for size in range(r + 1):
-        for I in itertools.combinations(range(1, n + 1), size):
-            Ic = tuple(j for j in range(1, n + 1) if j not in I)
-            for signs in itertools.product((1, -1), repeat=size):
-                eps = dict(zip(I, signs))
-                target = pieri_norms._shift_target(lam, n, I, eps)
-                if target is None:
-                    continue
-                v = pieri_norms._move_keys(eps, I, Ic, reflected=False)
-                terms = [
-                    join(*(groups[key][0] for key in u + v))
-                    for u in pieri_norms._u_keys(Ic, r - size)
-                ]
-                pole = f"Pieri coefficient has a genuine pole at move {(signs, I)}"
-                c = (-1) ** (size + 1) * limit_at_zero(terms, pole)
-                if c:
-                    out[target] = c
+        for I, signs in _signed_subsets(rows, size):
+            parts = [lam.part(i) + dict(zip(I, signs)).get(i, 0) for i in rows]
+            if min(parts) < 0 or parts != sorted(parts, reverse=True):
+                continue
+            Ic = tuple(j for j in rows if j not in I)
+            v = pieri_norms._move_keys(I, signs, rows, reflected=False)
+            terms = [
+                join(*(groups[key][0] for key in pieri_norms._move_keys(K, s, Ic, True) + v))
+                for K, s in _signed_subsets(Ic, r - size)
+            ]
+            pole = f"Pieri coefficient has a genuine pole at move {(signs, I)}"
+            c = (-1) ** (size + 1) * limit_at_zero(terms, pole)
+            if c:
+                out[Partition(parts)] = c
     return out
 
 
@@ -273,8 +308,11 @@ def test_pieri_zero_of_v_cancels_a_pole_of_the_u_sum(monkeypatch):
     calls = _counting_limits(monkeypatch)
     lam, p = Partition((2,)), BesselParams(Fraction(-3), Fraction(1, 2), 3)
     groups = pieri_norms._factor_groups(lam, p)
-    v = pieri_norms._move_keys({2: 1}, (2,), (1, 3), reflected=False)
-    u_orders = [pieri_norms._lead(u, groups)[0] for u in pieri_norms._u_keys((1, 3), 2)]
+    ((U, v),) = [
+        (U, v) for _, U, moves in pieri_norms._moves(3, 3) for _, v, move in moves
+        if move == ((1,), (2,))
+    ]
+    u_orders = [pieri_norms._lead(u, groups)[0] for u in U]
     assert pieri_norms._lead(v, groups)[0] == 1 and min(u_orders) == -1
     coeffs = pieri_expand(3, lam, p)
     assert not calls and coeffs[Partition((2, 1))] == Fraction(-1, 27)
@@ -306,6 +344,29 @@ def test_pieri_dead_denominator_group_is_a_pole(monkeypatch, r, key, move):
     with pytest.raises(PoleError) as exc:
         pieri_expand(r, lam, p)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        # read only by V of the move onto (2, -1), a negative last part
+        ("pair", 1, 1, 2, -1, False),
+        # read only by V of the move onto (0, 1), an increasing pair
+        ("pair", 1, -1, 2, 1, False),
+    ],
+)
+def test_pieri_off_lattice_move_is_never_evaluated(monkeypatch, key):
+    # an off-lattice move's coefficient vanishes identically, so it is
+    # dropped before its terms are read: a dead denominator planted in a
+    # group that only such a move reads changes nothing
+    lam, p = Partition((1,)), BesselParams(Fraction(-27, 2), Fraction(1), 2)
+    before = pieri_expand(2, lam, p)
+    groups = dict(pieri_norms._factor_groups(lam, p))
+    (num, den), _ = groups[key]
+    dead = (num, den + (Affine(0, 0),))
+    groups[key] = (dead, leading_term(*dead))
+    monkeypatch.setattr(pieri_norms, "_factor_groups", lambda lam, p: groups)
+    assert pieri_expand(2, lam, p) == before == _pieri_by_limits(2, lam, p)
 
 
 def test_affine_is_a_frozen_value():

@@ -7,9 +7,10 @@ factor lists in kappa, taken by polyalg.limit_at_zero at a point (the
 *_product functions, whose printed index ranges the ledger compares) or along
 kappa + t (principal_spec and lower_weight, finite at kappa = 0 and where a
 hook product vanishes whenever the limit is); the hook quotients stay the
-independent, authoritative route.  A Jack-basis operator is a weighted sum of
-D_2, D_1, E_1, E_0 and p_1: apply_basic applies one in one pass, and
-lowering_solve, behind the Bessel and Jacobi expansions, inverts one without p_1.
+independent, authoritative route.  A Jack-basis operator is
+D_2 + D1 D_1 + E1 E_1 + E0 E_0 for three weights: apply_basic applies one,
+and lowering_solve, behind the Bessel and Jacobi expansions, inverts one;
+both read its diagonal and one-box lowering entries from one place each.
 """
 
 from __future__ import annotations
@@ -188,21 +189,15 @@ def principal_spec(lam: Partition, kappa: Fraction, n: int) -> Fraction:
 
 
 def psi_prime(lam: Partition, i: int, kappa: Fraction) -> Fraction:
-    """Coefficient of P_{lam + e_i} in p_1 * P_lam (the one-box Pieri weight)."""
-    kappa = rational(kappa)
+    """Coefficient of P_{lam + e_i} in p_1 * P_lam (the one-box Pieri weight),
+    from its product over rows j < i as factors in kappa."""
+    kappa = Affine(rational(kappa))
     if lam.add_box(i) is None:
         raise ValueError(f"adding a box in row {i} of {lam!r} is not a partition")
-    val = ONE
-    li = lam.part(i)
-    for j in range(1, i):
-        lj = lam.part(j)
-        d1 = kappa * (j - i) + li - lj
-        d2 = kappa * (j - i) + li - lj + 1
-        if d1 == 0 or d2 == 0:
-            raise PoleError("psi' denominator vanished")
-        val *= (kappa * (j - i + 1) + li - lj) / d1
-        val *= (kappa * (j - i - 1) + li - lj + 1) / d2
-    return val
+    rows = [(j - i, lam.part(i) - lam.part(j)) for j in range(1, i)]
+    num = [kappa * (k + 1) + d for k, d in rows] + [kappa * (k - 1) + d + 1 for k, d in rows]
+    den = [kappa * k + d for k, d in rows] + [kappa * k + d + 1 for k, d in rows]
+    return limit_at_zero([(num, den)], "psi' denominator vanished")
 
 
 def binomial_cocover(lam: Partition, i: int, kappa: Fraction) -> Fraction:
@@ -349,33 +344,39 @@ def sym_to_jack(f: SymPoly, kappa: Fraction) -> JackExpansion:
     return JackExpansion(f.n, kappa, peel(f, lambda lam: jack_in_monomials(lam, kappa, f.n)))
 
 
-# -- the five basic operator actions ------------------------------------------
+# -- the Jack-basis operators D_2 + D1 D_1 + E1 E_1 + E0 E_0 -------------------
 
 
-def apply_basic(v: JackExpansion, D2=0, D1=0, E1=0, E0=0, MUL_P1=0) -> JackExpansion:
-    """D2 D_2 + D1 D_1 + E1 E_1 + E0 E_0 + MUL_P1 p_1 applied to v in one pass.
+def _diagonal(mu: Partition, kappa: Fraction, n: int, E1) -> Fraction:
+    """The coefficient of P_mu in the image of P_mu: d_mu + E1 |mu|."""
+    return eigenvalue_d(mu, kappa, n) + E1 * mu.weight()
 
-    D_2 and E_1 are diagonal, with eigenvalues d_lam and |lam|.  D_1 and E_0
-    take P_lam to lower_weight(mu, i) P_mu for each mu = lam - e_i, D_1 times
-    mu_i + kappa (n - i).  p_1 adds one box with weight psi_prime.
+
+def _lowering(mu: Partition, i: int, kappa: Fraction, n: int, E0, D1) -> Fraction:
+    """The coefficient of P_mu in the image of P_{mu+e_i}: E_0 gives
+    lower_weight(mu, i), and D_1 that times mu_i + kappa (n - i)."""
+    w = E0 + D1 * (mu.part(i) + kappa * (n - i)) if D1 else E0
+    return lower_weight(mu, i, kappa, n) * w
+
+
+def apply_basic(v: JackExpansion, E1=0, E0=0, D1=0) -> JackExpansion:
+    """D_2 + D1 D_1 + E1 E_1 + E0 E_0 applied to v in one pass.
+
+    D_2 and E_1 are diagonal; D_1 and E_0 take P_lam to multiples of the
+    P_mu with mu = lam - e_i.
     """
     n, kappa = v.n, v.kappa
     out: dict[Partition, Fraction] = {}
     for lam, c in v.coeffs.items():
-        if D2 or E1:
-            accumulate(out, lam, c * (D2 * eigenvalue_d(lam, kappa, n) + E1 * lam.weight()))
+        accumulate(out, lam, c * _diagonal(lam, kappa, n, E1))
         if D1 or E0:
             for i, mu in co_covers(lam, n, "down"):
-                w = E0 + D1 * (mu.part(i) + kappa * (n - i))
-                accumulate(out, mu, c * lower_weight(mu, i, kappa, n) * w)
-        if MUL_P1:
-            for i, up in co_covers(lam, n, "up"):
-                accumulate(out, up, c * MUL_P1 * psi_prime(lam, i, kappa))
+                accumulate(out, mu, c * _lowering(mu, i, kappa, n, E0, D1))
     return v._new(out)
 
 
 def lowering_solve(
-    lam: Partition, top: Fraction, n: int, kappa: Fraction, E1: Fraction, E0: Fraction, D1=0
+    lam: Partition, top: Fraction, n: int, kappa: Fraction, E1=0, E0=0, D1=0
 ) -> JackExpansion:
     """The eigenvector of D_2 + D1 D_1 + E1 E_1 + E0 E_0 with coefficient top on P_lam.
 
@@ -394,16 +395,12 @@ def lowering_solve(
         for i in rows:
             up = mu.add_box(i)
             if up is not None and lam.contains(up):
-                w = lower_weight(mu, i, kappa, n)
-                if D1:
-                    w *= E0 + D1 * (mu.part(i) + kappa * (n - i))
-                rhs += w * u.get(up, ZERO)
-        return rhs if D1 else E0 * rhs
+                rhs += _lowering(mu, i, kappa, n, E0, D1) * u.get(up, ZERO)
+        return rhs
 
-    def eigen(mu: Partition) -> Fraction:
-        return eigenvalue_d(mu, kappa, n) + E1 * mu.weight()
-
-    return JackExpansion(n, kappa, triangular_solve(lam, top, inside, eigen, feed))
+    return JackExpansion(
+        n, kappa, triangular_solve(lam, top, inside, lambda mu: _diagonal(mu, kappa, n, E1), feed)
+    )
 
 
 # -- generalized Pochhammer symbols and hypergeometric series ------------------

@@ -55,7 +55,7 @@ def apply_DBC_jack(v: JackExpansion, jp: JacobiParams) -> JackExpansion:
     """Apply D^BC in the Jack basis."""
     if v.n != jp.n or v.kappa != jp.k3:
         raise ValueError("JackExpansion context does not match parameters")
-    return jack.apply_basic(v, D2=1, **jack_weights(jp))
+    return jack.apply_basic(v, **jack_weights(jp))
 
 
 def jacobi_expand(lam: Partition, jp: JacobiParams) -> JackExpansion:

@@ -36,17 +36,6 @@ from .polyalg import (
     orbit_size,
 )
 
-__all__ = [
-    "apply_DB_direct",
-    "apply_DB_jack",
-    "apply_higher",
-    "eigenvalue_of",
-    "commutator_check",
-    "gamma_poly",
-    "separation_check",
-    "rho_vector",
-]
-
 
 def apply_DB_direct(f: SymPoly, p: BesselParams) -> SymPoly:
     """Apply D^B to a symmetric polynomial by direct differentiation."""
@@ -57,7 +46,7 @@ def apply_DB_jack(v: JackExpansion, p: BesselParams) -> JackExpansion:
     """Apply D^B in the Jack basis: D^B = D_2 + a E_1 + 2 E_0."""
     if v.n != p.n or v.kappa != p.kappa:
         raise ValueError("JackExpansion context does not match parameters")
-    return jack.apply_basic(v, D2=1, **jack_weights(p))
+    return jack.apply_basic(v, **jack_weights(p))
 
 
 def _stage_weights(p: BesselParams) -> tuple[int, int, int, int]:

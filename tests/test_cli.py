@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from mvbessel import bessel, polyalg
+from mvbessel import bessel, jack, polyalg
 from mvbessel.cli import main
+from mvbessel.errors import NotDivisible, NotProportional, NotSymmetric
 from mvbessel.polyalg import MultiPoly, SymPoly
 
 
@@ -56,6 +57,16 @@ def test_bessel_degenerate_exit_code(capsys):
         ["bessel", "--n", "2", "--a", "-2", "--kappa", "1", "--lambda", "1"], capsys
     )
     assert code == 2 and "degenerate" in err
+
+
+@pytest.mark.parametrize("error", [NotDivisible, NotSymmetric, NotProportional, AssertionError])
+def test_invariant_violation_exit_code(error, monkeypatch, capsys):
+    def violate(*args, **kwargs):
+        raise error("planted")
+
+    monkeypatch.setattr(jack, "jack_in_monomials", violate)
+    code, out, err = run(["jack", "--n=2", "--kappa=1", "--lambda=2,1"], capsys)
+    assert (code, out) == (3, "") and err.startswith("invariant violation: planted")
 
 
 def test_bessel_renormalized_constant_term(capsys):

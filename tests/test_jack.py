@@ -168,14 +168,25 @@ def test_uncorrected_products_disagree():
 
 
 def test_mul_p1_matches_polynomial_multiplication():
+    # p_1 P_lam = sum_i psi'(lam, i) P_{lam+e_i}
     kappa = Fraction(5, 3)
     n = 2
     p1 = SymPoly(n, {Partition((1,)): Fraction(1)})
     for lam in partitions_up_to(4, n):
-        v = JackExpansion(n, kappa, {lam: Fraction(1)})
-        lhs = apply_basic(v, MUL_P1=1).to_sym()
-        rhs = p1 * v.to_sym()
+        ups = {up: psi_prime(lam, i, kappa) for i, up in co_covers(lam, n, "up")}
+        lhs = JackExpansion(n, kappa, ups).to_sym()
+        rhs = p1 * jack_in_monomials(lam, kappa, n)
         assert lhs == rhs, lam
+
+
+def test_psi_prime_pole_where_a_new_row_meets_row_one():
+    # lam = (1), i = 2: psi' = (-1)/(-kappa - 1) * (-2 kappa)/(-kappa) = 2/(kappa + 1),
+    # whose two denominators vanish at kappa = -1 and kappa = 0
+    lam = Partition((1,))
+    assert psi_prime(lam, 2, Fraction(5, 3)) == Fraction(3, 4)
+    for kappa in (-1, 0):
+        with pytest.raises(PoleError, match="psi' denominator vanished"):
+            psi_prime(lam, 2, kappa)
 
 
 def test_sym_to_jack_roundtrip():
@@ -230,14 +241,13 @@ def test_hyperg_lower_pole():
 
 def test_2f1_differential_equation():
     # (D1 - D2)F + (b - kappa(n-1)) E0 F - (a1 + a2 + 1 - kappa(n-1)) E1 F
-    #   = n a1 a2 F, up to one degree below the truncation order.
+    #   = n a1 a2 F, up to one degree below the truncation order; the left
+    #   side is minus (D2 - D1 + (a1 + a2 + 1 - kappa(n-1)) E1 - (b - kappa(n-1)) E0) F.
     kappa = Fraction(5, 3)
     n = 2
     a1, a2, b = Fraction(2), Fraction(-3, 2), Fraction(7, 3)
     maxdeg = 4
     F = hyperg_trunc([a1, a2], [b], Fraction(1), kappa, n, maxdeg)
-    lhs = apply_basic(
-        F, D2=-1, D1=1, E1=-(a1 + a2 + 1 - kappa * (n - 1)), E0=b - kappa * (n - 1)
-    )
+    lhs = -apply_basic(F, E1=a1 + a2 + 1 - kappa * (n - 1), E0=-(b - kappa * (n - 1)), D1=-1)
     rhs = F.scale(n * a1 * a2)
     assert (lhs - rhs).truncate(maxdeg - 1).is_zero()

@@ -353,7 +353,7 @@ def test_direct_operators_match_the_jack_basis_action(f, a, kappa):
     # the image can reach a P_mu below f's support whose solve meets a collision
     db = _unless_degenerate(lambda: apply_DB_jack(v, p).to_sym())
     assert diffops.apply_bessel_sym(f, a, kappa) == db
-    assert diffops.apply_sutherland_sym(f, 2, kappa) == apply_basic(v, D2=1).to_sym()
+    assert diffops.apply_sutherland_sym(f, 2, kappa) == apply_basic(v).to_sym()
 
 
 def _pole_or_value(fn, *args):

@@ -17,8 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DegenerateEigenvalue, PoleError
-from .partitions import FrozenRecord, HashedRecord, Partition, skew_standard_chains
-from .polyalg import ONE, ZERO, SymPoly, rational
+from .partitions import HashedRecord, Partition, skew_standard_chains
+from .polyalg import ONE, ZERO, rational
 from . import jack
 from .jack import JackExpansion
 
@@ -57,31 +57,15 @@ def square_integrability_bound(m: int, p: BesselParams) -> Fraction:
     return -2 * (m + p.kappa * (p.n - 1)) + 1
 
 
-class BesselPolynomial(FrozenRecord):
-    """Y_lambda together with its parameters and Jack-basis coefficients."""
-
-    __slots__ = ("lam", "params", "jack_coeffs")
-
-    def eigenvalue(self) -> Fraction:
-        return bessel_eigenvalue(self.lam, self.params)
-
-    def to_sym(self) -> SymPoly:
-        """The m-basis expansion."""
-        return self.jack_coeffs.to_sym()
-
-    def coeff(self, mu: Partition) -> Fraction:
-        return self.jack_coeffs.coeff(mu)
-
-
-def bessel_expand(lam: Partition, p: BesselParams) -> BesselPolynomial:
-    """Build Y_lambda by the triangular eigenvector recurrence.
+def bessel_expand(lam: Partition, p: BesselParams) -> JackExpansion:
+    """Y_lambda on the monic Jack basis, by the triangular eigenvector recurrence.
 
     u_{lambda lambda} = 1 and, for mu strictly inside lambda,
         (e_lambda - e_mu) u_{lambda mu}
             = 2 sum_i spec_ratio(mu, i) binom(mu+e_i, mu) u_{lambda, mu+e_i},
     the sum running over rows i with mu + e_i still contained in lambda.
     """
-    return BesselPolynomial(lam, p, jack.lowering_solve(lam, ONE, p.n, p.kappa, **jack_weights(p)))
+    return jack.lowering_solve(lam, ONE, p.n, p.kappa, **jack_weights(p))
 
 
 def bessel_coeff_tableau(lam: Partition, mu: Partition, p: BesselParams) -> Fraction:
@@ -119,7 +103,7 @@ def bessel_coeff_tableau(lam: Partition, mu: Partition, p: BesselParams) -> Frac
     return total
 
 
-def rectangular_2F0(k: int, p: BesselParams) -> BesselPolynomial:
+def rectangular_2F0(k: int, p: BesselParams) -> JackExpansion:
     """Y_{(k^n)} as a terminating 2F0 hypergeometric series.
 
     Y_{(k^n)} = C * 2F0(-k, beta; x -> -x/2) with beta = k + a - 1 + kappa (n-1)
@@ -143,9 +127,8 @@ def rectangular_2F0(k: int, p: BesselParams) -> BesselPolynomial:
         raise PoleError(f"Pochhammer denominator vanished for k={k}, {p}")
     h_lam, _ = jack.hook_products(lam, p.kappa)
     C = Fraction(-2) ** (k * p.n) * h_lam / den
-    result = BesselPolynomial(lam, p, series.scale(C))
-    recur = bessel_expand(lam, p)
-    if result.jack_coeffs != recur.jack_coeffs:
+    result = series.scale(C)
+    if result != bessel_expand(lam, p):
         raise AssertionError(
             f"hypergeometric and recurrence forms of Y_{lam.parts} disagree"
         )

@@ -122,18 +122,16 @@ def cmd_bessel(args) -> int:
     if lam.length() > args.n:
         raise ValueError(f"partition {args.lam} needs more than n={args.n} variables")
     p = _bessel_params(args)
-    Y = bessel.bessel_expand(lam, p)
-    if args.renormalize:
-        Y = pieri_norms.renormalize(Y)
+    Y = (pieri_norms.renormalized_jack if args.renormalize else bessel.bessel_expand)(lam, p)
     f = Y.to_sym()
-    e = Y.eigenvalue()
+    e = bessel.bessel_eigenvalue(lam, p)
     eigencheck = (operators.apply_DB_direct(f, p) - f.scale(e)).is_zero()
     doc = {
         "lambda": list(lam.parts),
         "a": rat_str(p.a),
         "kappa": rat_str(p.kappa),
         "n": p.n,
-        "jack_coeffs": Y.jack_coeffs.to_json(),
+        "jack_coeffs": Y.to_json(),
         "monomial_coeffs": f.to_json(),
         "eigenvalue": rat_str(e),
         "renormalized": bool(args.renormalize),
@@ -146,9 +144,8 @@ def cmd_bessel(args) -> int:
 def _suite_eigen(args, checks) -> None:
     p = _bessel_params(args)
     for lam in partitions_up_to(args.max_degree, p.n):
-        Y = bessel.bessel_expand(lam, p)
-        f = Y.to_sym()
-        diff = operators.apply_DB_direct(f, p) - f.scale(Y.eigenvalue())
+        f = bessel.bessel_expand(lam, p).to_sym()
+        diff = operators.apply_DB_direct(f, p) - f.scale(bessel.bessel_eigenvalue(lam, p))
         checks.append((f"eigen {_key(lam)}", diff.is_zero(), repr(diff)))
 
 

@@ -276,7 +276,7 @@ def gram_matrix(m: int, p: BesselParams) -> list[list[Fraction]]:
         )
     lams = partitions_up_to(m, p.n)
     if p.kappa == 1:
-        basis = [bessel_expand(lam, p).jack_coeffs for lam in lams]
+        basis = [bessel_expand(lam, p) for lam in lams]
         _oracle_two_kappa(basis, p)
         coeffs = [f.coeffs for f in basis]
         return bilinear_matrix(

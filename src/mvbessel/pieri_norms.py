@@ -44,7 +44,6 @@ from .partitions import Partition
 from .polyalg import ONE, Affine, SymPoly, elementary, join, leading_term, limit_at_zero
 from .bessel import (
     BesselParams,
-    BesselPolynomial,
     bessel_expand,
     square_integrability_bound,
 )
@@ -117,23 +116,17 @@ def delta_ratio(sign: str, lam: Partition, p: BesselParams) -> Fraction:
     return -value if sign == "-" and lam.weight() % 2 else value
 
 
-def renormalize(Y: BesselPolynomial) -> BesselPolynomial:
-    """The unit-constant-term normalization of Y_lambda.
-
-    Divides by 2^{|lambda|} times the plus-type shifted-factor ratio at
-    rho + lambda over rho.
-    """
-    ratio = delta_ratio("+", Y.lam, Y.params)
-    if ratio == 0:
-        raise PoleError(f"normalization ratio vanished for {Y.lam!r}")
-    c = Fraction(1, 2 ** Y.lam.weight()) / ratio
-    return BesselPolynomial(Y.lam, Y.params, Y.jack_coeffs.scale(c))
-
-
 @functools.lru_cache(maxsize=4096)
 def renormalized_jack(lam: Partition, p: BesselParams) -> JackExpansion:
-    """Ytilde_lambda on the Jack basis."""
-    return renormalize(bessel_expand(lam, p)).jack_coeffs
+    """Ytilde_lambda on the Jack basis: Y_lambda divided by 2^{|lambda|}
+    times the plus-type shifted-factor ratio at rho + lambda over rho, so
+    that its constant term is one.  Y_lambda is built first, so a degenerate
+    eigenvalue is refused before a vanishing ratio."""
+    Y = bessel_expand(lam, p)
+    ratio = delta_ratio("+", lam, p)
+    if ratio == 0:
+        raise PoleError(f"normalization ratio vanished for {lam!r}")
+    return Y.scale(Fraction(1, 2 ** lam.weight()) / ratio)
 
 
 def E_hat_r(r: int, n: int) -> SymPoly:
@@ -330,8 +323,10 @@ def norm_ratio_product(lam: Partition, p: BesselParams) -> Fraction:
     )
 
 
+@functools.lru_cache(maxsize=64)
 def norm_n0_reduced(p: BesselParams) -> Fraction:
-    """N_(0) divided by the transcendental scale 2^{(a-1)n} Gamma(1-a)^n.
+    """N_(0) divided by the transcendental scale 2^{(a-1)n} Gamma(1-a)^n,
+    cached by parameters since every N_lambda of a Gram check scales it.
 
     Requires kappa to be a non-negative integer so every Gamma quotient is
     a finite rational product:

@@ -43,7 +43,7 @@ from mvbessel.pieri_norms import (
     norm_full_reduced,
     pieri_expand,
     pieri_verify,
-    renormalize,
+    renormalized_jack,
 )
 from mvbessel.polyalg import MultiPoly, SymPoly, collect_symmetric
 
@@ -107,9 +107,9 @@ def test_criterion_04_specialisation():
     ok = True
     for p in SAMPLE:
         for lam in partitions_up_to(3, p.n):
-            ok = ok and renormalize(bessel_expand(lam, p)).coeff(Partition(())) == 1
+            ok = ok and renormalized_jack(lam, p).coeff(Partition(())) == 1
     p1 = BesselParams(Fraction(-20), Fraction(1), 1)
-    f = renormalize(bessel_expand(Partition((1,)), p1)).to_sym()
+    f = renormalized_jack(Partition((1,)), p1).to_sym()
     ok = ok and f.coeff(Partition(())) == 1 and f.coeff(Partition((1,))) == Fraction(-10)
     report(4, "renormalized constant terms equal one; n=1 gives 1 + (a/2)x", ok)
 

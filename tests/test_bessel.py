@@ -5,11 +5,13 @@ from itertools import permutations
 
 import pytest
 
+from mvbessel import jack
 from mvbessel.bessel import (
     BesselParams,
     bessel_coeff_tableau,
     bessel_eigenvalue,
     bessel_expand,
+    jack_weights,
     rectangular_2F0,
     rho_vector,
     square_integrability_bound,
@@ -17,7 +19,7 @@ from mvbessel.bessel import (
 from mvbessel.errors import DegenerateEigenvalue, PoleError
 from mvbessel.jacobi_bc import JacobiParams
 from mvbessel.partitions import Partition, partitions_up_to
-from mvbessel.pieri_norms import renormalize
+from mvbessel.pieri_norms import renormalized_jack
 from mvbessel.polyalg import MultiPoly
 
 SAMPLE = [
@@ -81,20 +83,18 @@ def test_to_sym_is_a_fresh_polynomial():
     assert Y.to_sym().sorted_coeffs() == before and before
 
 
-def test_bessel_polynomial_is_a_frozen_record():
-    Y = bessel_expand(Partition((2, 1)), SAMPLE[0])
-    again = bessel_expand(Partition((2, 1)), SAMPLE[0])
-    assert Y == again and hash(Y) == hash(again) and Y in {again}
-    assert Y != bessel_expand(Partition((2, 1)), SAMPLE[2])
-    for clone in (copy.copy(Y), copy.deepcopy(Y), pickle.loads(pickle.dumps(Y))):
-        assert type(clone) is type(Y) and clone == Y and hash(clone) == hash(Y)
-        assert clone.to_sym() == Y.to_sym() and clone.eigenvalue() == Y.eigenvalue()
-    for field in ("lam", "params", "jack_coeffs"):
-        with pytest.raises(AttributeError):
-            setattr(Y, field, None)
+def test_bessel_expand_is_the_lowering_solve_expansion():
+    # Y_lambda is its Jack expansion: the immutable vector lowering_solve
+    # builds, in the context (n, kappa) of its parameters
+    p = SAMPLE[2]
+    lam = Partition((2, 1))
+    Y = bessel_expand(lam, p)
+    assert type(Y) is jack.JackExpansion and (Y.n, Y.kappa) == (p.n, p.kappa)
+    assert Y == jack.lowering_solve(lam, Fraction(1), p.n, p.kappa, **jack_weights(p))
+    assert Y == bessel_expand(lam, p) and hash(Y) == hash(bessel_expand(lam, p))
+    assert Y != bessel_expand(lam, SAMPLE[0])
     with pytest.raises(TypeError):
-        Y.jack_coeffs.coeffs[Partition(())] = Fraction(1)
-    assert repr(Y).startswith("BesselPolynomial(lam=Partition([2, 1]), params=BesselParams(")
+        Y.coeffs[Partition(())] = Fraction(1)
 
 
 def test_a_record_hashes_its_values_once(monkeypatch):
@@ -148,7 +148,7 @@ def test_degenerate_tableau_raises():
 def test_renormalize_constant_term_one():
     for p in SAMPLE:
         for lam in partitions_up_to(3, p.n):
-            Yt = renormalize(bessel_expand(lam, p))
+            Yt = renormalized_jack(lam, p)
             assert Yt.coeff(Partition(())) == 1, lam
 
 
@@ -156,7 +156,7 @@ def test_renormalized_one_variable_identity():
     # n = 1, lambda = (1): the renormalized polynomial is 1 + (a/2) x
     for a in (Fraction(-20), Fraction(-31, 2)):
         p = BesselParams(a, Fraction(1), 1)
-        f = renormalize(bessel_expand(Partition((1,)), p)).to_sym()
+        f = renormalized_jack(Partition((1,)), p).to_sym()
         assert f.coeff(Partition(())) == 1
         assert f.coeff(Partition((1,))) == a / 2
 

@@ -242,7 +242,7 @@ def test_pieri_r_outside_one_to_n_is_rejected(r, capsys):
 
 def test_pieri_vanishing_normalization_ratio_exit_code(capsys):
     # at kappa = -1/2, a = 2 the renormalization ratio of Y_(2) is 0, which
-    # pieri_norms.renormalize refuses before it divides by it
+    # pieri_norms.renormalized_jack refuses before it divides by it
     code, out, err = run(
         ["verify", "pieri", "--max-degree=2", "--n=2", "--kappa=-1/2", "--a=2"], capsys
     )

@@ -134,7 +134,7 @@ def test_every_value_type_derives_from_the_one_base():
         "partitions": ["Partition"],
         "polyalg": ["SparseVector", "SymPoly", "MultiPoly", "Affine"],
         "jack": ["JackExpansion"],
-        "bessel": ["BesselParams", "BesselPolynomial"],
+        "bessel": ["BesselParams"],
         "jacobi_bc": ["JacobiParams"],
         "orthogonality": ["MomentTable2"],
     }

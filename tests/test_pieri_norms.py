@@ -25,7 +25,6 @@ from mvbessel.pieri_norms import (
     norm_ratio_product,
     pieri_expand,
     pieri_verify,
-    renormalize,
     renormalized_jack,
 )
 from mvbessel.polyalg import SymPoly, join
@@ -428,7 +427,8 @@ def test_renormalized_jack_cache_returns_its_immutable_value():
     cached = renormalized_jack(lam, p)
     before = cached.sorted_coeffs()
     assert renormalized_jack(lam, p) is cached
-    assert cached == renormalize(bessel_expand(lam, p)).jack_coeffs
+    assert cached == renormalized_jack.__wrapped__(lam, p)
+    assert cached == bessel_expand(lam, p).scale(1 / (2 * delta_ratio("+", lam, p)))
     with pytest.raises(TypeError):
         del cached.coeffs[lam]
     with pytest.raises(TypeError):
@@ -445,8 +445,8 @@ def test_pieri_one_variable_hand_identity():
         coeffs = pieri_expand(1, Partition(()), p)
         assert coeffs[Partition((1,))] == 1 / a
         assert coeffs[Partition(())] == -1 / a
-        y1 = renormalize(bessel_expand(Partition((1,)), p)).to_sym()
-        y0 = renormalize(bessel_expand(Partition(()), p)).to_sym()
+        y1 = renormalized_jack(Partition((1,)), p).to_sym()
+        y0 = renormalized_jack(Partition(()), p).to_sym()
         half_x = (y1 - y0).scale(1 / a)
         assert half_x.coeff(Partition((1,))) == Fraction(1, 2)
         assert half_x.coeff(Partition(())) == 0
@@ -489,6 +489,19 @@ def test_norm_anchors():
     a = Fraction(-20)
     p2 = BesselParams(a, Fraction(1), 2)
     assert norm_n0_reduced(p2) == -8 / (a * a * (a + 1))
+
+
+def test_reduced_norm_of_one_is_computed_once_per_parameter_point():
+    # every N_lambda of a Gram check scales N_(0); a refusal is not cached
+    norm_n0_reduced.cache_clear()
+    p = BesselParams(Fraction(-20), Fraction(1), 3)
+    norms = [norm_full_reduced(lam, p) for lam in partitions_up_to(3, 3)]
+    info = norm_n0_reduced.cache_info()
+    assert len(norms) == 7 and (info.misses, info.hits) == (1, 6) and info.maxsize == 64
+    for _ in range(2):
+        with pytest.raises(PoleError, match="Gamma shift hit a pole"):
+            norm_n0_reduced(BesselParams(0, 1, 2))
+    assert norm_n0_reduced.cache_info().currsize == 1
 
 
 def test_norm_positivity_on_grid():

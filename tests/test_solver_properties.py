@@ -7,7 +7,7 @@ up to n = 6 against the Jack-basis action), the Pieri expansion,
 the two norm routes, the binomial coefficient routes, the lowering weight
 against the hook-quotient route, the principal specialization at kappa = 0,
 the Jacobi expansion against the direct BC operator and the Jacobi constant
-term.
+term, and the unit constant term of the renormalized basis.
 
 Parameters are drawn as arbitrary small rationals; a draw is rejected only
 when it lands on a degenerate point (an eigenvalue collision or a pole),
@@ -92,6 +92,30 @@ def test_bessel_recurrence_matches_tableau(n, a, kappa):
         for mu in partitions_up_to(lam.weight(), n):
             if lam.contains(mu):
                 assert Y.coeff(mu) == bessel_coeff_tableau(lam, mu, p), (lam, mu)
+
+
+@st.composite
+def bessel_shapes(draw):
+    n = draw(st.integers(1, 3))
+    return n, draw(st.sampled_from(partitions_up_to(3, n)))
+
+
+# one shape at each draw, rejected where Y_lambda or its normalization ratio
+# is undefined; hypothesis fails a test that no draw satisfies
+@settings(derandomize=True, deadline=None)
+@given(bessel_shapes(), rationals, kappas)
+def test_renormalized_constant_term_is_one(shape, a, kappa):
+    n, lam = shape
+    Yt = _unless_degenerate(renormalized_jack, lam, BesselParams(a, kappa, n))
+    assert Yt.coeff(Partition(())) == 1
+
+
+@settings(derandomize=True, deadline=None)
+@given(rationals, kappas)
+def test_renormalized_first_polynomial_in_one_variable(a, kappa):
+    # Ytilde_(1) = 1 + (a/2) x; only a = 0, where e_(1) = e_(), is degenerate
+    Yt = _unless_degenerate(renormalized_jack, Partition((1,)), BesselParams(a, kappa, 1))
+    assert Yt.to_sym() == SymPoly(1, {Partition(()): 1, Partition((1,)): a / 2})
 
 
 @settings(derandomize=True, deadline=None)

@@ -96,10 +96,15 @@ def _bessel_params(args) -> bessel.BesselParams:
     return bessel.BesselParams(parse_rational(args.a), parse_rational(args.kappa), args.n)
 
 
-def cmd_jack(args) -> int:
+def _lambda_within_n(args) -> Partition:
     lam = parse_partition(args.lam)
     if lam.length() > args.n:
         raise ValueError(f"partition {args.lam} needs more than n={args.n} variables")
+    return lam
+
+
+def cmd_jack(args) -> int:
+    lam = _lambda_within_n(args)
     kappa = parse_rational(args.kappa)
     P = jack.jack_in_monomials(lam, kappa, args.n)
     h_lo, h_up = jack.hook_products(lam, kappa)
@@ -118,9 +123,7 @@ def cmd_jack(args) -> int:
 
 
 def cmd_bessel(args) -> int:
-    lam = parse_partition(args.lam)
-    if lam.length() > args.n:
-        raise ValueError(f"partition {args.lam} needs more than n={args.n} variables")
+    lam = _lambda_within_n(args)
     p = _bessel_params(args)
     Y = (pieri_norms.renormalized_jack if args.renormalize else bessel.bessel_expand)(lam, p)
     f = Y.to_sym()

@@ -188,12 +188,19 @@ def principal_spec(lam: Partition, kappa: Fraction, n: int) -> Fraction:
     return limit_at_zero([(num, den)], "principal specialization has a pole")
 
 
+def _grown(lam: Partition, i: int) -> Partition:
+    """lam + e_i, refused when adding a box in row i is not a partition."""
+    up = lam.add_box(i)
+    if up is None:
+        raise ValueError(f"adding a box in row {i} of {lam!r} is not a partition")
+    return up
+
+
 def psi_prime(lam: Partition, i: int, kappa: Fraction) -> Fraction:
     """Coefficient of P_{lam + e_i} in p_1 * P_lam (the one-box Pieri weight),
     from its product over rows j < i as factors in kappa."""
     kappa = Affine(rational(kappa))
-    if lam.add_box(i) is None:
-        raise ValueError(f"adding a box in row {i} of {lam!r} is not a partition")
+    _grown(lam, i)
     rows = [(j - i, lam.part(i) - lam.part(j)) for j in range(1, i)]
     num = [kappa * (k + 1) + d for k, d in rows] + [kappa * (k - 1) + d + 1 for k, d in rows]
     den = [kappa * k + d for k, d in rows] + [kappa * k + d + 1 for k, d in rows]
@@ -208,9 +215,7 @@ def binomial_cocover(lam: Partition, i: int, kappa: Fraction) -> Fraction:
     Jack basis.
     """
     kappa = rational(kappa)
-    up = lam.add_box(i)
-    if up is None:
-        raise ValueError(f"adding a box in row {i} of {lam!r} is not a partition")
+    up = _grown(lam, i)
     h_lam, _ = hook_products(lam, kappa)
     if h_lam == 0:
         raise PoleError(f"hook product of {lam!r} vanished")
@@ -227,9 +232,7 @@ def _binomial_factors(lam: Partition, i: int, kappa: Affine, corrected: bool):
     literature (prefactor uses len(lam), product over all j != i up to n is
     read as j <= len(lam)), which disagrees with the operator-forced values.
     """
-    up = lam.add_box(i)
-    if up is None:
-        raise ValueError(f"adding a box in row {i} of {lam!r} is not a partition")
+    up = _grown(lam, i)
     ell = up.length() if corrected else lam.length()
     li = lam.part(i)
     rows = [(j, li - lam.part(j) + 1) for j in range(1, ell + 1) if j != i]
@@ -280,9 +283,7 @@ def _spec_ratio_factors(lam: Partition, i: int, kappa: Affine, n: int, corrected
     len(lam + e_i) and restricts both products to rows j <= len(lam + e_i);
     corrected=False follows the printed formula verbatim.
     """
-    up = lam.add_box(i)
-    if up is None:
-        raise ValueError(f"adding a box in row {i} of {lam!r} is not a partition")
+    up = _grown(lam, i)
     li = lam.part(i)
     ell = up.length() if corrected else lam.length()
     num = [kappa * (n - i + 1) + li] + ([] if corrected else [kappa])

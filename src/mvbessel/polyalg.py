@@ -43,7 +43,6 @@ against it and perfbench/tracer.py names its functions.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 from collections.abc import Iterable, Mapping
@@ -537,46 +536,23 @@ def divide_exact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
     Single-divisor reduction in graded-lex order: when f = q*g the leading
     term of every partial remainder is divisible by the leading term of g,
-    so a failed leading-term division proves inexactness.  The remainder is
-    a dict with its exponents in a max-heap, so each step pops the leading
-    term and adds only the products of the other terms of g, all of which
-    are smaller; an exponent whose coefficient cancels stays in the heap
-    and is skipped when popped.
+    so a failed leading-term division proves inexactness.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     f._check(g)
     lt_e, lt_c = g.leading()
-    g_rest = [(e, c) for e, c in g.coeffs.items() if e != lt_e]
     r = dict(f.coeffs)
-    heap = [_heap_key(e) for e in r]
-    heapq.heapify(heap)
     q: dict[tuple[int, ...], Fraction] = {}
-    while heap:
-        e = heapq.heappop(heap)[1]
-        c = r.pop(e, None)
-        if c is None:
-            continue
+    while r:
+        e = max(r, key=f._order)
         qe = tuple(a - b for a, b in zip(e, lt_e))
         if any(x < 0 for x in qe):
             raise NotDivisible(f"{f!r} is not divisible by {g!r}")
-        qc = c / lt_c
-        q[qe] = qc
-        for ge, gc in g_rest:
-            te = tuple(a + b for a, b in zip(qe, ge))
-            s = r.get(te, ZERO) - qc * gc
-            if not s:
-                del r[te]
-            else:
-                if te not in r:
-                    heapq.heappush(heap, _heap_key(te))
-                r[te] = s
+        qc = q[qe] = r[e] / lt_c
+        for ge, gc in g.coeffs.items():
+            accumulate(r, tuple(a + b for a, b in zip(qe, ge)), -qc * gc)
     return f._new(q)
-
-
-def _heap_key(e: tuple[int, ...]) -> tuple:
-    # heapq pops the least item: negate graded-lex so the leading term comes first
-    return ((-sum(e), tuple(-x for x in e)), e)
 
 
 def collect_symmetric(f: MultiPoly) -> SymPoly:

@@ -14,7 +14,8 @@ Every S_n orbit of exponents comes from the one cached table,
 polyalg.orbit, so no other function enumerates permutations.
 Every CLI call is a fresh interpreter, so the CLI's import path stays light:
 importing mvbessel.cli loads neither dataclasses nor typing, nor the
-inspect, ast, dis and tokenize modules that dataclasses drags in.
+inspect, ast, dis and tokenize modules that dataclasses drags in, nor
+heapq, which no package function needs.
 Immutability has one implementation: partitions.FrozenRecord alone
 defines __setattr__, __delattr__ and __reduce__, and every value type
 derives from it.  Every scalar a function coerces goes through
@@ -267,7 +268,7 @@ def test_every_cache_is_bounded():
 
 def test_the_cli_import_path_leaves_out_heavy_modules():
     # -S keeps site from preloading modules the package never asks for
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "heapq")
     probe = f"import sys, mvbessel.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     run = subprocess.run(

@@ -104,6 +104,36 @@ def test_divide_exact_round_trip(q, g):
     assert divide_exact(q * g, g) == q
 
 
+@st.composite
+def divisions_with_a_remainder(draw):
+    # q, a non-constant g and a nonzero r with deg r < deg g: every multiple
+    # of g has degree at least deg g, so g never divides q*g + r
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.builds(Fraction, st.sampled_from([k for k in range(-5, 6) if k]), st.integers(1, 4))
+    q = MultiPoly(n, draw(st.dictionaries(exps, coeffs, max_size=5)))
+    non_constant = st.dictionaries(exps, coeffs, min_size=1, max_size=5).filter(lambda t: any(map(any, t)))
+    g = MultiPoly(n, draw(non_constant))
+    r = {}
+    for e in draw(st.lists(exps, min_size=1, max_size=5)):
+        budget = g.degree() - 1
+        lowered = []
+        for x in e:
+            lowered.append(min(x, budget))
+            budget -= lowered[-1]
+        r[tuple(lowered)] = draw(coeffs)
+    return q, g, MultiPoly(n, r)
+
+
+@settings(derandomize=True, deadline=None)
+@given(divisions_with_a_remainder())
+def test_divide_exact_refuses_a_remainder_of_lower_degree(case):
+    q, g, r = case
+    assert g.degree() > r.degree() and not r.is_zero()
+    with pytest.raises(NotDivisible):
+        divide_exact(q * g + r, g)
+
+
 def _vectors():
     lam, mu = Partition((2,)), Partition((1, 1))
     return [

@@ -35,9 +35,10 @@ All scalars enter through rational, which refuses a float.
 
 The last section, with SymPoly.expand, is test-oracle arithmetic: MultiPoly
 keyed by exponent tuples, divide_exact, collect_symmetric and
-FactoredFraction (the tower's two-branch recursion).  Nothing in the
-package calls it; it stays because the tests check the kernel and the tower
-against it and perfbench/tracer.py names its functions.
+FactoredFraction, a polynomial over a monomial denominator whose quotients
+by x_i - x_j are exact divisions (the tower's two-branch recursion).
+Nothing in the package calls it; it stays because the tests check the
+kernel and the tower against it and perfbench/tracer.py names its functions.
 """
 
 from __future__ import annotations
@@ -577,37 +578,26 @@ def collect_symmetric(f: MultiPoly) -> SymPoly:
 
 
 class FactoredFraction:
-    """numerator / (prod_i x_i^{c_i} * prod_{i<j} (x_i - x_j)^{d_ij}).
+    """numerator / prod_i x_i^{c_i}: a polynomial over a monomial.
 
-    The denominator never leaves this factored shape; it is exactly the shape
-    generated by the two-branch recursion of the higher eigenoperators, whose
-    test oracle is the one user.  Every operation cancels what it can again
-    (simplify), and to_poly insists that nothing is left.
+    The denominator is a monomial, the shape that the two-branch recursion
+    of the higher eigenoperators leaves, whose test oracle is the one user.
+    A quotient by (x_i - x_j) is an exact division of the numerator
+    (div_pair), so a pair that does not divide raises NotDivisible where it
+    arises.  Every operation cancels the x_i powers it can again
+    (simplify), and to_poly insists that none is left.
     """
 
-    __slots__ = ("numer", "var_pows", "pair_pows")
-    # fields can be reassigned and pair_pows is a dict, so no content hash
+    __slots__ = ("numer", "var_pows")
+    # fields can be reassigned, so no content hash
     __hash__ = None
 
-    def __init__(
-        self,
-        numer: MultiPoly,
-        var_pows: tuple[int, ...] | None = None,
-        pair_pows: Mapping[tuple[int, int], int] | None = None,
-    ):
+    def __init__(self, numer: MultiPoly, var_pows: tuple[int, ...] | None = None):
         self.numer = numer
         n = numer.n
         self.var_pows: tuple[int, ...] = tuple(var_pows) if var_pows else (0,) * n
         if len(self.var_pows) != n or any(c < 0 for c in self.var_pows):
             raise ValueError("bad var_pows")
-        pp: dict[tuple[int, int], int] = {}
-        if pair_pows:
-            for (i, j), d in pair_pows.items():
-                if not (1 <= i < j <= n) or d < 0:
-                    raise ValueError(f"bad pair key ({i},{j})")
-                if d:
-                    pp[(i, j)] = d
-        self.pair_pows = pp
 
     @property
     def n(self) -> int:
@@ -617,7 +607,7 @@ class FactoredFraction:
     def from_poly(cls, p: MultiPoly) -> "FactoredFraction":
         return cls(p)
 
-    def _pad_numer(self, var_pows, pair_pows) -> MultiPoly:
+    def _pad_numer(self, var_pows) -> MultiPoly:
         """Numerator multiplied up to the given (larger) denominator."""
         n = self.n
         p = self.numer
@@ -625,83 +615,58 @@ class FactoredFraction:
             diff = var_pows[i - 1] - self.var_pows[i - 1]
             if diff:
                 p = p * MultiPoly.monomial(n, tuple(diff if k == i - 1 else 0 for k in range(n)))
-        for key, d in pair_pows.items():
-            diff = d - self.pair_pows.get(key, 0)
-            if diff:
-                fac = MultiPoly.variable(n, key[0]) - MultiPoly.variable(n, key[1])
-                for _ in range(diff):
-                    p = p * fac
         return p
-
-    def _common(self, other: "FactoredFraction"):
-        var_pows = tuple(max(a, b) for a, b in zip(self.var_pows, other.var_pows))
-        keys = set(self.pair_pows) | set(other.pair_pows)
-        pair_pows = {k: max(self.pair_pows.get(k, 0), other.pair_pows.get(k, 0)) for k in keys}
-        return var_pows, pair_pows
 
     def __add__(self, other: "FactoredFraction") -> "FactoredFraction":
         if self.n != other.n:
             raise ValueError("variable count mismatch")
-        var_pows, pair_pows = self._common(other)
-        num = self._pad_numer(var_pows, pair_pows) + other._pad_numer(var_pows, pair_pows)
-        return FactoredFraction(num, var_pows, pair_pows).simplify()
+        var_pows = tuple(max(a, b) for a, b in zip(self.var_pows, other.var_pows))
+        num = self._pad_numer(var_pows) + other._pad_numer(var_pows)
+        return FactoredFraction(num, var_pows).simplify()
 
     def __neg__(self) -> "FactoredFraction":
-        return FactoredFraction(-self.numer, self.var_pows, self.pair_pows)
+        return FactoredFraction(-self.numer, self.var_pows)
 
     def __sub__(self, other: "FactoredFraction") -> "FactoredFraction":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FactoredFraction(self.numer.scale(other), self.var_pows, self.pair_pows)
+            return FactoredFraction(self.numer.scale(other), self.var_pows)
         if isinstance(other, MultiPoly):
-            return FactoredFraction(self.numer * other, self.var_pows, self.pair_pows).simplify()
+            return FactoredFraction(self.numer * other, self.var_pows).simplify()
         return NotImplemented
 
     def div_var(self, i: int, e: int = 1) -> "FactoredFraction":
         """Multiply by x_i^{-e}."""
         vp = list(self.var_pows)
         vp[i - 1] += e
-        return FactoredFraction(self.numer, tuple(vp), self.pair_pows).simplify()
+        return FactoredFraction(self.numer, tuple(vp)).simplify()
 
     def mul_var(self, i: int) -> "FactoredFraction":
         """Multiply by x_i."""
         return self * MultiPoly.variable(self.n, i)
 
     def div_pair(self, i: int, j: int) -> "FactoredFraction":
-        """Multiply by 1/(x_i - x_j) with i < j; pass j < i for the sign flip."""
-        sign = 1
-        if i > j:
-            i, j = j, i
-            sign = -1
-        pp = dict(self.pair_pows)
-        pp[(i, j)] = pp.get((i, j), 0) + 1
-        return FactoredFraction(self.numer.scale(sign), self.var_pows, pp).simplify()
+        """Multiply by 1/(x_i - x_j), i != j, dividing the numerator exactly
+        at once; raises NotDivisible when (x_i - x_j) does not divide it."""
+        if not (1 <= i <= self.n and 1 <= j <= self.n and i != j):
+            raise ValueError(f"bad pair ({i},{j})")
+        fac = MultiPoly.variable(self.n, i) - MultiPoly.variable(self.n, j)
+        return FactoredFraction(divide_exact(self.numer, fac), self.var_pows)
 
     def deriv(self, i: int) -> "FactoredFraction":
-        """Partial derivative with respect to x_i, staying in factored form."""
-        n = self.n
-        total = FactoredFraction(self.numer.deriv(i), self.var_pows, self.pair_pows)
+        """Partial derivative with respect to x_i, staying over a monomial."""
+        total = FactoredFraction(self.numer.deriv(i), self.var_pows)
         c = self.var_pows[i - 1]
         if c:
             vp = list(self.var_pows)
             vp[i - 1] = c + 1
-            total = total + FactoredFraction(self.numer.scale(-c), tuple(vp), self.pair_pows)
-        for (a, b), d in self.pair_pows.items():
-            if i == a:
-                sgn = -d
-            elif i == b:
-                sgn = d
-            else:
-                continue
-            pp = dict(self.pair_pows)
-            pp[(a, b)] = d + 1
-            total = total + FactoredFraction(self.numer.scale(sgn), self.var_pows, pp)
+            total = total + FactoredFraction(self.numer.scale(-c), tuple(vp))
         return total.simplify()
 
     def simplify(self) -> "FactoredFraction":
-        """Cancel denominator factors that divide the numerator exactly."""
+        """Cancel the powers of x_i that divide the numerator."""
         if self.numer.is_zero():
             return FactoredFraction(MultiPoly.zero(self.n))
         num = self.numer
@@ -719,22 +684,11 @@ class FactoredFraction:
                     shifted[tuple(ne)] = c
                 num = num._new(shifted)
                 vp[i - 1] -= drop
-        pp = dict(self.pair_pows)
-        for key in list(pp):
-            fac = MultiPoly.variable(self.n, key[0]) - MultiPoly.variable(self.n, key[1])
-            while pp.get(key, 0) > 0:
-                try:
-                    num = divide_exact(num, fac)
-                except NotDivisible:
-                    break
-                pp[key] -= 1
-            if pp.get(key, 0) == 0:
-                pp.pop(key, None)
-        return FactoredFraction(num, tuple(vp), pp)
+        return FactoredFraction(num, tuple(vp))
 
     def to_poly(self) -> MultiPoly:
         """Exact reduction to a polynomial; raises NotDivisible otherwise."""
         s = self.simplify()
-        if any(s.var_pows) or s.pair_pows:
+        if any(s.var_pows):
             raise NotDivisible("denominator does not divide the numerator")
         return s.numer

@@ -335,6 +335,39 @@ def test_factored_fraction_roundtrip():
     assert h.to_poly() == y
 
 
+def test_factored_fraction_derivative_takes_the_quotient_rule():
+    # d/dx_1 (x_2 / x_1) = -x_2 / x_1^2, read back as a polynomial after x_1^2
+    x1, x2 = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
+    g = FactoredFraction.from_poly(x2).div_var(1).deriv(1)
+    assert g.mul_var(1).mul_var(1).to_poly() == -x2
+    assert FactoredFraction.from_poly(x1 * x2).div_var(1).deriv(2).to_poly() == MultiPoly.constant(2, 1)
+
+
+def test_factored_fraction_cancels_a_divided_power_back():
+    x, y = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
+    f = x * x * y + x * y * y + y
+    g = FactoredFraction.from_poly(f * x * x).div_var(1, 3)
+    assert g.var_pows == (1, 0) and g.numer == f
+    h = g.mul_var(1).simplify()
+    assert h.var_pows == (0, 0) and h.to_poly() == f
+    # the unsimplified x_1 f / x_1 cancels too
+    assert FactoredFraction(f * x, (1, 0)).simplify().to_poly() == f
+
+
+def test_factored_fraction_pair_division_is_exact_at_the_call():
+    x, y = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2)
+    with pytest.raises(NotDivisible):
+        FactoredFraction.from_poly(x).div_pair(1, 2)
+    for i, j in ((0, 1), (1, 1), (1, 3)):
+        with pytest.raises(ValueError):
+            FactoredFraction.from_poly(x).div_pair(i, j)
+    # (x^2 - y^2)/y over (x - y) is (x + y)/y, and over (y - x) its negative
+    f = FactoredFraction.from_poly(x * x - y * y).div_var(2)
+    forward, backward = f.div_pair(1, 2), f.div_pair(2, 1)
+    assert forward.numer == x + y and forward.var_pows == (0, 1)
+    assert backward.numer == -(x + y) and backward.var_pows == (0, 1)
+
+
 def test_equal_vectors_hash_alike():
     for v in _vectors():
         same = type(v)(*v._context(), dict(v.coeffs))

@@ -195,8 +195,8 @@ def test_jack_is_a_direct_sutherland_eigenfunction(shape, kappa):
 
 
 @st.composite
-def multi_term_sym_polys(draw):
-    n = draw(st.integers(1, 3))
+def multi_term_sym_polys(draw, max_n=3):
+    n = draw(st.integers(1, max_n))
     support = draw(st.lists(st.sampled_from(partitions_up_to(3, n)), min_size=2, max_size=4, unique=True))
     return SymPoly(n, {mu: draw(rationals) or 1 for mu in support})
 
@@ -283,8 +283,9 @@ def _two_branch_recursion(d, f, p):
     return collect_symmetric((total * Fraction(1, 2)).to_poly())
 
 
+# n <= 4, so that the S_{n-1} orbits of the stages hold three parts
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(multi_term_sym_polys(), tower_points)
+@given(multi_term_sym_polys(max_n=4), tower_points)
 def test_plus_branch_recursion_matches_the_two_branch_oracle(f, point):
     p = BesselParams(*point, f.n)
     for d in (1, 2, 3):
